@@ -11,7 +11,9 @@ where ``norm_hat`` rescales the raw (pre-normalization) feature norm against
 running statistics, so low-norm (low-quality) samples receive a weaker
 margin. All gradient code treats ang/add as per-call constants: the sampled
 elastic margin and the norm-adaptive terms steer the geometry of the loss but
-are not themselves differentiated through.
+are not themselves differentiated through. Every head runs one kernel on
+inputs validated once by the public function: it builds the (B, C) logits and
+turns that buffer in place into the softmax and then d_loss/d_cos.
 
 The distillation term is the mean squared difference between teacher and
 student embeddings; the combined objective is
@@ -173,6 +175,12 @@ def _normalize_rows(m: np.ndarray, what: str):
     return m / norms[:, None], norms
 
 
+def _through_normalization(d_hat, hat, norms):
+    """Carry a gradient w.r.t. row-normalized rows back to the raw rows."""
+    return (d_hat - np.sum(d_hat * hat, axis=1, keepdims=True) * hat
+            ) / norms[:, None]
+
+
 def _check_labels(labels, n_classes: int, batch: int) -> np.ndarray:
     y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     if y.shape != (batch,):
@@ -208,7 +216,8 @@ def _target_transform(cos_y: np.ndarray, ang: np.ndarray):
     return tgt, d_tgt
 
 
-def _forward(embeddings, prototypes, labels, scale, ang, add):
+def _validate(embeddings, prototypes, labels):
+    """(z, w, y, single): the public heads' inputs, checked once."""
     z, single = _as_batch(embeddings)
     w = np.asarray(prototypes, dtype=np.float64)
     if w.ndim != 2:
@@ -216,21 +225,43 @@ def _forward(embeddings, prototypes, labels, scale, ang, add):
     if w.shape[1] != z.shape[1]:
         raise DimensionMismatch(
             f"embedding dim {z.shape[1]} != prototype dim {w.shape[1]}")
-    b = z.shape[0]
-    y = _check_labels(labels, w.shape[0], b)
+    return z, w, _check_labels(labels, w.shape[0], z.shape[0]), single
 
+
+def _logits(z, w, y, scale, ang, add):
+    """(B, C) margin logits of validated arrays, plus the backward's cache."""
     z_hat, z_norms = _normalize_rows(z, "embedding")
     w_hat, w_norms = _normalize_rows(w, "prototypes")
-    cos = z_hat @ w_hat.T
-    rows = np.arange(b)
-    ang = np.broadcast_to(np.asarray(ang, dtype=np.float64), (b,))
-    add = np.broadcast_to(np.asarray(add, dtype=np.float64), (b,))
-
-    tgt, d_tgt = _target_transform(cos[rows, y], ang)
-    logits = scale * cos
+    logits = z_hat @ w_hat.T
+    rows = np.arange(z.shape[0])
+    ang = np.broadcast_to(np.asarray(ang, dtype=np.float64), rows.shape)
+    tgt, d_tgt = _target_transform(logits[rows, y], ang)
+    logits *= scale
     logits[rows, y] = scale * (tgt - add)
-    cache = (z, z_hat, z_norms, w_hat, w_norms, y, d_tgt, single)
-    return logits, cache
+    return logits, (rows, z_hat, z_norms, w_hat, w_norms, d_tgt)
+
+
+def _loss_and_grads(z, w, y, single, scale, ang, add) -> HeadGradients:
+    """The margin head on validated arrays. Its in-place steps keep the
+    operation order of the out-of-place formulas, so every bit is kept."""
+    buf, (rows, z_hat, z_norms, w_hat, w_norms, d_tgt) = _logits(
+        z, w, y, scale, ang, add)
+    buf -= buf.max(axis=1, keepdims=True)
+    shifted_y = buf[rows, y]
+    np.exp(buf, out=buf)
+    sums = buf.sum(axis=1)
+    buf /= sums[:, None]
+    loss = float((np.log(sums) - shifted_y).mean())
+    buf[rows, y] -= 1.0
+    buf /= rows.size
+    buf *= scale
+    buf[rows, y] *= d_tgt
+
+    d_z_hat = buf @ w_hat
+    d_w_hat = buf.T @ z_hat
+    d_z = _through_normalization(d_z_hat, z_hat, z_norms)
+    return HeadGradients(loss, d_z[0] if single else d_z,
+                         _through_normalization(d_w_hat, w_hat, w_norms))
 
 
 def margin_logits(embeddings, prototypes, labels, scale, ang_margin,
@@ -240,9 +271,9 @@ def margin_logits(embeddings, prototypes, labels, scale, ang_margin,
     Accepts a single (D,) embedding with an int label or a (B, D) batch with
     a (B,) label vector; margins may be scalars or per-sample vectors.
     """
-    logits, cache = _forward(embeddings, prototypes, labels, scale,
-                             ang_margin, add_margin)
-    return logits[0] if cache[-1] else logits
+    z, w, y, single = _validate(embeddings, prototypes, labels)
+    logits = _logits(z, w, y, scale, ang_margin, add_margin)[0]
+    return logits[0] if single else logits
 
 
 def margin_logits_arcface(embedding, prototypes, y, cfg: MarginConfig
@@ -260,10 +291,9 @@ def sample_elastic_margins(cfg: MarginConfig, rng: np.random.Generator,
 def margin_logits_elastic(embedding, prototypes, y, cfg: MarginConfig,
                           rng: np.random.Generator) -> np.ndarray:
     """Arcface with the target margin redrawn from Normal(m, std) per call."""
-    z, single = _as_batch(embedding)
+    z, w, y, single = _validate(embedding, prototypes, y)
     margins = sample_elastic_margins(cfg, rng, z.shape[0])
-    out = margin_logits(z, prototypes, y if not single else [y],
-                        cfg.s, margins, 0.0)
+    out = _logits(z, w, y, cfg.s, margins, 0.0)[0]
     return out[0] if single else out
 
 
@@ -287,11 +317,10 @@ def adaface_margin_terms(raw_norms: np.ndarray, cfg: MarginConfig,
 def margin_logits_adaface(embedding, prototypes, y, cfg: MarginConfig,
                           stats: NormStats) -> np.ndarray:
     """Norm-adaptive margin head; updates stats by EMA after use."""
-    z, single = _as_batch(embedding)
+    z, w, y, single = _validate(embedding, prototypes, y)
     norms = np.linalg.norm(z, axis=1)
     ang, add, safe = adaface_margin_terms(norms, cfg, stats)
-    out = margin_logits(z, prototypes, y if not single else [y],
-                        cfg.s, ang, add)
+    out = _logits(z, w, y, cfg.s, ang, add)[0]
     stats.update(safe, cfg.ema_momentum)
     return out[0] if single else out
 
@@ -342,31 +371,8 @@ def margin_loss_and_grads(embeddings, prototypes, labels, scale, ang, add
     Margins are per-call constants; gradients flow through the cosine
     geometry (including row normalization of embeddings and prototypes) only.
     """
-    logits, cache = _forward(embeddings, prototypes, labels, scale, ang, add)
-    z, z_hat, z_norms, w_hat, w_norms, y, d_tgt, single = cache
-    b = z.shape[0]
-    rows = np.arange(b)
-
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    losses = np.log(exp.sum(axis=1)) - shifted[rows, y]
-    loss = float(losses.mean())
-
-    d_logits = probs.copy()
-    d_logits[rows, y] -= 1.0
-    d_logits /= b
-
-    d_cos = scale * d_logits
-    d_cos[rows, y] *= d_tgt
-
-    d_z_hat = d_cos @ w_hat
-    d_w_hat = d_cos.T @ z_hat
-    d_z = (d_z_hat - np.sum(d_z_hat * z_hat, axis=1, keepdims=True) * z_hat
-           ) / z_norms[:, None]
-    d_w = (d_w_hat - np.sum(d_w_hat * w_hat, axis=1, keepdims=True) * w_hat
-           ) / w_norms[:, None]
-    return HeadGradients(loss, d_z[0] if single else d_z, d_w)
+    z, w, y, single = _validate(embeddings, prototypes, labels)
+    return _loss_and_grads(z, w, y, single, scale, ang, add)
 
 
 def head_loss_and_grads(embeddings, prototypes, labels, cfg: MarginConfig,
@@ -378,22 +384,18 @@ def head_loss_and_grads(embeddings, prototypes, labels, cfg: MarginConfig,
     EMA-updates stats. Both extras are treated as constants for the backward
     pass, matching the forward-only heads.
     """
-    z, single = _as_batch(embeddings)
-    y = labels if not single else [labels]
-    if cfg.kind == "arcface":
-        out = margin_loss_and_grads(z, prototypes, y, cfg.s, cfg.m, 0.0)
-    elif cfg.kind == "elastic_arcface":
+    z, w, y, single = _validate(embeddings, prototypes, labels)
+    ang, add = cfg.m, 0.0
+    if cfg.kind == "elastic_arcface":
         if rng is None:
             raise ValueError("elastic_arcface requires an rng")
-        margins = sample_elastic_margins(cfg, rng, z.shape[0])
-        out = margin_loss_and_grads(z, prototypes, y, cfg.s, margins, 0.0)
-    else:
-        norms = np.linalg.norm(z, axis=1)
-        ang, add, safe = adaface_margin_terms(norms, cfg, stats)
-        out = margin_loss_and_grads(z, prototypes, y, cfg.s, ang, add)
+        ang = sample_elastic_margins(cfg, rng, z.shape[0])
+    elif cfg.kind == "adaface":
+        ang, add, safe = adaface_margin_terms(np.linalg.norm(z, axis=1), cfg,
+                                              stats)
+    out = _loss_and_grads(z, w, y, single, cfg.s, ang, add)
+    if cfg.kind == "adaface":
         stats.update(safe, cfg.ema_momentum)
-    if single:
-        out.d_embedding = out.d_embedding[0]
     return out
 
 
@@ -419,10 +421,8 @@ def kd_loss_and_grads(teacher_emb, student_emb, normalized: bool = False,
         loss = float(np.sum(diff * diff) / denom)
         g_t_hat = 2.0 * diff / denom
         g_s_hat = -g_t_hat
-        d_t = (g_t_hat - np.sum(g_t_hat * t_hat, axis=1, keepdims=True) * t_hat
-               ) / t_norms[:, None]
-        d_s = (g_s_hat - np.sum(g_s_hat * s_hat, axis=1, keepdims=True) * s_hat
-               ) / s_norms[:, None]
+        d_t = _through_normalization(g_t_hat, t_hat, t_norms)
+        d_s = _through_normalization(g_s_hat, s_hat, s_norms)
     else:
         diff = t - s
         loss = float(np.sum(diff * diff) / denom)

@@ -68,6 +68,8 @@ class EncoderSpec:
             raise ValueError(f"all layer widths must be positive, got {dims}")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -302,18 +304,29 @@ def _gather_training_set(manifest: DatasetManifest, store, input_dim: int):
     return x, y, len(labels_of)
 
 
+def _flat_parameters(encoder: Encoder, prototypes: np.ndarray):
+    """(flat, prototypes view): one buffer that the encoder's weights and
+    biases and the returned prototypes all become views of."""
+    params = encoder.parameters() + [prototypes]
+    flat = np.concatenate(params, axis=None)
+    ends = np.cumsum([p.size for p in params])
+    views = [flat[e - p.size:e].reshape(p.shape) for p, e in zip(params, ends)]
+    encoder.weights, encoder.biases = views[:-1:2], views[1:-1:2]
+    return flat, views[-1]
+
+
 def _train(spec: EncoderSpec, manifest: DatasetManifest, store,
            loss_cfg: LossConfig, cfg: TrainConfig,
            teacher: Encoder | None) -> TrainResult:
     x, y, n_classes = _gather_training_set(manifest, store, spec.input_dim)
     encoder = Encoder(spec)
-    prototypes = init_prototypes(n_classes, spec.embedding_dim, seed=cfg.seed)
+    flat, prototypes = _flat_parameters(
+        encoder, init_prototypes(n_classes, spec.embedding_dim, seed=cfg.seed))
     stats = NormStats.default() if loss_cfg.margin.kind == "adaface" else None
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     use_kd = teacher is not None and loss_cfg.kd_weight > 0.0
 
-    params = encoder.parameters() + [prototypes]
-    velocity = [np.zeros_like(p) for p in params]
+    velocity = np.zeros_like(flat)
     n = x.shape[0]
     trace: list[EpochStats] = []
     for epoch in range(cfg.epochs):
@@ -342,11 +355,11 @@ def _train(spec: EncoderSpec, manifest: DatasetManifest, store,
                     f"non-finite loss {batch_total!r} at epoch {epoch}, "
                     f"batch starting {start}")
 
-            grads = encoder.backward(cache, d_emb) + [head.d_prototypes]
+            grad = np.concatenate(encoder.backward(cache, d_emb)
+                                  + [head.d_prototypes], axis=None)
             if cfg.weight_decay > 0.0:
-                grads = [g + cfg.weight_decay * p
-                         for g, p in zip(grads, params)]
-            sgd_step(params, grads, lr, cfg.momentum, velocity)
+                grad += cfg.weight_decay * flat
+            sgd_step([flat], [grad], lr, cfg.momentum, [velocity])
 
             cls_sum += head.loss * idx.size
             kd_sum += kd_val * idx.size
@@ -430,11 +443,20 @@ def checkpoint_save(encoder: Encoder, prototypes, stats: NormStats | None,
 
 
 def checkpoint_load(path, expect_embedding_dim: int | None = None) -> Checkpoint:
+    """Read a checkpoint written by checkpoint_save.
+
+    Every malformed document, including non-finite parameters or norm
+    statistics, raises FormatVersionMismatch.
+    """
     text = read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatVersionMismatch(f"{path}: undecodable checkpoint: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatVersionMismatch(
+            f"{path}: checkpoint must be a JSON object, "
+            f"found {type(doc).__name__}")
     if doc.get("schema") != CHECKPOINT_SCHEMA:
         raise FormatVersionMismatch(
             f"{path}: expected schema {CHECKPOINT_SCHEMA!r}, "
@@ -449,28 +471,36 @@ def checkpoint_load(path, expect_embedding_dim: int | None = None) -> Checkpoint
         )
         weights = [decode_array(w) for w in doc["weights"]]
         biases = [decode_array(b) for b in doc["biases"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        raw_stats = doc.get("norm_stats")
+        stats = None if raw_stats is None else NormStats(
+            mean_norm=float(raw_stats["mean_norm"]),
+            std_norm=float(raw_stats["std_norm"]))
+        raw_protos = doc.get("prototypes")
+        prototypes = None if raw_protos is None else decode_array(raw_protos)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatVersionMismatch(f"{path}: malformed checkpoint: {exc}") from exc
+    arrays = weights + biases + ([] if prototypes is None else [prototypes])
+    scalars = [] if stats is None else [stats.mean_norm, stats.std_norm]
+    if not (all(np.isfinite(a).all() for a in arrays)
+            and all(math.isfinite(v) for v in scalars)):
+        raise FormatVersionMismatch(
+            f"{path}: checkpoint holds non-finite values")
     if expect_embedding_dim is not None \
             and spec.embedding_dim != expect_embedding_dim:
         raise DimensionMismatch(
             f"checkpoint embeds into {spec.embedding_dim} dims, "
             f"expected {expect_embedding_dim}")
 
-    encoder = Encoder(spec)
-    expected = [w.shape for w in encoder.weights] + [b.shape for b in encoder.biases]
+    # Shapes come from the spec, so a forged spec cannot make the encoder
+    # allocate anything before the mismatch is found.
+    dims = spec.layer_dims
+    expected = list(zip(dims, dims[1:])) + [(d,) for d in dims[1:]]
     loaded = [w.shape for w in weights] + [b.shape for b in biases]
     if expected != loaded:
         raise FormatVersionMismatch(
             f"{path}: parameter shapes {loaded} do not match spec {expected}")
+    encoder = Encoder(spec)
     encoder.weights = weights
     encoder.biases = biases
-
-    raw_stats = doc.get("norm_stats")
-    stats = None if raw_stats is None else NormStats(
-        mean_norm=float(raw_stats["mean_norm"]),
-        std_norm=float(raw_stats["std_norm"]))
-    raw_protos = doc.get("prototypes")
-    prototypes = None if raw_protos is None else decode_array(raw_protos)
     return Checkpoint(encoder, prototypes, stats,
                       str(doc.get("config_digest", "")), doc.get("rng_state"))

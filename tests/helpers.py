@@ -1,6 +1,32 @@
-"""Shared test utilities: finite-difference gradients and error metrics."""
+"""Shared test utilities: finite-difference gradients, error metrics and
+bitwise reference implementations of the margin head and training loop."""
+
+import math
 
 import numpy as np
+
+from fairkd.errors import DimensionMismatch, DivergenceDetected
+from fairkd.losses import (
+    HeadGradients,
+    NormStats,
+    _as_batch,
+    _check_labels,
+    _normalize_rows,
+    _target_transform,
+    adaface_margin_terms,
+    init_prototypes,
+    kd_loss_and_grads,
+    sample_elastic_margins,
+)
+from fairkd.training import (
+    Encoder,
+    EpochStats,
+    TrainResult,
+    _augment_batch,
+    _gather_training_set,
+    lr_at_epoch,
+    sgd_step,
+)
 
 FD_STEP = 1e-5
 
@@ -26,3 +52,146 @@ def rel_grad_err(analytic, numeric):
     n = np.asarray(numeric, dtype=np.float64)
     denom = max(np.linalg.norm(a), np.linalg.norm(n), 1e-12)
     return float(np.linalg.norm(a - n) / denom)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the margin head and the training loop as they
+# were written before the in-place kernel and the flat parameter buffer.
+# The optimized code must reproduce them bit for bit.
+
+
+def ref_forward(embeddings, prototypes, labels, scale, ang, add):
+    z, single = _as_batch(embeddings)
+    w = np.asarray(prototypes, dtype=np.float64)
+    if w.ndim != 2:
+        raise DimensionMismatch(f"prototypes must be 2-D, got {w.shape}")
+    if w.shape[1] != z.shape[1]:
+        raise DimensionMismatch(
+            f"embedding dim {z.shape[1]} != prototype dim {w.shape[1]}")
+    b = z.shape[0]
+    y = _check_labels(labels, w.shape[0], b)
+
+    z_hat, z_norms = _normalize_rows(z, "embedding")
+    w_hat, w_norms = _normalize_rows(w, "prototypes")
+    cos = z_hat @ w_hat.T
+    rows = np.arange(b)
+    ang = np.broadcast_to(np.asarray(ang, dtype=np.float64), (b,))
+    add = np.broadcast_to(np.asarray(add, dtype=np.float64), (b,))
+
+    tgt, d_tgt = _target_transform(cos[rows, y], ang)
+    logits = scale * cos
+    logits[rows, y] = scale * (tgt - add)
+    cache = (z, z_hat, z_norms, w_hat, w_norms, y, d_tgt, single)
+    return logits, cache
+
+
+def ref_margin_loss_and_grads(embeddings, prototypes, labels, scale, ang, add
+                              ) -> HeadGradients:
+    logits, cache = ref_forward(embeddings, prototypes, labels, scale, ang,
+                                add)
+    z, z_hat, z_norms, w_hat, w_norms, y, d_tgt, single = cache
+    b = z.shape[0]
+    rows = np.arange(b)
+
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    losses = np.log(exp.sum(axis=1)) - shifted[rows, y]
+    loss = float(losses.mean())
+
+    d_logits = probs.copy()
+    d_logits[rows, y] -= 1.0
+    d_logits /= b
+
+    d_cos = scale * d_logits
+    d_cos[rows, y] *= d_tgt
+
+    d_z_hat = d_cos @ w_hat
+    d_w_hat = d_cos.T @ z_hat
+    d_z = (d_z_hat - np.sum(d_z_hat * z_hat, axis=1, keepdims=True) * z_hat
+           ) / z_norms[:, None]
+    d_w = (d_w_hat - np.sum(d_w_hat * w_hat, axis=1, keepdims=True) * w_hat
+           ) / w_norms[:, None]
+    return HeadGradients(loss, d_z[0] if single else d_z, d_w)
+
+
+def ref_head_loss_and_grads(embeddings, prototypes, labels, cfg, rng=None,
+                            stats=None) -> HeadGradients:
+    z, single = _as_batch(embeddings)
+    y = labels if not single else [labels]
+    if cfg.kind == "arcface":
+        out = ref_margin_loss_and_grads(z, prototypes, y, cfg.s, cfg.m, 0.0)
+    elif cfg.kind == "elastic_arcface":
+        margins = sample_elastic_margins(cfg, rng, z.shape[0])
+        out = ref_margin_loss_and_grads(z, prototypes, y, cfg.s, margins, 0.0)
+    else:
+        norms = np.linalg.norm(z, axis=1)
+        ang, add, safe = adaface_margin_terms(norms, cfg, stats)
+        out = ref_margin_loss_and_grads(z, prototypes, y, cfg.s, ang, add)
+        stats.update(safe, cfg.ema_momentum)
+    if single:
+        out.d_embedding = out.d_embedding[0]
+    return out
+
+
+def ref_train(spec, manifest, store, loss_cfg, cfg, teacher=None
+              ) -> TrainResult:
+    """The training loop with one SGD update per parameter array."""
+    x, y, n_classes = _gather_training_set(manifest, store, spec.input_dim)
+    encoder = Encoder(spec)
+    prototypes = init_prototypes(n_classes, spec.embedding_dim, seed=cfg.seed)
+    stats = NormStats.default() if loss_cfg.margin.kind == "adaface" else None
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    use_kd = teacher is not None and loss_cfg.kd_weight > 0.0
+
+    params = encoder.parameters() + [prototypes]
+    velocity = [np.zeros_like(p) for p in params]
+    n = x.shape[0]
+    trace = []
+    for epoch in range(cfg.epochs):
+        lr = lr_at_epoch(epoch, cfg)
+        order = rng.permutation(n)
+        cls_sum = kd_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb = _augment_batch(x[idx], cfg.hflip_prob, rng)
+            yb = y[idx]
+
+            emb, cache = encoder.forward_cached(xb)
+            head = ref_head_loss_and_grads(emb, prototypes, yb,
+                                           loss_cfg.margin, rng=rng,
+                                           stats=stats)
+            d_emb = head.d_embedding
+            kd_val = 0.0
+            if use_kd:
+                t_emb = teacher.forward(xb)
+                kd_val, _, d_student = kd_loss_and_grads(
+                    t_emb, emb, normalized=loss_cfg.kd_on_normalized,
+                    reduction=loss_cfg.kd_reduction)
+                d_emb = d_emb + loss_cfg.kd_weight * d_student
+            batch_total = head.loss + loss_cfg.kd_weight * kd_val
+            if not math.isfinite(batch_total):
+                raise DivergenceDetected(
+                    f"non-finite loss {batch_total!r} at epoch {epoch}")
+
+            grads = encoder.backward(cache, d_emb) + [head.d_prototypes]
+            if cfg.weight_decay > 0.0:
+                grads = [g + cfg.weight_decay * p
+                         for g, p in zip(grads, params)]
+            sgd_step(params, grads, lr, cfg.momentum, velocity)
+
+            cls_sum += head.loss * idx.size
+            kd_sum += kd_val * idx.size
+        cls_mean = cls_sum / n
+        kd_mean = kd_sum / n
+        trace.append(EpochStats(epoch, lr, cls_mean, kd_mean,
+                                cls_mean + loss_cfg.kd_weight * kd_mean))
+    return TrainResult(encoder, prototypes, stats, trace,
+                       rng_state=rng.bit_generator.state)
+
+
+def assert_bitwise(actual, expected):
+    """Same dtype, shape and bytes (so -0.0 and 0.0 differ, NaNs match)."""
+    a, e = np.asarray(actual), np.asarray(expected)
+    assert (a.dtype, a.shape) == (e.dtype, e.shape)
+    assert a.tobytes() == e.tobytes()

@@ -7,7 +7,14 @@ import pytest
 
 from fairkd.cli import main
 from fairkd.config import CONFIG_DIR_ENV
-from fairkd.formats import read_manifest, read_protocol, read_report, read_trace
+from fairkd.formats import (
+    decode_array,
+    encode_array,
+    read_manifest,
+    read_protocol,
+    read_report,
+    read_trace,
+)
 from fairkd.training import Encoder, EncoderSpec, checkpoint_save
 
 TINY = {
@@ -252,6 +259,28 @@ def test_eval_on_separable_universe_flags_degenerate_ser(tmp_path):
     assert report.ser_degenerate
     assert report.ser == float("inf")
     assert '"ser":null' in out.read_text()
+
+
+def _nan_first_weight(doc):
+    weights = [decode_array(w) for w in doc["weights"]]
+    weights[0][0, 0] = np.nan
+    return {**doc, "weights": [encode_array(w) for w in weights]}
+
+
+@pytest.mark.parametrize("corrupt", [
+    _nan_first_weight,
+    lambda doc: [doc],
+    lambda doc: {**doc, "norm_stats": {"mean_norm": "abc", "std_norm": 1.0}},
+], ids=["nan_weight", "top_level_list", "string_norm_stat"])
+def test_eval_on_malformed_checkpoint_exits_1(ws, tmp_path, capsys, corrupt):
+    doc = json.loads((ws / "c" / "teacher-scratch.ckpt").read_text())
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text(json.dumps(corrupt(doc)))
+    out = tmp_path / "report.json"
+    assert main(["eval", "--config", cfg_of(ws), "--checkpoint", str(bad),
+                 "--out", str(out)]) == 1
+    assert f"error: {bad}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- report
