@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -108,18 +108,24 @@ def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _build_section(cls, data, path: str):
+def _build_section(cls, data, path: str, default):
+    """cls from data; a field that cls has no default for is taken from
+    default (the matching part of RunConfig()), so a partial section such as
+    {"teacher": {"init_seed": 3}} builds. Fields with a class default keep
+    it, which leaves the digest of every complete section unchanged."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     valid = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - valid)
     if unknown:
         raise ConfigError(f"unknown config key {path}.{unknown[0]}")
-    kwargs = {}
+    kwargs = {f.name: getattr(default, f.name) for f in fields(cls)
+              if f.default is MISSING and f.default_factory is MISSING}
     for key, value in data.items():
         child = f"{path}.{key}"
-        if key in _SECTION_TYPES and isinstance(value, dict):
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, child)
+        if key in _SECTION_TYPES:
+            kwargs[key] = _build_section(_SECTION_TYPES[key], value, child,
+                                         getattr(default, key))
         elif isinstance(value, list):
             kwargs[key] = tuple(value)
         else:
@@ -131,7 +137,7 @@ def _build_section(cls, data, path: str):
 
 
 def from_dict(data: dict) -> RunConfig:
-    cfg = _build_section(RunConfig, data, "config")
+    cfg = _build_section(RunConfig, data, "config", RunConfig())
     cfg.validate()
     return cfg
 

@@ -6,6 +6,11 @@ single-document for the rest) with an explicit schema tag, written atomically
 Serialization is canonical: sorted keys, fixed separators, and repr-exact
 floats, so identical inputs produce byte-identical files.
 
+Every artifact goes through one codec: write_doc merges the header, checks
+it for collisions and writes canonically; read_doc parses, rejects NaN and
+Infinity, checks the schema and runs the artifact's decoder, so that any
+malformed or non-finite file raises FormatVersionMismatch.
+
 Float arrays that must round-trip bitwise (features, checkpoints) are stored
 as base64 of their little-endian raw bytes rather than decimal text.
 """
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import tempfile
 
@@ -26,11 +32,13 @@ from .sampling import DatasetManifest, ManifestEntry
 MANIFEST_SCHEMA = "fairkd/manifest/1"
 PROTOCOL_SCHEMA = "fairkd/protocol/1"
 REPORT_SCHEMA = "fairkd/report/1"
-FEATURES_SCHEMA = "fairkd/features/1"
+FEATURES_SCHEMA = "fairkd/features/2"
 CHECKPOINT_SCHEMA = "fairkd/checkpoint/1"
 TRACE_SCHEMA = "fairkd/trace/1"
 
 _ARRAY_DTYPES = ("float64", "int64")
+# What a decoder raises on a document of the wrong shape or type.
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 def canonical_json(obj) -> str:
@@ -78,45 +86,72 @@ def encode_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(obj) -> np.ndarray:
+    """Inverse of encode_array; any malformed record is FormatVersionMismatch."""
     try:
         dtype = obj["dtype"]
+        if dtype not in _ARRAY_DTYPES:
+            raise ValueError(f"unsupported array dtype {dtype!r}")
         shape = tuple(obj["shape"])
         raw = base64.b64decode(obj["data"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
+        arr = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
+        return arr.reshape(shape).astype(dtype, copy=True)
+    except _DECODE_ERRORS as exc:
         raise FormatVersionMismatch(f"malformed array record: {exc}") from exc
-    if dtype not in _ARRAY_DTYPES:
-        raise FormatVersionMismatch(f"unsupported array dtype {dtype!r}")
-    itemsize = np.dtype(dtype).itemsize
-    expected_items = int(np.prod(shape, dtype=np.int64))
-    if len(raw) != itemsize * expected_items:
-        raise FormatVersionMismatch(
-            f"array payload holds {len(raw)} bytes, shape {shape} needs "
-            f"{itemsize * expected_items}")
-    arr = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
-    return arr.reshape(shape).astype(dtype, copy=True)
 
 
-def _check_schema(header: dict, expected: str, path) -> None:
-    found = header.get("schema")
-    if found != expected:
-        raise FormatVersionMismatch(
-            f"{path}: expected schema {expected!r}, found {found!r}")
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {value!r}")
+    return number
 
 
-def _parse_json(text: str, path, what: str = "document"):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatVersionMismatch(f"{path}: undecodable {what}: {exc}") from exc
+# One decoder for every read: json.loads with hooks would build one per call.
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 
 
-def _merge_header(base: dict, extra: dict | None) -> dict:
-    extra = dict(extra or {})
-    clash = set(extra) & set(base)
+def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
+              records=()) -> None:
+    """Write {"schema": schema, **body, **extra_header} as one canonical JSON
+    line, then one line per record, atomically.
+
+    extra_header may not shadow a structural key (ValueError).
+    """
+    header = {"schema": schema, **body}
+    extra = dict(extra_header or {})
+    clash = set(extra) & set(header)
     if clash:
         raise ValueError(f"extra header keys collide with structural keys: {clash}")
-    base.update(extra)
-    return base
+    lines = [canonical_json({**header, **extra})]
+    lines.extend(map(canonical_json, records))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_doc(path, schema: str, decode, lines: bool = False):
+    """(decode(header, records), header) of an artifact written by write_doc.
+
+    With lines=True the first non-blank line is the header and each later
+    one a record; otherwise the whole file is the header and records is
+    empty. records is an iterator, parsed as decode consumes it. A missing
+    file raises IoError; anything undecodable, non-finite, of the wrong
+    schema or rejected by decode raises FormatVersionMismatch.
+    """
+    try:
+        text = read_text(path)
+        chunks = text.splitlines() if lines else [text]
+        docs = map(_DECODER.decode, filter(str.strip, chunks))
+        header = next(docs, None)
+        if header is None:
+            raise ValueError("empty file")
+        if not isinstance(header, dict):
+            raise TypeError(f"header must be an object, found "
+                            f"{type(header).__name__}")
+        if header.get("schema") != schema:
+            raise ValueError(f"expected schema {schema!r}, "
+                             f"found {header.get('schema')!r}")
+        return decode(header, docs), header
+    except _DECODE_ERRORS as exc:
+        raise FormatVersionMismatch(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -126,54 +161,39 @@ def _merge_header(base: dict, extra: dict | None) -> dict:
 def write_manifest(manifest: DatasetManifest, path,
                    extra_header: dict | None = None) -> None:
     manifest.validate()
-    header = _merge_header({
-        "schema": MANIFEST_SCHEMA,
+    write_doc(path, MANIFEST_SCHEMA, {
         "name": manifest.name,
         "group_count": manifest.group_count,
         "shortfalls": dict(manifest.shortfalls),
-    }, extra_header)
-    lines = [canonical_json(header)]
-    for e in manifest.entries:
-        lines.append(canonical_json({
-            "sample_id": e.sample_id,
-            "identity_id": e.identity_id,
-            "source": e.source,
-            "soft_labels": list(e.soft_labels),
-            "payload_ref": e.payload_ref,
-        }))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    }, extra_header, records=({
+        "sample_id": e.sample_id,
+        "identity_id": e.identity_id,
+        "source": e.source,
+        "soft_labels": list(e.soft_labels),
+        "payload_ref": e.payload_ref,
+    } for e in manifest.entries))
 
 
-def read_manifest(path) -> tuple[DatasetManifest, dict]:
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise FormatVersionMismatch(f"{path}: empty manifest file")
-    header = _parse_json(lines[0], path, "header")
-    _check_schema(header, MANIFEST_SCHEMA, path)
-    entries = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        rec = _parse_json(line, path, "entry")
-        try:
-            entries.append(ManifestEntry(
-                sample_id=rec["sample_id"],
-                identity_id=rec["identity_id"],
-                source=rec["source"],
-                soft_labels=tuple(float(p) for p in rec["soft_labels"]),
-                payload_ref=rec["payload_ref"],
-            ))
-        except (KeyError, TypeError) as exc:
-            raise FormatVersionMismatch(f"{path}: malformed entry: {exc}") from exc
+def _manifest_from_doc(header: dict, records) -> DatasetManifest:
     manifest = DatasetManifest(
         name=header.get("name", ""),
         group_count=int(header.get("group_count", 0)),
-        entries=entries,
+        entries=[ManifestEntry(
+            sample_id=rec["sample_id"],
+            identity_id=rec["identity_id"],
+            source=rec["source"],
+            soft_labels=tuple(float(p) for p in rec["soft_labels"]),
+            payload_ref=rec["payload_ref"],
+        ) for rec in records],
         shortfalls={str(k): int(v)
-                    for k, v in (header.get("shortfalls") or {}).items()},
+                    for k, v in header.get("shortfalls", {}).items()},
     )
     manifest.validate()
-    return manifest, header
+    return manifest
+
+
+def read_manifest(path) -> tuple[DatasetManifest, dict]:
+    return read_doc(path, MANIFEST_SCHEMA, _manifest_from_doc, lines=True)
 
 
 # ---------------------------------------------------------------------------
@@ -183,44 +203,28 @@ def read_manifest(path) -> tuple[DatasetManifest, dict]:
 def write_protocol(protocol: PairProtocol, path,
                    extra_header: dict | None = None) -> None:
     protocol.validate()
-    header = _merge_header({
-        "schema": PROTOCOL_SCHEMA,
+    write_doc(path, PROTOCOL_SCHEMA, {
         "group_names": [g.name for g in protocol.groups],
-    }, extra_header)
-    lines = [canonical_json(header)]
-    for g in protocol.groups:
-        for p in g.pairs:
-            lines.append(canonical_json({
-                "group": g.name,
-                "sample_a": p.sample_a,
-                "sample_b": p.sample_b,
-                "same": p.same,
-            }))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    }, extra_header, records=({
+        "group": g.name,
+        "sample_a": p.sample_a,
+        "sample_b": p.sample_b,
+        "same": p.same,
+    } for g in protocol.groups for p in g.pairs))
+
+
+def _protocol_from_doc(header: dict, records) -> PairProtocol:
+    groups = {name: GroupProtocol(name) for name in header["group_names"]}
+    for rec in records:
+        groups[rec["group"]].pairs.append(VerificationPair(
+            rec["sample_a"], rec["sample_b"], bool(rec["same"])))
+    protocol = PairProtocol(list(groups.values()))
+    protocol.validate()
+    return protocol
 
 
 def read_protocol(path) -> tuple[PairProtocol, dict]:
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise FormatVersionMismatch(f"{path}: empty protocol file")
-    header = _parse_json(lines[0], path, "header")
-    _check_schema(header, PROTOCOL_SCHEMA, path)
-    names = header.get("group_names") or []
-    groups = {name: GroupProtocol(name) for name in names}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        rec = _parse_json(line, path, "pair")
-        try:
-            group = groups[rec["group"]]
-            group.pairs.append(VerificationPair(
-                rec["sample_a"], rec["sample_b"], bool(rec["same"])))
-        except KeyError as exc:
-            raise FormatVersionMismatch(
-                f"{path}: pair references unknown field or group: {exc}") from exc
-    protocol = PairProtocol([groups[name] for name in names])
-    protocol.validate()
-    return protocol, header
+    return read_doc(path, PROTOCOL_SCHEMA, _protocol_from_doc, lines=True)
 
 
 # ---------------------------------------------------------------------------
@@ -240,61 +244,64 @@ def _report_to_obj(report: EvalReport) -> dict:
 
 
 def _report_from_obj(obj: dict) -> EvalReport:
-    try:
-        degenerate = bool(obj["ser_degenerate"])
-        return EvalReport(
-            per_group=tuple(float(a) for a in obj["per_group"]),
-            average=float(obj["average"]),
-            std=float(obj["std"]),
-            ser=float("inf") if degenerate else float(obj["ser"]),
-            ser_degenerate=degenerate,
-            metadata={str(k): str(v) for k, v in obj.get("metadata", {}).items()},
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatVersionMismatch(f"malformed report record: {exc}") from exc
+    degenerate = bool(obj["ser_degenerate"])
+    return EvalReport(
+        per_group=tuple(_finite(a) for a in obj["per_group"]),
+        average=_finite(obj["average"]),
+        std=_finite(obj["std"]),
+        ser=float("inf") if degenerate else _finite(obj["ser"]),
+        ser_degenerate=degenerate,
+        metadata={str(k): str(v) for k, v in obj.get("metadata", {}).items()},
+    )
 
 
 def write_report(reports, path, extra_header: dict | None = None) -> None:
     if isinstance(reports, EvalReport):
         reports = [reports]
-    doc = _merge_header({
-        "schema": REPORT_SCHEMA,
-        "reports": [_report_to_obj(r) for r in reports],
-    }, extra_header)
-    atomic_write_text(path, canonical_json(doc) + "\n")
+    write_doc(path, REPORT_SCHEMA,
+              {"reports": [_report_to_obj(r) for r in reports]}, extra_header)
 
 
 def read_report(path) -> tuple[list[EvalReport], dict]:
-    doc = _parse_json(read_text(path), path)
-    _check_schema(doc, REPORT_SCHEMA, path)
-    return [_report_from_obj(o) for o in doc.get("reports", [])], doc
+    return read_doc(path, REPORT_SCHEMA, lambda doc, _: [
+        _report_from_obj(o) for o in doc.get("reports", [])])
 
 
 # ---------------------------------------------------------------------------
-# feature stores: sample_id -> float64 vector, bit-exact
+# feature stores: sample_id -> float64 vector, bit-exact, as sorted ids plus
+# one (N, dim) matrix
 
 
 def write_features(features: dict, path,
                    extra_header: dict | None = None) -> None:
-    dims = {np.asarray(v).shape for v in features.values()}
-    if len(dims) > 1:
-        raise ValueError(f"feature vectors disagree on shape: {sorted(dims)}")
-    dim = next(iter(dims))[0] if features else 0
-    doc = _merge_header({
-        "schema": FEATURES_SCHEMA,
-        "dim": dim,
-        "features": {str(k): encode_array(np.asarray(v, dtype=np.float64))
-                     for k, v in features.items()},
+    store = {str(k): np.asarray(v, dtype=np.float64)
+             for k, v in features.items()}
+    ids = sorted(store)
+    matrix = np.stack([store[k] for k in ids]) if ids else np.zeros((0, 0))
+    if matrix.ndim != 2 or not np.isfinite(matrix).all():
+        raise ValueError("features must be finite vectors")
+    write_doc(path, FEATURES_SCHEMA, {
+        "ids": ids,
+        "dim": matrix.shape[1],
+        "matrix": encode_array(matrix),
     }, extra_header)
-    atomic_write_text(path, canonical_json(doc) + "\n")
+
+
+def _features_from_doc(doc: dict, _) -> dict:
+    ids = doc["ids"]
+    matrix = decode_array(doc["matrix"])
+    if matrix.shape != (len(ids), doc["dim"]):
+        raise ValueError(f"matrix of shape {matrix.shape} does not hold "
+                         f"{len(ids)} vectors of dim {doc['dim']!r}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("feature store holds non-finite values")
+    if sorted(set(ids)) != ids:
+        raise ValueError("feature ids must be unique and sorted")
+    return dict(zip(ids, matrix))
 
 
 def read_features(path) -> tuple[dict, dict]:
-    doc = _parse_json(read_text(path), path)
-    _check_schema(doc, FEATURES_SCHEMA, path)
-    features = {k: decode_array(v)
-                for k, v in (doc.get("features") or {}).items()}
-    return features, doc
+    return read_doc(path, FEATURES_SCHEMA, _features_from_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +310,11 @@ def read_features(path) -> tuple[dict, dict]:
 
 def write_trace(epochs, path, extra_header: dict | None = None) -> None:
     """epochs is a list of flat dicts (epoch, lr, losses...)."""
-    doc = _merge_header({
-        "schema": TRACE_SCHEMA,
-        "epochs": [dict(e) for e in epochs],
-    }, extra_header)
-    atomic_write_text(path, canonical_json(doc) + "\n")
+    write_doc(path, TRACE_SCHEMA, {"epochs": [dict(e) for e in epochs]},
+              extra_header)
 
 
 def read_trace(path) -> tuple[list[dict], dict]:
-    doc = _parse_json(read_text(path), path)
-    _check_schema(doc, TRACE_SCHEMA, path)
-    return [dict(e) for e in doc.get("epochs", [])], doc
+    # {**e} rather than dict(e): an epoch must be an object, not a pair list
+    return read_doc(path, TRACE_SCHEMA, lambda doc, _: [
+        {**e} for e in doc.get("epochs", [])])

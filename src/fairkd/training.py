@@ -14,7 +14,6 @@ single-threaded on purpose.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -26,18 +25,16 @@ from .errors import (
     DivergenceDetected,
     EmptyManifest,
     EpochOutOfRange,
-    FormatVersionMismatch,
     FrozenViolation,
     MissingSample,
     ShapeMismatch,
 )
 from .formats import (
     CHECKPOINT_SCHEMA,
-    atomic_write_text,
-    canonical_json,
     decode_array,
     encode_array,
-    read_text,
+    read_doc,
+    write_doc,
 )
 from .losses import (
     LossConfig,
@@ -416,8 +413,7 @@ def checkpoint_save(encoder: Encoder, prototypes, stats: NormStats | None,
                     extra_header: dict | None = None) -> None:
     """Bit-exact snapshot of an encoder head state, written atomically."""
     spec = encoder.spec
-    doc = {
-        "schema": CHECKPOINT_SCHEMA,
+    write_doc(path, CHECKPOINT_SCHEMA, {
         "spec": {
             "input_dim": spec.input_dim,
             "hidden_widths": list(spec.hidden_widths),
@@ -434,62 +430,31 @@ def checkpoint_save(encoder: Encoder, prototypes, stats: NormStats | None,
                              "std_norm": stats.std_norm}),
         "config_digest": config_digest,
         "rng_state": rng_state,
-    }
-    for key, value in (extra_header or {}).items():
-        if key in doc:
-            raise ValueError(f"extra header key collides with checkpoint field: {key}")
-        doc[key] = value
-    atomic_write_text(path, canonical_json(doc) + "\n")
+    }, extra_header)
 
 
-def checkpoint_load(path, expect_embedding_dim: int | None = None) -> Checkpoint:
-    """Read a checkpoint written by checkpoint_save.
-
-    Every malformed document, including non-finite parameters or norm
-    statistics, raises FormatVersionMismatch.
-    """
-    text = read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatVersionMismatch(f"{path}: undecodable checkpoint: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatVersionMismatch(
-            f"{path}: checkpoint must be a JSON object, "
-            f"found {type(doc).__name__}")
-    if doc.get("schema") != CHECKPOINT_SCHEMA:
-        raise FormatVersionMismatch(
-            f"{path}: expected schema {CHECKPOINT_SCHEMA!r}, "
-            f"found {doc.get('schema')!r}")
-    try:
-        spec = EncoderSpec(
-            input_dim=int(doc["spec"]["input_dim"]),
-            hidden_widths=tuple(doc["spec"]["hidden_widths"]),
-            embedding_dim=int(doc["spec"]["embedding_dim"]),
-            activation=doc["spec"]["activation"],
-            init_seed=int(doc["spec"]["init_seed"]),
-        )
-        weights = [decode_array(w) for w in doc["weights"]]
-        biases = [decode_array(b) for b in doc["biases"]]
-        raw_stats = doc.get("norm_stats")
-        stats = None if raw_stats is None else NormStats(
-            mean_norm=float(raw_stats["mean_norm"]),
-            std_norm=float(raw_stats["std_norm"]))
-        raw_protos = doc.get("prototypes")
-        prototypes = None if raw_protos is None else decode_array(raw_protos)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatVersionMismatch(f"{path}: malformed checkpoint: {exc}") from exc
+def _checkpoint_from_doc(doc: dict, _) -> Checkpoint:
+    raw_spec = doc["spec"]
+    spec = EncoderSpec(
+        input_dim=int(raw_spec["input_dim"]),
+        hidden_widths=tuple(raw_spec["hidden_widths"]),
+        embedding_dim=int(raw_spec["embedding_dim"]),
+        activation=raw_spec["activation"],
+        init_seed=int(raw_spec["init_seed"]),
+    )
+    weights = [decode_array(w) for w in doc["weights"]]
+    biases = [decode_array(b) for b in doc["biases"]]
+    raw_stats = doc.get("norm_stats")
+    stats = None if raw_stats is None else NormStats(
+        mean_norm=float(raw_stats["mean_norm"]),
+        std_norm=float(raw_stats["std_norm"]))
+    raw_protos = doc.get("prototypes")
+    prototypes = None if raw_protos is None else decode_array(raw_protos)
     arrays = weights + biases + ([] if prototypes is None else [prototypes])
     scalars = [] if stats is None else [stats.mean_norm, stats.std_norm]
     if not (all(np.isfinite(a).all() for a in arrays)
             and all(math.isfinite(v) for v in scalars)):
-        raise FormatVersionMismatch(
-            f"{path}: checkpoint holds non-finite values")
-    if expect_embedding_dim is not None \
-            and spec.embedding_dim != expect_embedding_dim:
-        raise DimensionMismatch(
-            f"checkpoint embeds into {spec.embedding_dim} dims, "
-            f"expected {expect_embedding_dim}")
+        raise ValueError("checkpoint holds non-finite values")
 
     # Shapes come from the spec, so a forged spec cannot make the encoder
     # allocate anything before the mismatch is found.
@@ -497,10 +462,18 @@ def checkpoint_load(path, expect_embedding_dim: int | None = None) -> Checkpoint
     expected = list(zip(dims, dims[1:])) + [(d,) for d in dims[1:]]
     loaded = [w.shape for w in weights] + [b.shape for b in biases]
     if expected != loaded:
-        raise FormatVersionMismatch(
-            f"{path}: parameter shapes {loaded} do not match spec {expected}")
+        raise ValueError(f"parameter shapes {loaded} do not match spec {expected}")
     encoder = Encoder(spec)
     encoder.weights = weights
     encoder.biases = biases
     return Checkpoint(encoder, prototypes, stats,
                       str(doc.get("config_digest", "")), doc.get("rng_state"))
+
+
+def checkpoint_load(path) -> Checkpoint:
+    """Read a checkpoint written by checkpoint_save.
+
+    Every malformed document, including non-finite parameters or norm
+    statistics, raises FormatVersionMismatch.
+    """
+    return read_doc(path, CHECKPOINT_SCHEMA, _checkpoint_from_doc)[0]

@@ -303,6 +303,16 @@ def test_report_renders_markdown_and_csv(ws, capsys):
     assert out.read_text().splitlines()[0].startswith("model,data,distilled")
 
 
+def test_report_with_nan_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"schema": "fairkd/report/1", "reports": [{
+        "per_group": [91.0, 92.0], "average": float("nan"), "std": 0.7,
+        "ser": 1.1, "ser_degenerate": False, "metadata": {}}]}))
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
 # --------------------------------------------------------- verify-tables
 
 

@@ -138,3 +138,21 @@ def test_non_object_top_level_rejected(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(str(path))
+
+
+def test_partial_encoder_section_starts_from_its_default(tmp_path):
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"teacher": {"init_seed": 3}}))
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"teacher": {
+        **to_dict(RunConfig())["teacher"], "init_seed": 3}}))
+    configs = [load_config(None, ["teacher.init_seed=3"]),
+               load_config(str(partial)), load_config(str(full))]
+    assert configs[0].teacher.hidden_widths == RunConfig().teacher.hidden_widths
+    assert configs[0].teacher.init_seed == 3
+    assert len({config_digest(c) for c in configs}) == 1
+
+
+def test_section_that_is_not_an_object_rejected():
+    with pytest.raises(ConfigError, match="config.teacher"):
+        from_dict({"teacher": 5})

@@ -1,5 +1,6 @@
 """Round-trip and failure-path coverage for the on-disk formats."""
 
+import json
 import math
 
 import numpy as np
@@ -181,6 +182,31 @@ class TestFeatureIo:
             write_features({"a": np.zeros(3), "b": np.zeros(4)},
                            tmp_path / "f.json")
 
+    def test_stored_as_sorted_ids_and_one_matrix(self, tmp_path):
+        path = tmp_path / "f.json"
+        write_features({"b": np.ones(3), "a": np.zeros(3)}, path)
+        doc = json.loads(path.read_text())
+        assert doc["ids"] == ["a", "b"] and doc["dim"] == 3
+        np.testing.assert_array_equal(decode_array(doc["matrix"]),
+                                      [np.zeros(3), np.ones(3)])
+
+    def test_empty_store_round_trips(self, tmp_path):
+        path = tmp_path / "f.json"
+        write_features({}, path)
+        assert read_features(path)[0] == {}
+
+    def test_version_1_store_rejected(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(canonical_json({
+            "schema": "fairkd/features/1", "dim": 4,
+            "features": {"a": encode_array(np.zeros(4))}}))
+        with pytest.raises(FormatVersionMismatch):
+            read_features(path)
+
+    def test_non_finite_vector_rejected_on_write(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_features({"a": np.array([np.nan, 1.0])}, tmp_path / "f.json")
+
 
 class TestArrayCodec:
     def test_exact_round_trip_int64(self):
@@ -237,3 +263,73 @@ class TestTrace:
         path.write_text('{"schema": "fairkd/report/1", "epochs": []}')
         with pytest.raises(FormatVersionMismatch):
             read_trace(path)
+
+
+def sample_report(path):
+    write_report(build_report((91.0, 92.5), {"model": "m"}), path)
+
+
+def sample_features(path):
+    write_features({"a": np.zeros(4), "b": np.ones(4)}, path)
+
+
+WRITE_AND_READ = {
+    "manifest": (lambda p: write_manifest(sample_manifest(), p), read_manifest),
+    "protocol": (lambda p: write_protocol(sample_protocol(), p), read_protocol),
+    "report": (sample_report, read_report),
+    "features": (sample_features, read_features),
+    "trace": (lambda p: write_trace(TestTrace.EPOCHS, p), read_trace),
+}
+
+
+def with_nan_row(record):
+    matrix = decode_array(record)
+    matrix[1] = np.nan
+    return encode_array(matrix)
+
+
+def first_report(docs, **changes):
+    return [{**docs[0], "reports": [{**docs[0]["reports"][0], **changes}]}]
+
+
+# kind, then a map from the documents of a valid file (header first, then
+# one per record line) to the malformed ones
+MALFORMED = {
+    "report_top_level_list": ("report", lambda d: [[d[0]]]),
+    "trace_top_level_list": ("trace", lambda d: [[d[0]]]),
+    "features_top_level_list": ("features", lambda d: [[d[0]]]),
+    "reports_not_a_list": ("report", lambda d: [{**d[0], "reports": 5}]),
+    "report_metadata_list": ("report",
+                             lambda d: first_report(d, metadata=["m"])),
+    "trace_epoch_int": ("trace", lambda d: [{**d[0], "epochs": [5]}]),
+    "protocol_record_list": ("protocol",
+                             lambda d: [d[0], ["g0", "s1", "s2", True], *d[2:]]),
+    "group_names_int": ("protocol",
+                        lambda d: [{**d[0], "group_names": 3}, *d[1:]]),
+    "group_count_text": ("manifest",
+                         lambda d: [{**d[0], "group_count": "x"}, *d[1:]]),
+    "shortfalls_list": ("manifest",
+                        lambda d: [{**d[0], "shortfalls": [1]}, *d[1:]]),
+    "soft_label_text": ("manifest", lambda d: [
+        d[0], {**d[1], "soft_labels": ["abc", 0.2]}, *d[2:]]),
+    "manifest_header_list": ("manifest", lambda d: [[d[0]], *d[1:]]),
+    "array_shape_text": ("features", lambda d: [
+        {**d[0], "matrix": {**d[0]["matrix"], "shape": ["x"]}}]),
+    "report_nan": ("report", lambda d: first_report(d, average=float("nan"))),
+    "features_nan_row": ("features", lambda d: [
+        {**d[0], "matrix": with_nan_row(d[0]["matrix"])}]),
+    "features_dim_mismatch": ("features", lambda d: [{**d[0], "dim": 5}]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_artifact_raises_format_error(tmp_path, case):
+    kind, corrupt = MALFORMED[case]
+    write, read = WRITE_AND_READ[kind]
+    path = tmp_path / kind
+    write(path)
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    # json.dumps, not canonical_json: some cases need a NaN literal
+    path.write_text("\n".join(json.dumps(d) for d in corrupt(docs)) + "\n")
+    with pytest.raises(FormatVersionMismatch):
+        read(path)

@@ -319,12 +319,6 @@ class TestCheckpoint:
         with pytest.raises(FormatVersionMismatch):
             checkpoint_load(path)
 
-    def test_embedding_dim_guard(self, tmp_path):
-        path = tmp_path / "ck.json"
-        checkpoint_save(Encoder(SPEC), None, None, path)
-        with pytest.raises(DimensionMismatch):
-            checkpoint_load(path, expect_embedding_dim=99)
-
     def test_missing_file_raises_io_error(self, tmp_path):
         with pytest.raises(IoError):
             checkpoint_load(tmp_path / "absent.json")
