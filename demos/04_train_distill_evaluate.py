@@ -11,8 +11,6 @@ The scratch student inherits the synthetic distortions; the distilled one
 recovers most of the teacher's geometry without ever seeing real data.
 """
 
-import numpy as np
-
 from fairkd.evaluation import (
     build_report,
     kfold_verification_accuracy,

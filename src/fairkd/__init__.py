@@ -1,36 +1,32 @@
 """Embedding-level knowledge distillation with group-fairness evaluation,
 exercised end-to-end on a procedurally generated toy verification universe.
 
-Subpackages:
-    core        vector primitives (normalization, cosine scoring)
+Modules:
+    core        zero-norm convention and row-wise cosine similarity
     losses      margin-based heads, distillation objective, analytic gradients
     sampling    group-balanced merging of dataset manifests
     training    SGD loops: from-scratch and frozen-teacher distillation
-    evaluation  pair verification, per-group accuracy, fairness metrics
+    evaluation  batch pair scoring, k-fold thresholds, fairness metrics
     synthdata   toy identity/image/protocol generator
     formats     on-disk artifact formats (manifests, protocols, reports, ...)
     config      one RunConfig document wiring every stage together
     cli         command-line pipeline driver
+
+The public names imported below are the package's API.
 """
 
-from .core import Sample, cosine_similarity, l2_normalize
+from .core import Sample, cosine_similarity
 from .errors import ConfigError, FairkdError
 from .losses import (
     HeadGradients,
     LossConfig,
     MarginConfig,
     NormStats,
-    cross_entropy,
     head_loss_and_grads,
     init_prototypes,
-    kd_embedding_loss,
     kd_loss_and_grads,
     margin_logits,
-    margin_logits_adaface,
-    margin_logits_arcface,
-    margin_logits_elastic,
     margin_loss_and_grads,
-    total_loss,
 )
 from .sampling import (
     DatasetManifest,
@@ -68,7 +64,6 @@ from .training import (
     checkpoint_load,
     checkpoint_save,
     distill,
-    hflip_augment,
     lr_at_epoch,
     sgd_step,
     train_from_scratch,
@@ -98,85 +93,3 @@ from .formats import (
 from .config import EvalConfig, PathsConfig, RunConfig, config_digest, load_config
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Sample",
-    "cosine_similarity",
-    "l2_normalize",
-    "ConfigError",
-    "FairkdError",
-    "HeadGradients",
-    "LossConfig",
-    "MarginConfig",
-    "NormStats",
-    "cross_entropy",
-    "head_loss_and_grads",
-    "init_prototypes",
-    "kd_embedding_loss",
-    "kd_loss_and_grads",
-    "margin_logits",
-    "margin_logits_adaface",
-    "margin_logits_arcface",
-    "margin_logits_elastic",
-    "margin_loss_and_grads",
-    "total_loss",
-    "DatasetManifest",
-    "IdentityScore",
-    "ManifestEntry",
-    "balanced_merge",
-    "group_quotas",
-    "identity_soft_label",
-    "largest_remainder",
-    "manifest_stats",
-    "mix_merge",
-    "score_manifest",
-    "EvalReport",
-    "GroupProtocol",
-    "PairProtocol",
-    "VerificationPair",
-    "best_threshold_accuracy",
-    "build_report",
-    "fairness_std",
-    "kfold_verification_accuracy",
-    "render_table",
-    "round2",
-    "score_pairs",
-    "ser",
-    "Checkpoint",
-    "Encoder",
-    "EncoderSpec",
-    "EpochStats",
-    "TrainConfig",
-    "TrainResult",
-    "checkpoint_load",
-    "checkpoint_save",
-    "distill",
-    "hflip_augment",
-    "lr_at_epoch",
-    "sgd_step",
-    "train_from_scratch",
-    "ToyIdentity",
-    "UniverseBundle",
-    "UniverseConfig",
-    "gen_identities",
-    "gen_images",
-    "gen_pair_protocol",
-    "generate_universe",
-    "group_structure",
-    "read_features",
-    "read_manifest",
-    "read_protocol",
-    "read_report",
-    "read_trace",
-    "write_features",
-    "write_manifest",
-    "write_protocol",
-    "write_report",
-    "write_trace",
-    "EvalConfig",
-    "PathsConfig",
-    "RunConfig",
-    "config_digest",
-    "load_config",
-    "__version__",
-]

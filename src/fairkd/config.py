@@ -188,7 +188,7 @@ def load_config(source: str | None = None, overrides=()) -> RunConfig:
         path = resolve_config_path(source)
         try:
             doc = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")

@@ -1,9 +1,9 @@
 """Numeric primitives and embedding-space geometry shared by all modules.
 
-Embeddings are plain float64 numpy arrays. The helpers here are the only
-places that decide what counts as a zero vector and how cosine values are
-clamped, so every downstream consumer (loss heads, verification scoring)
-inherits one consistent convention.
+Embeddings are plain float64 numpy arrays. ZERO_NORM_EPS and
+cosine_similarity are the only places that decide what counts as a zero
+vector and how cosine values are clamped, so every downstream consumer (loss
+heads, verification scoring) inherits one consistent convention.
 """
 
 from __future__ import annotations
@@ -33,44 +33,23 @@ class Sample:
     label_index: int = -1
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array, raising on NaN/Inf."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ZeroVector(f"{name} contains non-finite components")
-    return arr
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Scale v to unit Euclidean norm, preserving direction.
-
-    Raises ZeroVector when the norm is at or below ZERO_NORM_EPS.
-    """
-    arr = as_vector(v)
-    norm = float(np.linalg.norm(arr))
-    if norm <= ZERO_NORM_EPS:
-        raise ZeroVector(f"cannot normalize vector with norm {norm!r}")
-    # Accumulate in extended precision so renormalizing an already unit
-    # vector moves each component by at most one ulp.
-    ext = arr.astype(np.longdouble)
-    return np.asarray(ext / np.sqrt(np.sum(ext * ext)), dtype=np.float64)
-
-
-def cosine_similarity(a, b) -> float:
+def cosine_similarity(a, b):
     """Cosine of the angle between a and b, clamped into [-1, 1].
 
-    The clamp guards downstream arccos against rounding overshoot like
-    1 + 2**-52 on identical directions.
+    a and b are two (D,) vectors, giving a float, or two (N, D) matrices
+    scored row by row, giving an (N,) array. Non-finite or zero-norm input
+    raises ZeroVector. The clamp guards downstream arccos against rounding
+    overshoot like 1 + 2**-52 on identical directions.
     """
-    va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    if va.shape != vb.shape:
-        raise DimensionMismatch(f"dimensions differ: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na <= ZERO_NORM_EPS or nb <= ZERO_NORM_EPS:
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
+    if va.ndim not in (1, 2) or va.shape != vb.shape:
+        raise DimensionMismatch(f"cannot pair shapes {va.shape} and {vb.shape}")
+    if not (np.isfinite(va).all() and np.isfinite(vb).all()):
+        raise ZeroVector("cosine similarity of a non-finite vector is undefined")
+    na = np.linalg.norm(va, axis=-1)
+    nb = np.linalg.norm(vb, axis=-1)
+    if np.any(na <= ZERO_NORM_EPS) or np.any(nb <= ZERO_NORM_EPS):
         raise ZeroVector("cosine similarity of a zero vector is undefined")
-    cos = float(np.dot(va, vb) / (na * nb))
-    return min(1.0, max(-1.0, cos))
+    cos = np.clip(np.einsum("...d,...d->...", va, vb) / (na * nb), -1.0, 1.0)
+    return float(cos) if va.ndim == 1 else cos

@@ -99,22 +99,25 @@ class EvalReport:
 def score_pairs(encoder, group: GroupProtocol, store) -> list[tuple[float, bool]]:
     """(cosine score, same label) per pair, in protocol order.
 
-    encoder maps a raw feature vector to an embedding; store resolves
-    sample_id -> feature vector.
+    encoder maps an (N, D) batch of raw feature rows to (N, E) embeddings;
+    store resolves sample_id -> feature vector. Each distinct sample is
+    embedded once, in one encoder call for the whole group.
     """
-    out = []
+    if not group.pairs:
+        return []
+    row_of: dict[str, int] = {}
     for p in group.pairs:
-        feats = []
-        for sid in (p.sample_a, p.sample_b):
-            try:
-                feats.append(store[sid])
-            except KeyError:
-                raise MissingSample(
-                    f"group {group.name!r} references unknown sample {sid!r}"
-                ) from None
-        out.append((cosine_similarity(encoder(feats[0]), encoder(feats[1])),
-                    p.same))
-    return out
+        row_of.setdefault(p.sample_a, len(row_of))
+        row_of.setdefault(p.sample_b, len(row_of))
+    for sid in row_of:
+        if sid not in store:
+            raise MissingSample(
+                f"group {group.name!r} references unknown sample {sid!r}")
+    emb = np.asarray(encoder(np.stack([store[sid] for sid in row_of])))
+    a = emb[[row_of[p.sample_a] for p in group.pairs]]
+    b = emb[[row_of[p.sample_b] for p in group.pairs]]
+    return list(zip(cosine_similarity(a, b).tolist(),
+                    (p.same for p in group.pairs)))
 
 
 def _scores_labels(scores, labels):
@@ -149,12 +152,9 @@ def best_threshold_accuracy(scores, labels) -> tuple[float, float]:
     pos_above = total_pos - np.concatenate(([0], np.cumsum(yy)))
     correct = neg_below + pos_above
 
-    best_cut = 0
-    for i in range(1, n + 1):
-        if i < n and ss[i - 1] == ss[i]:
-            continue
-        if correct[i] > correct[best_cut]:
-            best_cut = i
+    # A cut may not split a run of equal scores; the first best one wins.
+    cuts = np.flatnonzero(np.concatenate(([True], ss[1:] != ss[:-1], [True])))
+    best_cut = int(cuts[np.argmax(correct[cuts])])
     if best_cut == 0:
         threshold = -math.inf
     elif best_cut == n:

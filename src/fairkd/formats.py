@@ -99,6 +99,12 @@ def decode_array(obj) -> np.ndarray:
         raise FormatVersionMismatch(f"malformed array record: {exc}") from exc
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, found {type(value).__name__}")
+    return value
+
+
 def _finite(value) -> float:
     number = float(value)
     if not math.isfinite(number):
@@ -179,11 +185,11 @@ def _manifest_from_doc(header: dict, records) -> DatasetManifest:
         name=header.get("name", ""),
         group_count=int(header.get("group_count", 0)),
         entries=[ManifestEntry(
-            sample_id=rec["sample_id"],
-            identity_id=rec["identity_id"],
-            source=rec["source"],
+            sample_id=_text(rec["sample_id"]),
+            identity_id=_text(rec["identity_id"]),
+            source=_text(rec["source"]),
             soft_labels=tuple(float(p) for p in rec["soft_labels"]),
-            payload_ref=rec["payload_ref"],
+            payload_ref=_text(rec["payload_ref"]),
         ) for rec in records],
         shortfalls={str(k): int(v)
                     for k, v in header.get("shortfalls", {}).items()},
@@ -214,10 +220,13 @@ def write_protocol(protocol: PairProtocol, path,
 
 
 def _protocol_from_doc(header: dict, records) -> PairProtocol:
-    groups = {name: GroupProtocol(name) for name in header["group_names"]}
+    groups = {_text(name): GroupProtocol(name)
+              for name in header["group_names"]}
     for rec in records:
-        groups[rec["group"]].pairs.append(VerificationPair(
-            rec["sample_a"], rec["sample_b"], bool(rec["same"])))
+        if not isinstance(rec["same"], bool):
+            raise TypeError(f"'same' must be a JSON bool, found {rec['same']!r}")
+        groups[_text(rec["group"])].pairs.append(VerificationPair(
+            _text(rec["sample_a"]), _text(rec["sample_b"]), rec["same"]))
     protocol = PairProtocol(list(groups.values()))
     protocol.validate()
     return protocol

@@ -276,25 +276,10 @@ def margin_logits(embeddings, prototypes, labels, scale, ang_margin,
     return logits[0] if single else logits
 
 
-def margin_logits_arcface(embedding, prototypes, y, cfg: MarginConfig
-                          ) -> np.ndarray:
-    """Additive angular margin on the target class: s * cos(theta_y + m)."""
-    return margin_logits(embedding, prototypes, y, cfg.s, cfg.m, 0.0)
-
-
 def sample_elastic_margins(cfg: MarginConfig, rng: np.random.Generator,
                            size: int) -> np.ndarray:
     """Per-sample margins m_i ~ Normal(m, std); std=0 degenerates to m."""
     return rng.normal(cfg.m, cfg.std, size=size)
-
-
-def margin_logits_elastic(embedding, prototypes, y, cfg: MarginConfig,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Arcface with the target margin redrawn from Normal(m, std) per call."""
-    z, w, y, single = _validate(embedding, prototypes, y)
-    margins = sample_elastic_margins(cfg, rng, z.shape[0])
-    out = _logits(z, w, y, cfg.s, margins, 0.0)[0]
-    return out[0] if single else out
 
 
 def adaface_margin_terms(raw_norms: np.ndarray, cfg: MarginConfig,
@@ -312,56 +297,6 @@ def adaface_margin_terms(raw_norms: np.ndarray, cfg: MarginConfig,
     ang = -cfg.m * norm_hat
     add = cfg.m * norm_hat + cfg.m
     return ang, add, safe
-
-
-def margin_logits_adaface(embedding, prototypes, y, cfg: MarginConfig,
-                          stats: NormStats) -> np.ndarray:
-    """Norm-adaptive margin head; updates stats by EMA after use."""
-    z, w, y, single = _validate(embedding, prototypes, y)
-    norms = np.linalg.norm(z, axis=1)
-    ang, add, safe = adaface_margin_terms(norms, cfg, stats)
-    out = _logits(z, w, y, cfg.s, ang, add)[0]
-    stats.update(safe, cfg.ema_momentum)
-    return out[0] if single else out
-
-
-def cross_entropy(logits, y: int) -> float:
-    """-log softmax(logits)[y] with max-subtraction stabilization."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise DimensionMismatch(f"logits must be 1-D, got {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits contain non-finite values")
-    if not 0 <= y < z.shape[0]:
-        raise IndexOutOfRange(f"class index {y} outside [0, {z.shape[0]})")
-    shifted = z - np.max(z)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[y])
-
-
-def kd_embedding_loss(teacher_emb, student_emb, reduction: str = "mean"
-                      ) -> float:
-    """Squared difference between embeddings, averaged over dimensions.
-
-    reduction='sum' skips the dimension average (exposed for completeness;
-    mean is the default so the value is comparable across embedding sizes).
-    """
-    t = np.asarray(teacher_emb, dtype=np.float64)
-    s = np.asarray(student_emb, dtype=np.float64)
-    if t.shape != s.shape:
-        raise DimensionMismatch(f"embedding shapes differ: {t.shape} vs {s.shape}")
-    sq = (t - s) ** 2
-    if reduction == "sum":
-        return float(np.sum(sq) / (t.shape[0] if t.ndim == 2 else 1))
-    return float(np.mean(sq))
-
-
-def total_loss(cls_loss: float, kd_loss: float, kd_weight: float) -> float:
-    """Combined objective: classification plus weighted distillation."""
-    if kd_loss < 0:
-        raise ValueError("kd_loss must be non-negative")
-    if kd_weight < 0:
-        raise ValueError("kd_weight must be non-negative")
-    return cls_loss + kd_weight * kd_loss
 
 
 def margin_loss_and_grads(embeddings, prototypes, labels, scale, ang, add
@@ -382,7 +317,7 @@ def head_loss_and_grads(embeddings, prototypes, labels, cfg: MarginConfig,
 
     elastic_arcface draws its margins from rng here; adaface reads and then
     EMA-updates stats. Both extras are treated as constants for the backward
-    pass, matching the forward-only heads.
+    pass, matching the forward-only margin_logits.
     """
     z, w, y, single = _validate(embeddings, prototypes, labels)
     ang, add = cfg.m, 0.0

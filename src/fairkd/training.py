@@ -222,20 +222,6 @@ def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
     return cfg.base_lr / cfg.lr_factor ** passed
 
 
-def hflip_augment(feature, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Coordinate-reversal flip with probability p (an involution).
-
-    Always consumes exactly one uniform draw, so toggling p does not shift
-    the rest of the random stream.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must lie in [0, 1], got {p}")
-    arr = np.asarray(feature, dtype=np.float64)
-    if rng.random() < p:
-        return arr[::-1].copy()
-    return arr
-
-
 def _augment_batch(xb: np.ndarray, p: float, rng: np.random.Generator):
     mask = rng.random(xb.shape[0]) < p
     if mask.any():

@@ -1,19 +1,30 @@
-"""Shared test utilities: finite-difference gradients, error metrics and
-bitwise reference implementations of the margin head and training loop."""
+"""Shared test utilities: finite-difference gradients, error metrics,
+bitwise reference implementations of the margin head and training loop, and
+the per-pair scorer and tie loop that evaluation's batch paths replaced."""
 
 import math
 
 import numpy as np
 
-from fairkd.errors import DimensionMismatch, DivergenceDetected
+from fairkd.core import ZERO_NORM_EPS
+from fairkd.errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    EmptyInput,
+    MissingSample,
+    ZeroVector,
+)
+from fairkd.evaluation import _scores_labels
 from fairkd.losses import (
     HeadGradients,
+    MarginConfig,
     NormStats,
     _as_batch,
     _check_labels,
     _normalize_rows,
     _target_transform,
     adaface_margin_terms,
+    head_loss_and_grads,
     init_prototypes,
     kd_loss_and_grads,
     sample_elastic_margins,
@@ -52,6 +63,25 @@ def rel_grad_err(analytic, numeric):
     n = np.asarray(numeric, dtype=np.float64)
     denom = max(np.linalg.norm(a), np.linalg.norm(n), 1e-12)
     return float(np.linalg.norm(a - n) / denom)
+
+
+def head_cross_entropy(logits, y: int) -> float:
+    """-log softmax(logits)[y], computed by the zero-margin arcface head.
+
+    The scale is max |logit| and prototype i sits at cosine logit_i / scale
+    from a unit embedding (in its own orthogonal plane), so the head's
+    scaled-cosine logits equal the given ones up to rounding.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    scale = float(np.max(np.abs(logits))) or 1.0
+    cos = logits / scale
+    protos = np.zeros((cos.size, cos.size + 1))
+    protos[:, 0] = cos
+    protos[np.arange(cos.size), np.arange(1, cos.size + 1)] = np.sqrt(
+        1.0 - cos * cos)
+    embedding = np.eye(cos.size + 1)[0]
+    return head_loss_and_grads(embedding, protos, y,
+                               MarginConfig.arcface(s=scale, m=0.0)).loss
 
 
 # ---------------------------------------------------------------------------
@@ -195,3 +225,66 @@ def assert_bitwise(actual, expected):
     a, e = np.asarray(actual), np.asarray(expected)
     assert (a.dtype, a.shape) == (e.dtype, e.shape)
     assert a.tobytes() == e.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Reference scoring: one scalar cosine per pair, two encoder calls per pair,
+# and the threshold sweep's tie loop, as they were before batch scoring.
+
+
+def ref_cosine_similarity(a, b) -> float:
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
+    if va.ndim != 1 or va.shape != vb.shape:
+        raise DimensionMismatch(f"dimensions differ: {va.shape} vs {vb.shape}")
+    if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vb))):
+        raise ZeroVector("non-finite components")
+    na = float(np.linalg.norm(va))
+    nb = float(np.linalg.norm(vb))
+    if na <= ZERO_NORM_EPS or nb <= ZERO_NORM_EPS:
+        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    cos = float(np.dot(va, vb) / (na * nb))
+    return min(1.0, max(-1.0, cos))
+
+
+def ref_score_pairs(encoder, group, store):
+    out = []
+    for p in group.pairs:
+        feats = []
+        for sid in (p.sample_a, p.sample_b):
+            try:
+                feats.append(store[sid])
+            except KeyError:
+                raise MissingSample(
+                    f"group {group.name!r} references unknown sample {sid!r}"
+                ) from None
+        out.append((ref_cosine_similarity(encoder(feats[0]),
+                                          encoder(feats[1])), p.same))
+    return out
+
+
+def ref_best_threshold_accuracy(scores, labels):
+    s, y = _scores_labels(scores, labels)
+    n = s.size
+    if n == 0:
+        raise EmptyInput("cannot pick a threshold from zero pairs")
+    order = np.argsort(s, kind="stable")
+    ss, yy = s[order], y[order]
+    total_pos = int(yy.sum())
+    neg_below = np.concatenate(([0], np.cumsum(~yy)))
+    pos_above = total_pos - np.concatenate(([0], np.cumsum(yy)))
+    correct = neg_below + pos_above
+
+    best_cut = 0
+    for i in range(1, n + 1):
+        if i < n and ss[i - 1] == ss[i]:
+            continue
+        if correct[i] > correct[best_cut]:
+            best_cut = i
+    if best_cut == 0:
+        threshold = -math.inf
+    elif best_cut == n:
+        threshold = math.inf
+    else:
+        threshold = float((ss[best_cut - 1] + ss[best_cut]) / 2.0)
+    return threshold, 100.0 * float(correct[best_cut]) / n

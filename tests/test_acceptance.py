@@ -33,7 +33,6 @@ from fairkd.losses import (
     kd_loss_and_grads,
     margin_loss_and_grads,
     sample_elastic_margins,
-    total_loss,
 )
 from fairkd.sampling import (
     DatasetManifest,
@@ -144,7 +143,7 @@ def test_loss_gradients_match_central_differences():
 
         def objective(v):
             cls = margin_loss_and_grads(v, w, y, cfg.s, cfg.m, 0.0).loss
-            return total_loss(cls, kd_loss_and_grads(t, v)[0], 1.0)
+            return cls + kd_loss_and_grads(t, v)[0]
 
         combined = head.d_embedding + d_s
         assert rel_grad_err(combined, fd_grad(objective, z)) <= GRAD_TOL, f"total seed {seed}"

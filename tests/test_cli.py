@@ -94,6 +94,13 @@ def test_malformed_config_exits_2_without_outputs(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": 1}\xff')
+    assert main(["verify-tables", "--config", str(bad)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_override_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["synth-gen", "--config", str(cfg),
@@ -147,6 +154,18 @@ def test_missing_input_manifest_exits_1(ws, capsys):
 
 
 # --------------------------------------------------------- train / distill
+
+
+def test_train_on_int_identity_id_exits_1(ws, tmp_path, capsys):
+    lines = (ws / "m" / "real-train.manifest").read_text().splitlines()
+    entry = json.loads(lines[1])
+    lines[1] = json.dumps({**entry, "identity_id": 5})
+    bad = tmp_path / "int-id.manifest"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--config", cfg_of(ws), "--manifest", str(bad),
+                 "--out", str(tmp_path / "x.ckpt")]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_trace_lr_column_follows_schedule(ws):

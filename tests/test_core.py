@@ -1,37 +1,35 @@
 import numpy as np
 import pytest
 
-from fairkd.core import cosine_similarity, l2_normalize
+from fairkd.core import cosine_similarity
 from fairkd.errors import DimensionMismatch, ZeroVector
+
+
+# The row normalization inside the row-wise cosine: scoring a row against
+# the coordinate axes reads off its unit vector.
+AXES = np.eye(2)
 
 
 def test_normalize_345_triangle():
     # 3-4-5 triangle: unit vector is (0.6, 0.8)
-    np.testing.assert_allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8], atol=1e-12)
+    rows = np.array([[3.0, 4.0], [3.0, 4.0]])
+    np.testing.assert_allclose(cosine_similarity(rows, AXES), [0.6, 0.8],
+                               atol=1e-12)
 
 
 def test_normalize_already_unit():
-    np.testing.assert_array_equal(l2_normalize([1.0, 0.0]), [1.0, 0.0])
+    rows = np.array([[1.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(cosine_similarity(rows, AXES), [1.0, 0.0])
 
 
 def test_normalize_zero_vector_raises():
     with pytest.raises(ZeroVector):
-        l2_normalize([0.0, 0.0])
+        cosine_similarity([[1.0, 0.0], [0.0, 0.0]], AXES)
 
 
 def test_normalize_rejects_non_finite():
     with pytest.raises(ZeroVector):
-        l2_normalize([np.nan, 1.0])
-
-
-def test_normalize_idempotent_within_ulp():
-    rng = np.random.Generator(np.random.PCG64(7))
-    for _ in range(50):
-        v = rng.standard_normal(8) * 10.0 ** rng.integers(-3, 4)
-        once = l2_normalize(v)
-        twice = l2_normalize(once)
-        ulp = np.spacing(np.abs(once))
-        assert np.all(np.abs(twice - once) <= ulp)
+        cosine_similarity([[1.0, 0.0], [np.nan, 1.0]], AXES)
 
 
 def test_cosine_identical_directions():
@@ -81,3 +79,22 @@ def test_cosine_clamped_into_range():
         a = rng.standard_normal(4) * 1e3
         b = rng.standard_normal(4) * 1e-3
         assert -1.0 <= cosine_similarity(a, b) <= 1.0
+
+
+def test_rows_match_one_pair_at_a_time():
+    rng = np.random.Generator(np.random.PCG64(19))
+    a = rng.standard_normal((40, 6))
+    b = rng.standard_normal((40, 6))
+    rows = cosine_similarity(a, b)
+    assert rows.shape == (40,)
+    for i in range(40):
+        assert isinstance(cosine_similarity(a[i], b[i]), float)
+        assert rows[i] == pytest.approx(cosine_similarity(a[i], b[i]),
+                                        abs=1e-15)
+
+
+def test_rows_shape_mismatch_rejected():
+    with pytest.raises(DimensionMismatch):
+        cosine_similarity(np.ones((3, 2)), np.ones((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        cosine_similarity(np.ones((1, 1, 2)), np.ones((1, 1, 2)))

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairkd.errors import (
     DegenerateDenominator,
@@ -28,6 +30,7 @@ from fairkd.evaluation import (
     score_pairs,
     ser,
 )
+from helpers import ref_best_threshold_accuracy, ref_score_pairs
 
 TABLE_ROW_A = (97.40, 96.07, 95.52, 95.95)   # -> 96.24 / 0.81 / 1.72
 TABLE_ROW_B = (95.63, 93.20, 92.25, 91.55)   # -> 93.16 / 1.78 / 1.93
@@ -50,7 +53,8 @@ class TestScorePairs:
 
     def test_constant_encoder_scores_all_one(self):
         group = protocol_of([("x", "y", True), ("y", "z", False)])
-        scores = score_pairs(lambda f: np.array([0.3, 0.4]), group, self.store)
+        scores = score_pairs(lambda f: np.tile([0.3, 0.4], (len(f), 1)),
+                             group, self.store)
         assert [s for s, _ in scores] == [pytest.approx(1.0)] * 2
 
     def test_empty_protocol_gives_empty_list(self):
@@ -66,6 +70,62 @@ class TestScorePairs:
         scores = score_pairs(lambda f: f, group, self.store)
         assert scores[0][0] == pytest.approx(0.0, abs=1e-12)
         assert scores[1][0] == pytest.approx(math.sqrt(0.5), abs=1e-6)
+
+
+REF_SETTINGS = settings(max_examples=100, deadline=None)
+POOL = [f"s{i}" for i in range(12)]
+
+
+@REF_SETTINGS
+@given(data=st.data())
+def test_score_pairs_matches_per_pair_reference(data):
+    """One batch embed per group scores like two encoder calls per pair."""
+    n_pairs = data.draw(st.integers(0, 30))
+    pairs = [VerificationPair(data.draw(st.sampled_from(POOL)),
+                              data.draw(st.sampled_from(POOL)),
+                              data.draw(st.booleans()))
+             for _ in range(n_pairs)]
+    group = GroupProtocol("g", pairs)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    store = {sid: rng.standard_normal(5) * 10.0 ** rng.integers(-3, 4)
+             for sid in POOL}
+    weights = rng.standard_normal((5, 4))
+    calls = []
+
+    def encoder(x):
+        calls.append(np.atleast_2d(x))
+        return np.tanh(x @ weights) + 0.5
+
+    got = score_pairs(encoder, group, store)
+    batched = calls[:]
+    calls.clear()
+    want = ref_score_pairs(encoder, group, store)
+    assert [y for _, y in got] == [y for _, y in want]
+    np.testing.assert_allclose([s for s, _ in got], [s for s, _ in want],
+                               rtol=0, atol=1e-12)
+    if not pairs:
+        assert batched == []
+        return
+    distinct = list(dict.fromkeys(sid for p in pairs
+                                  for sid in (p.sample_a, p.sample_b)))
+    assert len(batched) == 1
+    np.testing.assert_array_equal(batched[0],
+                                  np.stack([store[sid] for sid in distinct]))
+
+
+@REF_SETTINGS
+@given(data=st.data())
+def test_threshold_sweep_matches_tie_loop(data):
+    """The vectorized cut choice equals the loop's, tie-heavy input included."""
+    n = data.draw(st.integers(1, 60))
+    levels = data.draw(st.integers(1, 8))
+    scores = data.draw(st.lists(st.integers(0, levels), min_size=n,
+                                max_size=n))
+    labels = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    s = np.array(scores, dtype=np.float64) / levels
+    assert best_threshold_accuracy(s, labels) == \
+        ref_best_threshold_accuracy(s, labels)
 
 
 class TestBestThreshold:

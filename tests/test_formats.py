@@ -319,6 +319,22 @@ MALFORMED = {
     "features_nan_row": ("features", lambda d: [
         {**d[0], "matrix": with_nan_row(d[0]["matrix"])}]),
     "features_dim_mismatch": ("features", lambda d: [{**d[0], "dim": 5}]),
+    # swapped labels that keep the group balanced: "no" is truthy
+    "same_text_and_int": ("protocol", lambda d: [
+        d[0], {**d[1], "same": 0}, {**d[2], "same": "no"}]),
+    "pair_sample_int": ("protocol",
+                        lambda d: [d[0], {**d[1], "sample_b": 2}, *d[2:]]),
+    "pair_group_int": ("protocol", lambda d: [
+        {**d[0], "group_names": [0, "g1"]}, {**d[1], "group": 0},
+        {**d[2], "group": 0}]),
+    "identity_id_int": ("manifest",
+                        lambda d: [d[0], {**d[1], "identity_id": 5}, *d[2:]]),
+    "sample_id_int": ("manifest",
+                      lambda d: [d[0], {**d[1], "sample_id": 1}, *d[2:]]),
+    "source_list": ("manifest",
+                    lambda d: [d[0], {**d[1], "source": ["real"]}, *d[2:]]),
+    "payload_ref_null": ("manifest",
+                         lambda d: [d[0], {**d[1], "payload_ref": None}, *d[2:]]),
 }
 
 

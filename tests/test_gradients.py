@@ -15,13 +15,12 @@ from fairkd.losses import (
     MarginConfig,
     NormStats,
     adaface_margin_terms,
-    cross_entropy,
     head_loss_and_grads,
     kd_loss_and_grads,
     margin_loss_and_grads,
     sample_elastic_margins,
 )
-from helpers import fd_grad, rel_grad_err
+from helpers import fd_grad, head_cross_entropy, rel_grad_err
 
 REL_TOL = 1e-4
 DIM = 8
@@ -153,8 +152,8 @@ def test_softmax_gradient_sums_to_zero_under_shift():
         rng = np.random.Generator(np.random.PCG64(seed))
         logits = rng.standard_normal(N_CLASSES) * 3.0
         y = int(rng.integers(0, N_CLASSES))
-        g = fd_grad(lambda v: cross_entropy(v, y), logits)
-        g_shifted = fd_grad(lambda v: cross_entropy(v + 17.0, y), logits)
+        g = fd_grad(lambda v: head_cross_entropy(v, y), logits)
+        g_shifted = fd_grad(lambda v: head_cross_entropy(v + 17.0, y), logits)
         assert abs(float(g.sum())) <= 1e-6
         assert abs(float(g_shifted.sum())) <= 1e-6
         np.testing.assert_allclose(g_shifted, g, atol=1e-6)

@@ -13,15 +13,13 @@ from fairkd.losses import (
     LossConfig,
     MarginConfig,
     NormStats,
-    cross_entropy,
-    kd_embedding_loss,
+    adaface_margin_terms,
+    head_loss_and_grads,
+    kd_loss_and_grads,
     margin_logits,
-    margin_logits_adaface,
-    margin_logits_arcface,
-    margin_logits_elastic,
     sample_elastic_margins,
-    total_loss,
 )
+from helpers import head_cross_entropy
 
 AXES = np.array([[1.0, 0.0], [0.0, 1.0]])
 
@@ -31,29 +29,40 @@ def rotated(angle):
     return np.array([math.cos(angle), math.sin(angle)])
 
 
+def adaface_logits(emb, cfg, stats):
+    """Logits of the adaface head for one embedding against AXES, target 0."""
+    ang, add, _ = adaface_margin_terms(np.linalg.norm(np.atleast_2d(emb), axis=1),
+                                       cfg, stats)
+    return margin_logits(emb, AXES, 0, cfg.s, ang, add)
+
+
+def kd_loss(teacher, student, reduction="mean"):
+    return kd_loss_and_grads(teacher, student, reduction=reduction)[0]
+
+
 class TestArcface:
     def test_zero_margin_is_plain_scaled_cosine(self):
         cfg = MarginConfig.arcface(s=1.0, m=0.0)
-        logits = margin_logits_arcface([1.0, 0.0], AXES, 0, cfg)
+        logits = margin_logits([1.0, 0.0], AXES, 0, cfg.s, cfg.m)
         np.testing.assert_array_equal(logits, [1.0, 0.0])
 
     def test_aligned_target_gets_cos_m(self):
         # scalar trig oracle: s * cos(m) at theta_y = 0
         cfg = MarginConfig.arcface(s=64.0, m=0.5)
-        logits = margin_logits_arcface([1.0, 0.0], AXES, 0, cfg)
+        logits = margin_logits([1.0, 0.0], AXES, 0, cfg.s, cfg.m)
         assert logits[0] == pytest.approx(64.0 * math.cos(0.5), abs=1e-3)
         assert logits[0] == pytest.approx(56.165, abs=1e-3)
 
     def test_sixty_degree_target(self):
         cfg = MarginConfig.arcface(s=64.0, m=0.5)
-        logits = margin_logits_arcface(rotated(math.pi / 3), AXES, 0, cfg)
+        logits = margin_logits(rotated(math.pi / 3), AXES, 0, cfg.s, cfg.m)
         assert logits[0] == pytest.approx(64.0 * math.cos(math.pi / 3 + 0.5), abs=1e-2)
         assert logits[0] == pytest.approx(1.510, abs=1e-2)
 
     def test_nontarget_logits_untouched(self):
         cfg = MarginConfig.arcface(s=64.0, m=0.5)
         emb = rotated(0.3)
-        logits = margin_logits_arcface(emb, AXES, 0, cfg)
+        logits = margin_logits(emb, AXES, 0, cfg.s, cfg.m)
         assert logits[1] == pytest.approx(64.0 * emb[1], abs=1e-12)
 
     def test_zero_margin_equals_scaled_cosine_for_random_inputs(self):
@@ -63,7 +72,7 @@ class TestArcface:
             emb = rng.standard_normal(6)
             protos = rng.standard_normal((4, 6))
             y = int(rng.integers(0, 4))
-            logits = margin_logits_arcface(emb, protos, y, cfg)
+            logits = margin_logits(emb, protos, y, cfg.s, cfg.m)
             e_hat = emb / np.linalg.norm(emb)
             w_hat = protos / np.linalg.norm(protos, axis=1, keepdims=True)
             # BLAS picks different kernels for (1, D) @ (D, C) than for the
@@ -75,23 +84,23 @@ class TestArcface:
         # the target logit decreasing in theta.
         cfg = MarginConfig.arcface(s=1.0, m=0.5)
         thetas = np.linspace(2.6, 3.1, 20)
-        vals = [margin_logits_arcface(rotated(t), AXES, 0, cfg)[0] for t in thetas]
+        vals = [margin_logits(rotated(t), AXES, 0, cfg.s, cfg.m)[0] for t in thetas]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_zero_embedding_raises(self):
         cfg = MarginConfig.arcface()
         with pytest.raises(ZeroVector):
-            margin_logits_arcface([0.0, 0.0], AXES, 0, cfg)
+            margin_logits([0.0, 0.0], AXES, 0, cfg.s, cfg.m)
 
     def test_label_out_of_range(self):
         cfg = MarginConfig.arcface()
         with pytest.raises(IndexOutOfRange):
-            margin_logits_arcface([1.0, 0.0], AXES, 2, cfg)
+            margin_logits([1.0, 0.0], AXES, 2, cfg.s, cfg.m)
 
     def test_dimension_mismatch(self):
         cfg = MarginConfig.arcface()
         with pytest.raises(DimensionMismatch):
-            margin_logits_arcface([1.0, 0.0, 0.0], AXES, 0, cfg)
+            margin_logits([1.0, 0.0, 0.0], AXES, 0, cfg.s, cfg.m)
 
 
 class TestElastic:
@@ -100,15 +109,16 @@ class TestElastic:
         base = MarginConfig.arcface(s=64.0, m=0.5)
         rng = np.random.Generator(np.random.PCG64(123))
         emb = rotated(0.7)
-        got = margin_logits_elastic(emb, AXES, 0, cfg, rng)
-        want = margin_logits_arcface(emb, AXES, 0, base)
+        got = margin_logits(emb, AXES, 0, cfg.s,
+                            sample_elastic_margins(cfg, rng, 1))
+        want = margin_logits(emb, AXES, 0, base.s, base.m)
         np.testing.assert_array_equal(got, want)
 
     def test_same_seed_same_output(self):
         cfg = MarginConfig.elastic_arcface()
         emb = rotated(0.4)
-        a = margin_logits_elastic(emb, AXES, 0, cfg, np.random.Generator(np.random.PCG64(9)))
-        b = margin_logits_elastic(emb, AXES, 0, cfg, np.random.Generator(np.random.PCG64(9)))
+        a, b = (margin_logits(emb, AXES, 0, cfg.s, sample_elastic_margins(
+            cfg, np.random.Generator(np.random.PCG64(9)), 1)) for _ in range(2))
         np.testing.assert_array_equal(a, b)
 
     def test_margin_draw_statistics(self):
@@ -125,7 +135,7 @@ class TestAdaface:
         # norm_hat = 0: ang = 0, add = m, so logits[y] = s * (cos theta - m)
         cfg = MarginConfig.adaface(s=60.0, m=0.4)
         stats = NormStats(mean_norm=1.0, std_norm=1.0)
-        logits = margin_logits_adaface([1.0, 0.0], AXES, 0, cfg, stats)
+        logits = adaface_logits([1.0, 0.0], cfg, stats)
         assert logits[0] == pytest.approx(60.0 * (1.0 - 0.4), abs=1e-6)
         assert logits[0] == pytest.approx(36.0, abs=1e-6)
 
@@ -133,7 +143,7 @@ class TestAdaface:
         cfg = MarginConfig.adaface(s=60.0, m=0.0)
         stats = NormStats(mean_norm=1.0, std_norm=1.0)
         emb = 7.3 * rotated(0.9)
-        logits = margin_logits_adaface(emb, AXES, 0, cfg, stats)
+        logits = adaface_logits(emb, cfg, stats)
         e_hat = emb / np.linalg.norm(emb)
         np.testing.assert_array_equal(logits, 60.0 * (AXES @ e_hat))
 
@@ -142,14 +152,14 @@ class TestAdaface:
         # logit is s * (cos(-m) - 2m) -- scalar trig oracle
         cfg = MarginConfig.adaface(s=60.0, m=0.4)
         stats = NormStats(mean_norm=1.0, std_norm=0.1)
-        logits = margin_logits_adaface([50.0, 0.0], AXES, 0, cfg, stats)
+        logits = adaface_logits([50.0, 0.0], cfg, stats)
         assert logits[0] == pytest.approx(60.0 * (math.cos(-0.4) - 0.8), abs=1e-2)
         assert logits[0] == pytest.approx(7.263, abs=1e-2)
 
     def test_stats_updated_after_call(self):
         cfg = MarginConfig.adaface(ema_momentum=0.5)
         stats = NormStats(mean_norm=1.0, std_norm=1.0)
-        margin_logits_adaface([3.0, 0.0], AXES, 0, cfg, stats)
+        head_loss_and_grads([3.0, 0.0], AXES, 0, cfg, stats=stats)
         # single sample: batch mean 3.0, batch std 0 -> EMA with momentum 0.5
         assert stats.mean_norm == pytest.approx(2.0)
         assert stats.std_norm == pytest.approx(0.5)
@@ -157,83 +167,68 @@ class TestAdaface:
     def test_uninitialized_stats_raise(self):
         cfg = MarginConfig.adaface()
         with pytest.raises(UninitializedStats):
-            margin_logits_adaface([1.0, 0.0], AXES, 0, cfg, NormStats())
+            head_loss_and_grads([1.0, 0.0], AXES, 0, cfg, stats=NormStats())
 
 
 class TestCrossEntropy:
     def test_uniform_two_class(self):
-        assert cross_entropy([0.0, 0.0], 0) == pytest.approx(math.log(2), abs=1e-5)
+        assert head_cross_entropy([0.0, 0.0], 0) == pytest.approx(math.log(2), abs=1e-5)
 
     def test_saturated_correct_class(self):
-        assert cross_entropy([100.0, 0.0], 0) < 1e-10
+        assert head_cross_entropy([100.0, 0.0], 0) < 1e-10
 
     def test_three_class_hand_value(self):
         # -log(e^3 / (e + e^2 + e^3)) = log(1 + e^-1 + e^-2)
         want = math.log(1 + math.exp(-1) + math.exp(-2))
-        assert cross_entropy([1.0, 2.0, 3.0], 2) == pytest.approx(want, abs=1e-12)
-        assert cross_entropy([1.0, 2.0, 3.0], 2) == pytest.approx(0.40761, abs=1e-5)
+        assert head_cross_entropy([1.0, 2.0, 3.0], 2) == pytest.approx(want, abs=1e-12)
+        assert head_cross_entropy([1.0, 2.0, 3.0], 2) == pytest.approx(0.40761, abs=1e-5)
 
     def test_shift_invariance(self):
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(50):
             logits = rng.standard_normal(6)
             c = float(rng.uniform(-50, 50))
-            assert cross_entropy(logits + c, 2) == pytest.approx(
-                cross_entropy(logits, 2), rel=1e-12, abs=1e-12)
+            assert head_cross_entropy(logits + c, 2) == pytest.approx(
+                head_cross_entropy(logits, 2), rel=1e-12, abs=1e-12)
 
     def test_huge_logits_stable(self):
-        assert math.isfinite(cross_entropy([1e4, -1e4, 0.0], 1))
+        assert math.isfinite(head_cross_entropy([1e4, -1e4, 0.0], 1))
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            cross_entropy([0.0, 0.0], 2)
+            head_cross_entropy([0.0, 0.0], 2)
 
 
 class TestKDLoss:
     def test_identical_embeddings(self):
         e = np.array([0.3, -1.2, 4.0])
-        assert kd_embedding_loss(e, e) == 0.0
+        assert kd_loss(e, e) == 0.0
 
     def test_single_unit_difference(self):
-        assert kd_embedding_loss([1.0, 0, 0, 0], [0.0, 0, 0, 0]) == 0.25
+        assert kd_loss([1.0, 0, 0, 0], [0.0, 0, 0, 0]) == 0.25
 
     def test_hand_value(self):
-        assert kd_embedding_loss([1.0, 2.0], [3.0, 2.0]) == 2.0
+        assert kd_loss([1.0, 2.0], [3.0, 2.0]) == 2.0
 
     def test_symmetric_nonnegative(self):
         rng = np.random.Generator(np.random.PCG64(21))
         for _ in range(100):
             a = rng.standard_normal(8)
             b = rng.standard_normal(8)
-            assert kd_embedding_loss(a, b) == kd_embedding_loss(b, a) >= 0.0
+            assert kd_loss(a, b) == kd_loss(b, a) >= 0.0
 
     def test_zero_iff_equal(self):
         a = np.zeros(4)
         b = np.zeros(4)
         b[2] = 1e-9
-        assert kd_embedding_loss(a, b) > 0.0
+        assert kd_loss(a, b) > 0.0
 
     def test_sum_reduction(self):
-        assert kd_embedding_loss([1.0, 0, 0, 0], [0.0, 0, 0, 0], reduction="sum") == 1.0
+        assert kd_loss([1.0, 0, 0, 0], [0.0, 0, 0, 0], reduction="sum") == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            kd_embedding_loss([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-class TestTotalLoss:
-    def test_values(self):
-        assert total_loss(2.0, 0.5, 1.0) == 2.5
-        assert total_loss(2.0, 0.5, 0.0) == 2.0
-        assert total_loss(1.0, 0.25, 2.0) == 1.5
-
-    def test_monotone_in_kd(self):
-        rng = np.random.Generator(np.random.PCG64(31))
-        for _ in range(100):
-            cls = float(rng.uniform(0, 10))
-            k1, k2 = sorted(rng.uniform(0, 10, size=2))
-            lam = float(rng.uniform(0, 5))
-            assert total_loss(cls, k1, lam) <= total_loss(cls, k2, lam)
+            kd_loss([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestConfigValidation:
@@ -268,5 +263,5 @@ def test_batched_matches_per_sample():
     ys = rng.integers(0, 3, size=5)
     batch = margin_logits(embs, protos, ys, cfg.s, cfg.m)
     for i in range(5):
-        row = margin_logits_arcface(embs[i], protos, int(ys[i]), cfg)
+        row = margin_logits(embs[i], protos, int(ys[i]), cfg.s, cfg.m)
         np.testing.assert_allclose(batch[i], row, rtol=1e-12, atol=1e-14)

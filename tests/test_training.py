@@ -20,10 +20,10 @@ from fairkd.training import (
     Encoder,
     EncoderSpec,
     TrainConfig,
+    _augment_batch,
     checkpoint_load,
     checkpoint_save,
     distill,
-    hflip_augment,
     lr_at_epoch,
     sgd_step,
     train_from_scratch,
@@ -96,31 +96,32 @@ class TestSchedule:
 
 
 class TestHorizontalFlip:
+    """The batch flip of the training loop, one coordinate reversal per row."""
+
     def test_zero_probability_is_identity(self):
         rng = np.random.Generator(np.random.PCG64(0))
-        x = np.arange(5.0)
-        np.testing.assert_array_equal(hflip_augment(x, 0.0, rng), x)
+        x = np.arange(10.0).reshape(2, 5)
+        np.testing.assert_array_equal(_augment_batch(x, 0.0, rng), x)
 
     def test_certain_flip_twice_restores(self):
         rng = np.random.Generator(np.random.PCG64(0))
-        x = np.arange(5.0)
-        once = hflip_augment(x, 1.0, rng)
-        twice = hflip_augment(once, 1.0, rng)
-        np.testing.assert_array_equal(once, x[::-1])
+        x = np.arange(10.0).reshape(2, 5)
+        once = _augment_batch(x, 1.0, rng)
+        twice = _augment_batch(once, 1.0, rng)
+        np.testing.assert_array_equal(once, x[:, ::-1])
         np.testing.assert_array_equal(twice, x)
 
     def test_fixed_seed_repeats_decisions(self):
-        x = np.arange(4.0)
+        x = np.arange(4.0)[None, :]
         r1 = np.random.Generator(np.random.PCG64(9))
         r2 = np.random.Generator(np.random.PCG64(9))
-        seq1 = [hflip_augment(x, 0.5, r1).tolist() for _ in range(50)]
-        seq2 = [hflip_augment(x, 0.5, r2).tolist() for _ in range(50)]
+        seq1 = [_augment_batch(x, 0.5, r1).tolist() for _ in range(50)]
+        seq2 = [_augment_batch(x, 0.5, r2).tolist() for _ in range(50)]
         assert seq1 == seq2
 
     def test_probability_bounds_checked(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        with pytest.raises(ValueError):
-            hflip_augment(np.zeros(3), 1.5, rng)
+        with pytest.raises(ConfigError):
+            TrainConfig(hflip_prob=1.5)
 
 
 class TestSgdStep:
