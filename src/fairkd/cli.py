@@ -22,6 +22,7 @@ from . import __version__
 from .config import RunConfig, config_digest, load_config
 from .errors import ConfigError, FairkdError, FixtureFormatError, IoError
 from .evaluation import (
+    _check_accuracies,
     build_report,
     fairness_std,
     kfold_verification_accuracy,
@@ -125,9 +126,10 @@ def _write_training_outputs(cfg: RunConfig, result, ckpt_path, trace_path) -> No
                     rng_state=result.rng_state,
                     extra_header={"tool_version": header["tool_version"]})
     write_trace([asdict(e) for e in result.trace], _prepare(trace_path), header)
-    last = result.trace[-1]
+    final = (f"final epoch loss {result.trace[-1].total_loss:.4f}"
+             if result.trace else "no epochs")
     print(f"wrote {ckpt_path}")
-    print(f"wrote {trace_path} (final epoch loss {last.total_loss:.4f})")
+    print(f"wrote {trace_path} ({final})")
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
@@ -221,6 +223,7 @@ def _read_fixture(path) -> list[tuple[str, list[float], str, str, str]]:
         label = row[0]
         try:
             accs = [float(v) for v in row[1:1 + n_groups]]
+            _check_accuracies(accs)
             printed = [round2(float(v)) for v in row[-3:]]
         except ValueError as exc:
             raise FixtureFormatError(f"{path}:{i}: {exc}") from exc

@@ -39,6 +39,11 @@ class InvalidManifest(FairkdError):
     sample ids, inconsistent source per identity, ...)."""
 
 
+class InvalidMergeRequest(FairkdError, ValueError):
+    """A merge was asked for a total or a real fraction it cannot meet (also
+    a ValueError: the argument's value is out of range)."""
+
+
 class EmptyManifest(FairkdError):
     """Training was requested on a manifest with no entries."""
 

@@ -47,12 +47,15 @@ class VerificationPair:
     same: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupProtocol:
-    """Named set of verification pairs drawn from one demographic group."""
+    """Verification pairs, in a tuple, drawn from one demographic group."""
 
     name: str
-    pairs: list[VerificationPair] = field(default_factory=list)
+    pairs: tuple[VerificationPair, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(self.pairs))
 
     @property
     def positive_count(self) -> int:
@@ -62,26 +65,27 @@ class GroupProtocol:
     def negative_count(self) -> int:
         return sum(1 for p in self.pairs if not p.same)
 
-    def validate(self, sample_pool=None) -> None:
+    def validate(self) -> None:
         if self.positive_count != self.negative_count:
             raise UnbalancedProtocol(
                 f"group {self.name!r}: {self.positive_count} positive vs "
                 f"{self.negative_count} negative pairs")
-        if sample_pool is not None:
-            for p in self.pairs:
-                for sid in (p.sample_a, p.sample_b):
-                    if sid not in sample_pool:
-                        raise MissingSample(
-                            f"group {self.name!r} references unknown sample {sid!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairProtocol:
-    groups: list[GroupProtocol] = field(default_factory=list)
+    """Per-group pair protocols, checked when built: every group holds as
+    many positive as negative pairs. Frozen, so it stays that way."""
 
-    def validate(self, sample_pool=None) -> None:
+    groups: tuple[GroupProtocol, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "groups", tuple(self.groups))
+        self.validate()
+
+    def validate(self) -> None:
         for g in self.groups:
-            g.validate(sample_pool)
+            g.validate()
 
 
 @dataclass

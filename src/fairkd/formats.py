@@ -166,7 +166,6 @@ def read_doc(path, schema: str, decode, lines: bool = False):
 
 def write_manifest(manifest: DatasetManifest, path,
                    extra_header: dict | None = None) -> None:
-    manifest.validate()
     write_doc(path, MANIFEST_SCHEMA, {
         "name": manifest.name,
         "group_count": manifest.group_count,
@@ -181,7 +180,7 @@ def write_manifest(manifest: DatasetManifest, path,
 
 
 def _manifest_from_doc(header: dict, records) -> DatasetManifest:
-    manifest = DatasetManifest(
+    return DatasetManifest(
         name=header.get("name", ""),
         group_count=int(header.get("group_count", 0)),
         entries=[ManifestEntry(
@@ -194,8 +193,6 @@ def _manifest_from_doc(header: dict, records) -> DatasetManifest:
         shortfalls={str(k): int(v)
                     for k, v in header.get("shortfalls", {}).items()},
     )
-    manifest.validate()
-    return manifest
 
 
 def read_manifest(path) -> tuple[DatasetManifest, dict]:
@@ -208,7 +205,6 @@ def read_manifest(path) -> tuple[DatasetManifest, dict]:
 
 def write_protocol(protocol: PairProtocol, path,
                    extra_header: dict | None = None) -> None:
-    protocol.validate()
     write_doc(path, PROTOCOL_SCHEMA, {
         "group_names": [g.name for g in protocol.groups],
     }, extra_header, records=({
@@ -220,16 +216,14 @@ def write_protocol(protocol: PairProtocol, path,
 
 
 def _protocol_from_doc(header: dict, records) -> PairProtocol:
-    groups = {_text(name): GroupProtocol(name)
-              for name in header["group_names"]}
+    pairs = {_text(name): [] for name in header["group_names"]}
     for rec in records:
         if not isinstance(rec["same"], bool):
             raise TypeError(f"'same' must be a JSON bool, found {rec['same']!r}")
-        groups[_text(rec["group"])].pairs.append(VerificationPair(
+        pairs[_text(rec["group"])].append(VerificationPair(
             _text(rec["sample_a"]), _text(rec["sample_b"]), rec["same"]))
-    protocol = PairProtocol(list(groups.values()))
-    protocol.validate()
-    return protocol
+    return PairProtocol([GroupProtocol(name, group_pairs)
+                         for name, group_pairs in pairs.items()])
 
 
 def read_protocol(path) -> tuple[PairProtocol, dict]:

@@ -25,6 +25,7 @@ from .errors import (
     EmptyIdentity,
     EmptyManifest,
     InvalidManifest,
+    InvalidMergeRequest,
 )
 
 SOURCES = ("real", "synthetic")
@@ -46,18 +47,24 @@ class ManifestEntry:
     payload_ref: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetManifest:
-    """A named list of image entries over a fixed number of groups.
+    """Named image entries over a fixed number of groups.
 
-    shortfalls maps quota cells (e.g. "group1" or "group1/real") to the
-    number of identities the cell was short at merge time.
+    Checked when built and frozen, with its entries in a tuple, so a
+    manifest that exists is valid. shortfalls maps quota cells (e.g.
+    "group1" or "group1/real") to the number of identities the cell was
+    short at merge time.
     """
 
     name: str
     group_count: int
-    entries: list[ManifestEntry] = field(default_factory=list)
+    entries: tuple[ManifestEntry, ...] = ()
     shortfalls: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
+        self.validate()
 
     def validate(self) -> None:
         """Raise InvalidManifest on any malformed entry or duplicate sample."""
@@ -177,7 +184,6 @@ def _pool_identities(manifests, expect_source: str | None = None):
             raise InvalidManifest(
                 f"manifest {man.name!r} has {man.group_count} groups, "
                 f"expected {group_count}")
-        man.validate()
         for e in man.entries:
             if expect_source is not None and e.source != expect_source:
                 raise InvalidManifest(
@@ -217,19 +223,18 @@ def balanced_merge(manifests, total_identities: int,
     """
     group_count, by_group, entries_of = _pool_identities(manifests)
     if total_identities < group_count:
-        raise ValueError(
+        raise InvalidMergeRequest(
             f"total_identities {total_identities} < group count {group_count}")
 
     quotas = group_quotas(total_identities, group_count)
-    out = DatasetManifest(name=name, group_count=group_count)
+    entries, shortfalls = [], {}
     for g in range(group_count):
         kept, short = _take(by_group[g], quotas[g])
         if short:
-            out.shortfalls[f"group{g}"] = short
+            shortfalls[f"group{g}"] = short
         for sc in kept:
-            out.entries.extend(entries_of[sc.identity_id])
-    out.validate()
-    return out
+            entries.extend(entries_of[sc.identity_id])
+    return DatasetManifest(name, group_count, entries, shortfalls)
 
 
 def mix_merge(real_manifests, synthetic_manifests, real_fraction: float,
@@ -242,7 +247,8 @@ def mix_merge(real_manifests, synthetic_manifests, real_fraction: float,
     top-scoring identities exactly like balanced_merge.
     """
     if not 0.0 < real_fraction < 1.0:
-        raise ValueError(f"real_fraction must lie in (0, 1), got {real_fraction}")
+        raise InvalidMergeRequest(
+            f"real_fraction must lie in (0, 1), got {real_fraction}")
     group_count, real_by_group, real_entries = _pool_identities(
         real_manifests, expect_source="real")
     synth_count, synth_by_group, synth_entries = _pool_identities(
@@ -255,7 +261,7 @@ def mix_merge(real_manifests, synthetic_manifests, real_fraction: float,
         raise DuplicateIdentityAcrossSources(
             f"identities in both pools: {sorted(dup)[:5]}")
     if total_identities < group_count:
-        raise ValueError(
+        raise InvalidMergeRequest(
             f"total_identities {total_identities} < group count {group_count}")
 
     quotas = group_quotas(total_identities, group_count)
@@ -266,7 +272,7 @@ def mix_merge(real_manifests, synthetic_manifests, real_fraction: float,
     real_quotas = largest_remainder(
         real_total, [q * real_total / total_identities for q in quotas])
 
-    out = DatasetManifest(name=name, group_count=group_count)
+    entries, shortfalls = [], {}
     for g in range(group_count):
         cells = (("real", real_by_group[g], real_entries, real_quotas[g]),
                  ("synthetic", synth_by_group[g], synth_entries,
@@ -274,11 +280,10 @@ def mix_merge(real_manifests, synthetic_manifests, real_fraction: float,
         for source, bucket, pool, cell_quota in cells:
             kept, short = _take(bucket, cell_quota)
             if short:
-                out.shortfalls[f"group{g}/{source}"] = short
+                shortfalls[f"group{g}/{source}"] = short
             for sc in kept:
-                out.entries.extend(pool[sc.identity_id])
-    out.validate()
-    return out
+                entries.extend(pool[sc.identity_id])
+    return DatasetManifest(name, group_count, entries, shortfalls)
 
 
 def manifest_stats(manifest: DatasetManifest) -> dict:
@@ -287,7 +292,6 @@ def manifest_stats(manifest: DatasetManifest) -> dict:
     Returns plain dict/list values so the block can be embedded verbatim in
     a manifest header or report.
     """
-    manifest.validate()
     groups = {str(g): {src: {"identities": 0, "images": 0} for src in SOURCES}
               for g in range(manifest.group_count)}
     by_id = manifest.identities()

@@ -212,10 +212,8 @@ def _pool_manifest(cfg: UniverseConfig, pool: str, name: str,
             entries.append(ManifestEntry(sample.sample_id, ident.identity_id,
                                          source, ident.soft_labels,
                                          sample.sample_id))
-    manifest = DatasetManifest(name=name, group_count=cfg.n_groups,
-                               entries=entries)
-    manifest.validate()
-    return manifest, identities
+    return (DatasetManifest(name=name, group_count=cfg.n_groups,
+                            entries=entries), identities)
 
 
 def generate_universe(cfg: UniverseConfig) -> UniverseBundle:
@@ -251,7 +249,6 @@ def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
         raise OddPairCount(
             f"pairs_per_group must be even, got {pairs_per_group}")
     half = pairs_per_group // 2
-    manifest.validate()
     by_id = manifest.identities()
 
     group_members: dict[int, list[str]] = {g: [] for g in range(manifest.group_count)}
@@ -288,6 +285,4 @@ def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
                 chosen.add(key)
                 pairs.append(VerificationPair(a, b, False))
         groups.append(GroupProtocol(f"group{g}", pairs))
-    protocol = PairProtocol(groups)
-    protocol.validate(sample_pool={e.sample_id for e in manifest.entries})
-    return protocol
+    return PairProtocol(groups)

@@ -267,7 +267,6 @@ class TrainResult:
 
 
 def _gather_training_set(manifest: DatasetManifest, store, input_dim: int):
-    manifest.validate()
     if not manifest.entries:
         raise EmptyManifest(f"manifest {manifest.name!r} has no entries")
     labels_of = manifest.dense_labels()

@@ -145,6 +145,25 @@ def test_duplicate_identity_across_inputs_exits_1(ws, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, args", [
+    ("merge", ["{m}/real-train.manifest", "--total", "0"]),
+    ("mix", ["--real", "{m}/real-train.manifest",
+             "--synthetic", "{m}/synthetic-train.manifest",
+             "--fraction", "0.5", "--total", "0"]),
+    ("mix", ["--real", "{m}/real-train.manifest",
+             "--synthetic", "{m}/synthetic-train.manifest",
+             "--fraction", "1.5", "--total", "8"]),
+], ids=["merge_total_0", "mix_total_0", "mix_fraction_1.5"])
+def test_merge_argument_out_of_range_exits_1(ws, tmp_path, capsys,
+                                             command, args):
+    out = tmp_path / "out.manifest"
+    argv = [a.format(m=ws / "m") for a in args]
+    assert main([command, "--config", cfg_of(ws), *argv,
+                 "--out", str(out)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_manifest_exits_1(ws, capsys):
     code = main(["merge", "--config", cfg_of(ws),
                  str(ws / "m" / "absent.manifest"),
@@ -166,6 +185,18 @@ def test_train_on_int_identity_id_exits_1(ws, tmp_path, capsys):
                  "--out", str(tmp_path / "x.ckpt")]) == 1
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "distill"])
+def test_zero_epochs_writes_empty_trace(ws, tmp_path, capsys, command):
+    ckpt, trace = tmp_path / "zero.ckpt", tmp_path / "zero-trace.json"
+    assert main([command, "--config", cfg_of(ws),
+                 "--set", "train.epochs=0", "--set", "train.lr_milestones=[]",
+                 "--out", str(ckpt), "--trace", str(trace)]) == 0
+    epochs, _ = read_trace(trace)
+    assert epochs == []
+    assert ckpt.exists()
+    assert "no epochs" in capsys.readouterr().out
 
 
 def test_trace_lr_column_follows_schedule(ws):
@@ -369,6 +400,17 @@ def test_verify_tables_rejects_non_numeric_cell(tmp_path, capsys):
         "label,acc_g1,acc_g2,acc_g3,acc_g4,average,std,ser\n"
         "row,97.40,oops,95.52,95.95,96.24,0.81,1.72\n")
     assert main(["verify-tables", "--fixture", str(fixture)]) == 1
+
+
+@pytest.mark.parametrize("cell", ["100.5", "-1", "nan", "inf"])
+def test_verify_tables_rejects_accuracy_outside_percent_range(tmp_path, capsys,
+                                                             cell):
+    fixture = tmp_path / "rows.csv"
+    fixture.write_text(
+        "label,acc_g1,acc_g2,acc_g3,acc_g4,average,std,ser\n"
+        f"row,97.40,{cell},95.52,95.95,96.24,0.81,1.72\n")
+    assert main(["verify-tables", "--fixture", str(fixture)]) == 1
+    assert "rows.csv:2" in capsys.readouterr().err
 
 
 def test_verify_tables_missing_fixture_exits_1(tmp_path):

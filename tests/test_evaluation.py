@@ -1,6 +1,7 @@
 """Threshold selection, k-fold verification accuracy, and fairness metrics."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -328,11 +329,17 @@ class TestProtocolValidation:
         with pytest.raises(UnbalancedProtocol):
             PairProtocol([group]).validate()
 
-    def test_pool_membership_checked(self):
-        group = protocol_of([("a", "b", True), ("a", "c", False)])
-        with pytest.raises(MissingSample):
-            group.validate(sample_pool={"a", "b"})
-
     def test_balanced_group_with_pool_passes(self):
         group = protocol_of([("a", "b", True), ("a", "c", False)])
-        group.validate(sample_pool={"a", "b", "c"})
+        group.validate()
+
+    def test_built_protocol_cannot_be_altered(self):
+        protocol = PairProtocol([protocol_of([("a", "b", True),
+                                              ("a", "c", False)])])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            protocol.groups = ()
+        with pytest.raises(AttributeError):
+            protocol.groups.append(protocol.groups[0])
+        with pytest.raises(AttributeError):
+            protocol.groups[0].pairs.append(VerificationPair("a", "d", True))
+        assert len(protocol.groups[0].pairs) == 2

@@ -114,9 +114,11 @@ class TestProtocolIo:
         assert [g.name for g in loaded.groups] == ["g0", "g1"]
 
     def test_unbalanced_protocol_rejected_on_write(self, tmp_path):
-        bad = PairProtocol([GroupProtocol("g", [VerificationPair("a", "b", True)])])
+        # an unbalanced protocol cannot be built, so it is never written
         with pytest.raises(UnbalancedProtocol):
-            write_protocol(bad, tmp_path / "p.jsonl")
+            write_protocol(PairProtocol([GroupProtocol(
+                "g", [VerificationPair("a", "b", True)])]), tmp_path / "p.jsonl")
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_unknown_group_in_record_rejected(self, tmp_path):
         path = tmp_path / "p.jsonl"

@@ -1,5 +1,7 @@
 """Identity scoring and group-balanced manifest merging."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,27 +75,31 @@ class TestScoreIdentity:
 
 class TestManifestValidation:
     def test_soft_labels_must_sum_to_one(self):
-        m = man("m", [("a", "real", [[0.9, 0.2]])])
         with pytest.raises(InvalidManifest):
-            m.validate()
+            man("m", [("a", "real", [[0.9, 0.2]])])
 
     def test_negative_soft_label_rejected(self):
-        m = man("m", [("a", "real", [[1.1, -0.1]])])
         with pytest.raises(InvalidManifest):
-            m.validate()
+            man("m", [("a", "real", [[1.1, -0.1]])])
 
     def test_identity_cannot_mix_sources(self):
         e1 = ManifestEntry("s1", "a", "real", (1.0, 0.0), "r1")
         e2 = ManifestEntry("s2", "a", "synthetic", (1.0, 0.0), "r2")
-        m = DatasetManifest("m", 2, [e1, e2])
         with pytest.raises(InvalidManifest):
-            m.validate()
+            DatasetManifest("m", 2, [e1, e2])
 
     def test_duplicate_sample_id_rejected(self):
         e = ManifestEntry("s1", "a", "real", (1.0, 0.0), "r1")
-        m = DatasetManifest("m", 2, [e, e])
         with pytest.raises(InvalidManifest):
-            m.validate()
+            DatasetManifest("m", 2, [e, e])
+
+    def test_built_manifest_cannot_be_altered(self):
+        m = man("m", [("a", "real", [[1.0, 0.0]])])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.entries = []
+        with pytest.raises(AttributeError):
+            m.entries.append(m.entries[0])
+        assert len(m.entries) == 1
 
     def test_dense_labels_are_lexicographic(self):
         m = man("m", [("b", "real", [[1.0, 0.0]]),
@@ -149,15 +155,23 @@ class TestBalancedMerge:
 
     def test_duplicate_identity_across_manifests_raises(self):
         m1 = man("m1", [("a", "real", [[1.0, 0.0]]), ("x", "real", [[0.0, 1.0]])])
-        m2 = man("m2", [("a", "real", [[1.0, 0.0]])])
         # distinct sample ids, same identity
-        m2.entries = [ManifestEntry("other", "a", "real", (1.0, 0.0), "r")]
+        m2 = DatasetManifest(
+            "m2", 2, [ManifestEntry("other", "a", "real", (1.0, 0.0), "r")])
         with pytest.raises(DuplicateIdentityAcrossSources):
             balanced_merge([m1, m2], 2)
 
     def test_total_below_group_count_rejected(self):
         with pytest.raises(ValueError):
             balanced_merge([man("m", FIVE_IDENTITIES)], 1)
+
+    def test_sample_id_shared_across_manifests_raises(self):
+        m1 = DatasetManifest(
+            "m1", 2, [ManifestEntry("s", "a", "real", (1.0, 0.0), "r1")])
+        m2 = DatasetManifest(
+            "m2", 2, [ManifestEntry("s", "b", "real", (0.0, 1.0), "r2")])
+        with pytest.raises(InvalidManifest):
+            balanced_merge([m1, m2], 2)
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyManifest):
@@ -269,11 +283,18 @@ class TestMixMerge:
 
     def test_identity_in_both_pools_raises(self):
         real = man("r", [("a", "real", [[1.0, 0.0]]), ("b", "real", [[0.0, 1.0]])])
-        synth = man("s", [("a", "synthetic", [[1.0, 0.0]]),
-                          ("c", "synthetic", [[0.0, 1.0]])])
-        synth.entries = [ManifestEntry("sx", "a", "synthetic", (1.0, 0.0), "p"),
-                         ManifestEntry("sy", "c", "synthetic", (0.0, 1.0), "q")]
+        synth = DatasetManifest("s", 2, [
+            ManifestEntry("sx", "a", "synthetic", (1.0, 0.0), "p"),
+            ManifestEntry("sy", "c", "synthetic", (0.0, 1.0), "q")])
         with pytest.raises(DuplicateIdentityAcrossSources):
+            mix_merge([real], [synth], 0.5, 2)
+
+    def test_sample_id_shared_across_pools_raises(self):
+        real = DatasetManifest(
+            "r", 2, [ManifestEntry("s", "a", "real", (1.0, 0.0), "r1")])
+        synth = DatasetManifest(
+            "s", 2, [ManifestEntry("s", "b", "synthetic", (0.0, 1.0), "r2")])
+        with pytest.raises(InvalidManifest):
             mix_merge([real], [synth], 0.5, 2)
 
     def test_wrong_source_in_pool_rejected(self):
