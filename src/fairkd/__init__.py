@@ -15,7 +15,7 @@ Modules:
 The public names imported below are the package's API.
 """
 
-from .core import Sample, cosine_similarity
+from .core import cosine_similarity
 from .errors import ConfigError, FairkdError
 from .losses import (
     HeadGradients,
@@ -73,7 +73,6 @@ from .synthdata import (
     UniverseBundle,
     UniverseConfig,
     gen_identities,
-    gen_images,
     gen_pair_protocol,
     generate_universe,
     group_structure,

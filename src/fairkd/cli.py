@@ -32,6 +32,7 @@ from .evaluation import (
     ser,
 )
 from .formats import (
+    _finite,
     atomic_write_text,
     read_features,
     read_manifest,
@@ -224,7 +225,7 @@ def _read_fixture(path) -> list[tuple[str, list[float], str, str, str]]:
         try:
             accs = [float(v) for v in row[1:1 + n_groups]]
             _check_accuracies(accs)
-            printed = [round2(float(v)) for v in row[-3:]]
+            printed = [round2(_finite(v)) for v in row[-3:]]
         except ValueError as exc:
             raise FixtureFormatError(f"{path}:{i}: {exc}") from exc
         out.append((label, accs, *printed))

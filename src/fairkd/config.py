@@ -36,9 +36,9 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+            raise ConfigError(f"k must be >= 2, got {self.k}")
         if self.pairs_per_group < 2:
-            raise ValueError("pairs_per_group must be >= 2")
+            raise ConfigError("pairs_per_group must be >= 2")
 
 
 @dataclass
@@ -132,7 +132,7 @@ def _build_section(cls, data, path: str, default):
             kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, ConfigError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -8,29 +8,12 @@ heads, verification scoring) inherits one consistent convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVector
 
 # Below this norm a vector carries no usable direction at float64 precision.
 ZERO_NORM_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One toy face: a feature vector tied to an identity.
-
-    label_index is the dense class index of the identity within the training
-    manifest the sample came from; -1 when the sample is not part of a
-    classification manifest (e.g. evaluation-only samples).
-    """
-
-    sample_id: str
-    identity_id: str
-    feature: np.ndarray
-    label_index: int = -1
 
 
 def cosine_similarity(a, b):

@@ -108,8 +108,9 @@ class UnbalancedProtocol(FairkdError):
     """A group protocol's positive and negative pair counts differ."""
 
 
-class ConfigError(FairkdError):
-    """A run configuration is malformed, incomplete, or inconsistent."""
+class ConfigError(FairkdError, ValueError):
+    """A run configuration is malformed, incomplete, or inconsistent (also a
+    ValueError: a config field holds a value out of range)."""
 
 
 class FixtureFormatError(FairkdError):

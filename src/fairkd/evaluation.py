@@ -259,9 +259,10 @@ def round2(value: float) -> str:
 
     Going through repr() first means a float that prints as 96.235 rounds on
     its printed decimal value (96.24), not on its binary expansion.
+    Non-finite values print as inf, -inf or nan.
     """
     if not math.isfinite(value):
-        return "inf" if value > 0 else "-inf"
+        return repr(float(value))
     quantized = Decimal(repr(float(value))).quantize(
         Decimal("0.01"), rounding=ROUND_HALF_UP)
     return str(quantized)

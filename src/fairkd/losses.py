@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import ZERO_NORM_EPS
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     IndexOutOfRange,
     UninitializedStats,
@@ -65,17 +66,17 @@ class MarginConfig:
 
     def __post_init__(self):
         if self.kind not in MARGIN_KINDS:
-            raise ValueError(f"unknown margin kind {self.kind!r}")
+            raise ConfigError(f"unknown margin kind {self.kind!r}")
         if not self.s > 0:
-            raise ValueError("scale s must be positive")
+            raise ConfigError("scale s must be positive")
         if not 0.0 <= self.m < math.pi / 2:
-            raise ValueError("margin m must lie in [0, pi/2)")
+            raise ConfigError("margin m must lie in [0, pi/2)")
         if self.std < 0:
-            raise ValueError("std must be non-negative")
+            raise ConfigError("std must be non-negative")
         if not self.h > 0:
-            raise ValueError("h must be positive")
+            raise ConfigError("h must be positive")
         if not 0.0 < self.ema_momentum <= 1.0:
-            raise ValueError("ema_momentum must lie in (0, 1]")
+            raise ConfigError("ema_momentum must lie in (0, 1]")
 
     @classmethod
     def arcface(cls, s: float = 64.0, m: float = 0.5) -> "MarginConfig":
@@ -103,9 +104,9 @@ class LossConfig:
 
     def __post_init__(self):
         if self.kd_weight < 0:
-            raise ValueError("kd_weight must be non-negative")
+            raise ConfigError("kd_weight must be non-negative")
         if self.kd_reduction not in ("mean", "sum"):
-            raise ValueError("kd_reduction must be 'mean' or 'sum'")
+            raise ConfigError("kd_reduction must be 'mean' or 'sum'")
 
 
 @dataclass

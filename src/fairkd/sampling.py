@@ -16,7 +16,9 @@ than silently rebalancing other groups.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,20 +53,27 @@ class ManifestEntry:
 class DatasetManifest:
     """Named image entries over a fixed number of groups.
 
-    Checked when built and frozen, with its entries in a tuple, so a
-    manifest that exists is valid. shortfalls maps quota cells (e.g.
-    "group1" or "group1/real") to the number of identities the cell was
-    short at merge time.
+    Checked when built and frozen, with its entries in a tuple and its
+    shortfalls in a read-only mapping, so a manifest that exists is valid.
+    shortfalls maps quota cells (e.g. "group1" or "group1/real") to the
+    number of identities the cell was short at merge time.
     """
 
     name: str
     group_count: int
     entries: tuple[ManifestEntry, ...] = ()
-    shortfalls: dict[str, int] = field(default_factory=dict)
+    shortfalls: Mapping[str, int] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
+        object.__setattr__(self, "shortfalls",
+                           MappingProxyType(dict(self.shortfalls)))
         self.validate()
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled or deep-copied: rebuild instead.
+        return (DatasetManifest, (self.name, self.group_count, self.entries,
+                                  dict(self.shortfalls)))
 
     def validate(self) -> None:
         """Raise InvalidManifest on any malformed entry or duplicate sample."""

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Sample
-from .errors import InsufficientIdentities, OddPairCount
+from .errors import ConfigError, InsufficientIdentities, OddPairCount
 from .evaluation import GroupProtocol, PairProtocol, VerificationPair
 from .sampling import DatasetManifest, ManifestEntry, group_quotas, score_manifest
 
@@ -64,32 +63,32 @@ class UniverseConfig:
 
     def __post_init__(self):
         if self.n_groups < 2:
-            raise ValueError(f"need at least 2 groups, got {self.n_groups}")
+            raise ConfigError(f"need at least 2 groups, got {self.n_groups}")
         if self.latent_dim < 2 or self.feature_dim < 2:
-            raise ValueError("latent_dim and feature_dim must be >= 2")
+            raise ConfigError("latent_dim and feature_dim must be >= 2")
         if self.identities_per_source < self.n_groups:
-            raise ValueError("need at least one identity per group per source")
+            raise ConfigError("need at least one identity per group per source")
         if self.eval_identities < self.n_groups:
-            raise ValueError("need at least one holdout identity per group")
+            raise ConfigError("need at least one holdout identity per group")
         if self.images_per_identity < 1:
-            raise ValueError("images_per_identity must be >= 1")
+            raise ConfigError("images_per_identity must be >= 1")
         if self.noise_scales is None:
             self.noise_scales = tuple(
                 float(s) for s in np.linspace(0.25, 0.55, self.n_groups))
         else:
             self.noise_scales = tuple(float(s) for s in self.noise_scales)
         if len(self.noise_scales) != self.n_groups:
-            raise ValueError(
+            raise ConfigError(
                 f"{len(self.noise_scales)} noise scales for "
                 f"{self.n_groups} groups")
         if any(s < 0 for s in self.noise_scales):
-            raise ValueError("noise scales must be non-negative")
+            raise ConfigError("noise scales must be non-negative")
         if not (self.label_concentration > 0):
-            raise ValueError("label_concentration must be positive")
+            raise ConfigError("label_concentration must be positive")
         if self.group_separation < 0 or self.synth_mean_shift < 0:
-            raise ValueError("separation and shift must be non-negative")
+            raise ConfigError("separation and shift must be non-negative")
         if not self.synth_cov_inflation > 0:
-            raise ValueError("synth_cov_inflation must be positive")
+            raise ConfigError("synth_cov_inflation must be positive")
 
 
 @dataclass(frozen=True)
@@ -168,26 +167,6 @@ def gen_identities(cfg: UniverseConfig, pool: str = "real",
     return out
 
 
-def gen_images(identity: ToyIdentity, cfg: UniverseConfig,
-               rng: np.random.Generator,
-               structure: GroupStructure | None = None) -> list[Sample]:
-    """Feature vectors for one identity: x = M_g z + noise_scale_g * eps."""
-    if structure is None:
-        structure = group_structure(cfg)
-    mixing = structure.maps[identity.group]
-    scale = cfg.noise_scales[identity.group]
-    clean = mixing @ identity.latent
-    samples = []
-    for j in range(cfg.images_per_identity):
-        noise = rng.standard_normal(cfg.feature_dim)
-        samples.append(Sample(
-            sample_id=f"{identity.identity_id}_im{j:02d}",
-            identity_id=identity.identity_id,
-            feature=clean + scale * noise,
-        ))
-    return samples
-
-
 @dataclass
 class UniverseBundle:
     """Everything one config generates: manifests plus the feature store."""
@@ -201,17 +180,22 @@ class UniverseBundle:
 
 def _pool_manifest(cfg: UniverseConfig, pool: str, name: str,
                    features: dict) -> tuple[DatasetManifest, list[ToyIdentity]]:
+    """Each identity's images are x = M_g z + noise_scale_g * eps, with the
+    pool's noise drawn in one call, identity by identity, image by image."""
     identities = gen_identities(cfg, pool)
-    image_rng = _stream(cfg.seed, _STREAM_IMAGES[pool])
-    source = "synthetic" if pool == "synthetic" else "real"
     structure = group_structure(cfg)
+    eps = _stream(cfg.seed, _STREAM_IMAGES[pool]).standard_normal(
+        (len(identities), cfg.images_per_identity, cfg.feature_dim))
+    source = "synthetic" if pool == "synthetic" else "real"
     entries = []
-    for ident in identities:
-        for sample in gen_images(ident, cfg, image_rng, structure):
-            features[sample.sample_id] = sample.feature
-            entries.append(ManifestEntry(sample.sample_id, ident.identity_id,
-                                         source, ident.soft_labels,
-                                         sample.sample_id))
+    for ident, noise in zip(identities, eps):
+        images = (structure.maps[ident.group] @ ident.latent
+                  + cfg.noise_scales[ident.group] * noise)
+        for j, feature in enumerate(images):
+            sample_id = f"{ident.identity_id}_im{j:02d}"
+            features[sample_id] = feature
+            entries.append(ManifestEntry(sample_id, ident.identity_id, source,
+                                         ident.soft_labels, sample_id))
     return (DatasetManifest(name=name, group_count=cfg.n_groups,
                             entries=entries), identities)
 

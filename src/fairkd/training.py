@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,13 @@ from .losses import (
 )
 from .sampling import DatasetManifest
 
-_ACTIVATIONS = ("relu", "tanh", "identity")
+# name -> (activation, its derivative given the pre-activation and output)
+_ACTIVATIONS = {
+    "relu": (lambda pre: np.maximum(pre, 0.0),
+             lambda pre, out: (pre > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda pre, out: 1.0 - out * out),
+    "identity": (lambda pre: pre, lambda pre, out: np.ones_like(pre)),
+}
 
 
 @dataclass
@@ -62,11 +68,11 @@ class EncoderSpec:
         self.hidden_widths = tuple(int(w) for w in self.hidden_widths)
         dims = (self.input_dim, *self.hidden_widths, self.embedding_dim)
         if any(int(d) < 1 for d in dims):
-            raise ValueError(f"all layer widths must be positive, got {dims}")
+            raise ConfigError(f"all layer widths must be positive, got {dims}")
         if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}")
         if self.init_seed < 0:
-            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
+            raise ConfigError(f"init_seed must be >= 0, got {self.init_seed}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -76,22 +82,6 @@ class EncoderSpec:
     def n_params(self) -> int:
         dims = self.layer_dims
         return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
-
-
-def _act(name: str, pre: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(pre, 0.0)
-    if name == "tanh":
-        return np.tanh(pre)
-    return pre
-
-
-def _act_grad(name: str, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (pre > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - out * out
-    return np.ones_like(pre)
 
 
 class Encoder:
@@ -112,45 +102,43 @@ class Encoder:
             out.extend((w, b))
         return out
 
-    def _check_input(self, x) -> np.ndarray:
-        arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if arr.shape[1] != self.spec.input_dim:
+    def _layers(self, x, cache: list | None = None) -> np.ndarray:
+        """Embeddings of x; appends (input, pre-activation, output) per
+        layer to cache when one is given."""
+        h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if h.shape[1] != self.spec.input_dim:
             raise DimensionMismatch(
                 f"encoder expects input dim {self.spec.input_dim}, "
-                f"got {arr.shape[1]}")
-        return arr
+                f"got {h.shape[1]}")
+        act = _ACTIVATIONS[self.spec.activation][0]
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            pre = h @ w + b
+            out = pre if i == last else act(pre)
+            if cache is not None:
+                cache.append((h, pre, out))
+            h = out
+        return h
 
     def forward(self, x) -> np.ndarray:
         """Embeddings for a (B, input_dim) batch or a single feature vector."""
-        single = np.asarray(x).ndim == 1
-        h = self._check_input(x)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = h @ w + b
-            h = pre if i == last else _act(self.spec.activation, pre)
-        return h[0] if single else h
+        h = self._layers(x)
+        return h[0] if np.asarray(x).ndim == 1 else h
 
     def forward_cached(self, x):
         """Forward pass keeping per-layer inputs and pre-activations."""
-        h = self._check_input(x)
         cache = []
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = h @ w + b
-            out = pre if i == last else _act(self.spec.activation, pre)
-            cache.append((h, pre, out))
-            h = out
-        return h, cache
+        return self._layers(x, cache), cache
 
     def backward(self, cache, d_embedding) -> list[np.ndarray]:
         """Gradients for every parameter, ordered like parameters()."""
         d_out = np.asarray(d_embedding, dtype=np.float64)
         grads: list[np.ndarray] = []
+        act_grad = _ACTIVATIONS[self.spec.activation][1]
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             inp, pre, out = cache[i]
-            d_pre = d_out if i == last else \
-                d_out * _act_grad(self.spec.activation, pre, out)
+            d_pre = d_out if i == last else d_out * act_grad(pre, out)
             grads.insert(0, d_pre.sum(axis=0))          # bias
             grads.insert(0, inp.T @ d_pre)              # weight
             if i > 0:
@@ -397,15 +385,8 @@ def checkpoint_save(encoder: Encoder, prototypes, stats: NormStats | None,
                     rng_state: dict | None = None,
                     extra_header: dict | None = None) -> None:
     """Bit-exact snapshot of an encoder head state, written atomically."""
-    spec = encoder.spec
     write_doc(path, CHECKPOINT_SCHEMA, {
-        "spec": {
-            "input_dim": spec.input_dim,
-            "hidden_widths": list(spec.hidden_widths),
-            "embedding_dim": spec.embedding_dim,
-            "activation": spec.activation,
-            "init_seed": spec.init_seed,
-        },
+        "spec": asdict(encoder.spec),
         "weights": [encode_array(w) for w in encoder.weights],
         "biases": [encode_array(b) for b in encoder.biases],
         "prototypes": (None if prototypes is None

@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference gradients, error metrics,
-bitwise reference implementations of the margin head and training loop, and
-the per-pair scorer and tie loop that evaluation's batch paths replaced."""
+bitwise reference implementations of the margin head and training loop, the
+per-pair scorer and tie loop that evaluation's batch paths replaced, and the
+per-image noise loop that the one-draw pool generator replaced."""
 
 import math
 
@@ -28,6 +29,12 @@ from fairkd.losses import (
     init_prototypes,
     kd_loss_and_grads,
     sample_elastic_margins,
+)
+from fairkd.synthdata import (
+    _STREAM_IMAGES,
+    _stream,
+    gen_identities,
+    group_structure,
 )
 from fairkd.training import (
     Encoder,
@@ -288,3 +295,22 @@ def ref_best_threshold_accuracy(scores, labels):
     else:
         threshold = float((ss[best_cut - 1] + ss[best_cut]) / 2.0)
     return threshold, 100.0 * float(correct[best_cut]) / n
+
+
+# ---------------------------------------------------------------------------
+# Reference universe generation: one noise draw per image. generate_universe
+# draws each pool's noise in one call and must match this bitwise.
+
+
+def ref_pool_features(cfg, pool):
+    """{sample_id: feature} for one pool, in generation order."""
+    structure = group_structure(cfg)
+    rng = _stream(cfg.seed, _STREAM_IMAGES[pool])
+    out = {}
+    for ident in gen_identities(cfg, pool):
+        clean = structure.maps[ident.group] @ ident.latent
+        scale = cfg.noise_scales[ident.group]
+        for j in range(cfg.images_per_identity):
+            noise = rng.standard_normal(cfg.feature_dim)
+            out[f"{ident.identity_id}_im{j:02d}"] = clean + scale * noise
+    return out

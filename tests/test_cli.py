@@ -413,6 +413,19 @@ def test_verify_tables_rejects_accuracy_outside_percent_range(tmp_path, capsys,
     assert "rows.csv:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", [5, 6, 7])
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_verify_tables_rejects_non_finite_printed_cell(tmp_path, capsys,
+                                                      column, cell):
+    cells = "row,97.40,96.23,95.52,95.95,96.24,0.81,1.72".split(",")
+    cells[column] = cell
+    fixture = tmp_path / "rows.csv"
+    fixture.write_text("label,acc_g1,acc_g2,acc_g3,acc_g4,average,std,ser\n"
+                       + ",".join(cells) + "\n")
+    assert main(["verify-tables", "--fixture", str(fixture)]) == 1
+    assert "rows.csv:2" in capsys.readouterr().err
+
+
 def test_verify_tables_missing_fixture_exits_1(tmp_path):
     assert main(["verify-tables",
                  "--fixture", str(tmp_path / "absent.csv")]) == 1

@@ -12,7 +12,10 @@ from fairkd.config import (
     load_config,
     to_dict,
 )
-from fairkd.errors import ConfigError
+from fairkd.errors import ConfigError, FairkdError
+from fairkd.losses import LossConfig, MarginConfig
+from fairkd.synthdata import UniverseConfig
+from fairkd.training import EncoderSpec
 
 
 def test_defaults_load_and_validate():
@@ -156,3 +159,17 @@ def test_partial_encoder_section_starts_from_its_default(tmp_path):
 def test_section_that_is_not_an_object_rejected():
     with pytest.raises(ConfigError, match="config.teacher"):
         from_dict({"teacher": 5})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MarginConfig(kind="x"),
+    lambda: EncoderSpec(16, (0,), 12),
+    lambda: UniverseConfig(n_groups=1),
+    lambda: LossConfig(kd_weight=-1),
+    lambda: EvalConfig(k=1),
+], ids=["margin", "encoder", "universe", "loss", "eval"])
+def test_config_errors_from_the_python_api_are_fairkd_errors(build):
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert isinstance(exc.value, FairkdError)
+    assert isinstance(exc.value, ValueError)

@@ -293,6 +293,8 @@ class TestRounding:
 
     def test_infinite_sentinel(self):
         assert round2(math.inf) == "inf"
+        assert round2(-math.inf) == "-inf"
+        assert round2(math.nan) == "nan"
 
 
 class TestRenderTable:

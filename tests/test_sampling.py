@@ -1,6 +1,8 @@
 """Identity scoring and group-balanced manifest merging."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -100,6 +102,18 @@ class TestManifestValidation:
         with pytest.raises(AttributeError):
             m.entries.append(m.entries[0])
         assert len(m.entries) == 1
+
+    def test_shortfalls_read_only_and_manifest_hashable(self):
+        given = {"group0": 2}
+        m = DatasetManifest("m", 2, shortfalls=given)
+        with pytest.raises(TypeError):
+            m.shortfalls["group0"] = 5
+        given["group0"] = 7
+        assert m.shortfalls == {"group0": 2}
+        assert hash(m) == hash(DatasetManifest("m", 2, shortfalls={"group0": 2}))
+        for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert copied == m
+            assert copied.shortfalls == {"group0": 2}
 
     def test_dense_labels_are_lexicographic(self):
         m = man("m", [("b", "real", [[1.0, 0.0]]),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairkd.core import cosine_similarity
 from fairkd.errors import InsufficientIdentities, OddPairCount
@@ -9,11 +11,11 @@ from fairkd.sampling import DatasetManifest, ManifestEntry
 from fairkd.synthdata import (
     UniverseConfig,
     gen_identities,
-    gen_images,
     gen_pair_protocol,
     generate_universe,
     group_structure,
 )
+from helpers import assert_bitwise, ref_pool_features
 
 
 def small_cfg(**kw):
@@ -157,28 +159,59 @@ def test_synthetic_latents_are_shifted_and_wider():
 
 def test_image_count_and_sample_ids():
     cfg = small_cfg()
-    ident = gen_identities(cfg, "real")[0]
-    rng = np.random.Generator(np.random.PCG64(0))
-    samples = gen_images(ident, cfg, rng)
-    assert len(samples) == cfg.images_per_identity
-    assert [s.sample_id for s in samples] == [
-        f"{ident.identity_id}_im{j:02d}" for j in range(len(samples))]
-    assert all(s.identity_id == ident.identity_id for s in samples)
-    assert all(s.feature.shape == (cfg.feature_dim,) for s in samples)
+    bundle = generate_universe(cfg)
+    ident = bundle.identities["real"][0]
+    entries = bundle.real.identities()[ident.identity_id]
+    assert len(entries) == cfg.images_per_identity
+    assert [e.sample_id for e in entries] == [
+        f"{ident.identity_id}_im{j:02d}" for j in range(len(entries))]
+    assert all(e.identity_id == ident.identity_id for e in entries)
+    assert all(bundle.features[e.sample_id].shape == (cfg.feature_dim,)
+               for e in entries)
 
 
 def test_zero_noise_images_are_identical_and_equal_mapped_latent():
     cfg = small_cfg(noise_scales=(0.0, 0.0))
     structure = group_structure(cfg)
-    ident = gen_identities(cfg, "real")[0]
-    rng = np.random.Generator(np.random.PCG64(0))
-    samples = gen_images(ident, cfg, rng)
+    bundle = generate_universe(cfg)
+    ident = bundle.identities["real"][0]
+    feats = [bundle.features[e.sample_id]
+             for e in bundle.real.identities()[ident.identity_id]]
     expected = structure.maps[ident.group] @ ident.latent
-    for s in samples:
-        assert np.array_equal(s.feature, expected)
-    got = cosine_similarity(samples[0].feature, samples[1].feature)
+    for f in feats:
+        assert np.array_equal(f, expected)
+    got = cosine_similarity(feats[0], feats[1])
     assert got <= 1.0
     assert got == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@example(n_groups=6, per_group=1, images=1, feature_dim=7, zero_noise=True,
+         seed=0)
+@example(n_groups=2, per_group=3, images=1, feature_dim=3, zero_noise=False,
+         seed=1)
+@given(n_groups=st.integers(2, 6), per_group=st.integers(1, 3),
+       images=st.integers(1, 4), feature_dim=st.integers(2, 9),
+       zero_noise=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pool_features_match_per_image_reference(n_groups, per_group, images,
+                                                 feature_dim, zero_noise,
+                                                 seed):
+    cfg = UniverseConfig(
+        n_groups=n_groups, identities_per_source=n_groups * per_group + 1,
+        eval_identities=n_groups, images_per_identity=images, latent_dim=3,
+        feature_dim=feature_dim, seed=seed,
+        noise_scales=(0.0,) * n_groups if zero_noise else None)
+    bundle = generate_universe(cfg)
+    expected = {}
+    for pool, manifest in (("real", bundle.real),
+                           ("synthetic", bundle.synthetic),
+                           ("holdout", bundle.holdout)):
+        ref = ref_pool_features(cfg, pool)
+        assert [e.sample_id for e in manifest.entries] == list(ref)
+        expected.update(ref)
+    assert list(bundle.features) == list(expected)
+    for sample_id, feature in expected.items():
+        assert_bitwise(bundle.features[sample_id], feature)
 
 
 def unit(x):
