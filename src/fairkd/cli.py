@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import statistics
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -24,12 +23,10 @@ from .errors import ConfigError, FairkdError, FixtureFormatError, IoError
 from .evaluation import (
     _check_accuracies,
     build_report,
-    fairness_std,
     kfold_verification_accuracy,
     render_table,
     round2,
     score_pairs,
-    ser,
 )
 from .formats import (
     _finite,
@@ -241,8 +238,8 @@ def cmd_verify_tables(cfg: RunConfig, args) -> int:
     rows = _read_fixture(fixture)
     width = max(len(label) for label, *_ in rows)
     for label, accs, p_avg, p_std, p_ser in rows:
-        got = (round2(statistics.fmean(accs)), round2(fairness_std(accs)),
-               round2(ser(accs)))
+        report = build_report(accs)
+        got = tuple(map(round2, (report.average, report.std, report.ser)))
         printed = (p_avg, p_std, p_ser)
         if got == printed:
             print(f"PASS {label:<{width}}  avg {got[0]}  std {got[1]}  ser {got[2]}")

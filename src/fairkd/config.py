@@ -1,9 +1,9 @@
 """Run configuration: one JSON document wiring every pipeline stage together.
 
 A RunConfig nests the per-module configs (universe, training, loss, encoder
-specs, evaluation, output paths). Loading is strict: unknown keys and
-ill-typed values raise ConfigError naming the offending key, so a typo in a
-sweep script fails before any artifact is written.
+specs, evaluation, output paths) and checks itself when built. Loading is
+strict: unknown keys, ill-typed values and non-finite numbers raise
+ConfigError naming the key or file, before any artifact is written.
 
 Command-line overrides use dotted keys ("train.epochs=3"); values are parsed
 as JSON where possible and fall back to plain strings. The digest of the
@@ -13,14 +13,14 @@ fully resolved config is stamped into every output artifact.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from json import JSONDecodeError
 from pathlib import Path
 
 from .errors import ConfigError
-from .formats import canonical_json, read_text
-from .losses import LossConfig, MarginConfig
+from .formats import JSON_DECODER, canonical_json, read_text
+from .losses import LossConfig
 from .synthdata import UniverseConfig
 from .training import EncoderSpec, TrainConfig
 
@@ -63,7 +63,7 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Cross-field consistency; single-field checks live in each config."""
         feat = self.universe.feature_dim
         for label, spec in (("teacher", self.teacher), ("student", self.student)):
@@ -77,42 +77,17 @@ class RunConfig:
                 f"teacher.embedding_dim is {self.teacher.embedding_dim}")
 
 
-_SECTION_TYPES = {
-    "universe": UniverseConfig,
-    "train": TrainConfig,
-    "loss": LossConfig,
-    "margin": MarginConfig,
-    "teacher": EncoderSpec,
-    "student": EncoderSpec,
-    "eval": EvalConfig,
-    "paths": PathsConfig,
-}
-
-
-def _to_jsonable(value):
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _to_jsonable(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    return value
-
-
-def to_dict(cfg: RunConfig) -> dict:
-    return _to_jsonable(cfg)
-
-
 def config_digest(cfg: RunConfig) -> str:
     """Short stable digest of the fully resolved config."""
-    payload = canonical_json(to_dict(cfg)).encode("utf-8")
+    payload = canonical_json(asdict(cfg)).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
 def _build_section(cls, data, path: str, default):
-    """cls from data; a field that cls has no default for is taken from
-    default (the matching part of RunConfig()), so a partial section such as
-    {"teacher": {"init_seed": 3}} builds. Fields with a class default keep
-    it, which leaves the digest of every complete section unchanged."""
+    """cls from data; a key whose default is a dataclass is a nested section.
+    A field that cls has no default for is taken from default (the matching
+    part of RunConfig()), so {"teacher": {"init_seed": 3}} builds. Fields with
+    a class default keep it, so every complete section digests unchanged."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     valid = {f.name for f in fields(cls)}
@@ -123,9 +98,9 @@ def _build_section(cls, data, path: str, default):
               if f.default is MISSING and f.default_factory is MISSING}
     for key, value in data.items():
         child = f"{path}.{key}"
-        if key in _SECTION_TYPES:
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, child,
-                                         getattr(default, key))
+        section = getattr(default, key)
+        if is_dataclass(section):
+            kwargs[key] = _build_section(type(section), value, child, section)
         elif isinstance(value, list):
             kwargs[key] = tuple(value)
         else:
@@ -137,9 +112,7 @@ def _build_section(cls, data, path: str, default):
 
 
 def from_dict(data: dict) -> RunConfig:
-    cfg = _build_section(RunConfig, data, "config", RunConfig())
-    cfg.validate()
-    return cfg
+    return _build_section(RunConfig, data, "config", RunConfig())
 
 
 def _set_dotted(doc: dict, dotted: str, value) -> None:
@@ -159,9 +132,11 @@ def apply_overrides(doc: dict, overrides) -> dict:
         if not sep or not key:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
+            value = JSON_DECODER.decode(raw)
+        except JSONDecodeError:
             value = raw
+        except ValueError as exc:   # a non-finite or oversized number
+            raise ConfigError(f"override {key.strip()}: {exc}") from exc
         _set_dotted(doc, key.strip(), value)
     return doc
 
@@ -187,8 +162,8 @@ def load_config(source: str | None = None, overrides=()) -> RunConfig:
     else:
         path = resolve_config_path(source)
         try:
-            doc = json.loads(read_text(path))
-        except ValueError as exc:   # JSONDecodeError or UnicodeDecodeError
+            doc = JSON_DECODER.decode(read_text(path))
+        except ValueError as exc:   # undecodable, not JSON, or non-finite
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")

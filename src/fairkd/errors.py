@@ -39,6 +39,11 @@ class InvalidManifest(FairkdError):
     sample ids, inconsistent source per identity, ...)."""
 
 
+class InvalidArgument(FairkdError, ValueError):
+    """A public function was called with an argument outside its domain (an
+    unknown name, a non-positive size, a missing generator)."""
+
+
 class InvalidMergeRequest(FairkdError, ValueError):
     """A merge was asked for a total or a real fraction it cannot meet (also
     a ValueError: the argument's value is out of range)."""

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
     EmptyInput,
+    InvalidArgument,
     MissingSample,
     NonFiniteScore,
     TooFewGroups,
@@ -196,7 +197,7 @@ def kfold_verification_accuracy(scores, labels, k: int = 10,
     """
     s, y = _scores_labels(scores, labels)
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise InvalidArgument(f"k must be >= 2, got {k}")
     if s.size == 0:
         raise EmptyInput("cannot evaluate zero pairs")
     if s.size < k:
@@ -296,4 +297,4 @@ def render_table(reports, fmt: str = "markdown") -> str:
                  "| " + " | ".join("---" for _ in header) + " |"]
         lines += ["| " + " | ".join(row) + " |" for row in rows]
         return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown table format {fmt!r}")
+    raise InvalidArgument(f"unknown table format {fmt!r}")

@@ -113,7 +113,7 @@ def _finite(value) -> float:
 
 
 # One decoder for every read: json.loads with hooks would build one per call.
-_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+JSON_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 
 
 def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
@@ -145,7 +145,7 @@ def read_doc(path, schema: str, decode, lines: bool = False):
     try:
         text = read_text(path)
         chunks = text.splitlines() if lines else [text]
-        docs = map(_DECODER.decode, filter(str.strip, chunks))
+        docs = map(JSON_DECODER.decode, filter(str.strip, chunks))
         header = next(docs, None)
         if header is None:
             raise ValueError("empty file")

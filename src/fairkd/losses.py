@@ -32,6 +32,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidArgument,
     UninitializedStats,
     ZeroVector,
 )
@@ -152,7 +153,7 @@ class HeadGradients:
 def init_prototypes(n_classes: int, dim: int, seed: int) -> np.ndarray:
     """Random class-prototype matrix (n_classes, dim), rows near unit scale."""
     if n_classes < 1 or dim < 1:
-        raise ValueError("n_classes and dim must be positive")
+        raise InvalidArgument("n_classes and dim must be positive")
     rng = np.random.Generator(np.random.PCG64(seed))
     w = rng.standard_normal((n_classes, dim))
     return w / math.sqrt(dim)
@@ -324,7 +325,7 @@ def head_loss_and_grads(embeddings, prototypes, labels, cfg: MarginConfig,
     ang, add = cfg.m, 0.0
     if cfg.kind == "elastic_arcface":
         if rng is None:
-            raise ValueError("elastic_arcface requires an rng")
+            raise InvalidArgument("elastic_arcface requires an rng")
         ang = sample_elastic_margins(cfg, rng, z.shape[0])
     elif cfg.kind == "adaface":
         ang, add, safe = adaface_margin_terms(np.linalg.norm(z, axis=1), cfg,

@@ -162,7 +162,7 @@ def largest_remainder(total: int, ideals) -> list[int]:
     floors = [math.floor(x) for x in ideals]
     leftover = total - sum(floors)
     if leftover < 0 or leftover > len(ideals):
-        raise ValueError(f"ideals {ideals} do not sum near {total}")
+        raise InvalidMergeRequest(f"ideals {ideals} do not sum near {total}")
     order = sorted(range(len(ideals)),
                    key=lambda i: (-(ideals[i] - floors[i]), i))
     out = list(floors)

@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientIdentities, OddPairCount
+from .errors import (
+    ConfigError,
+    InsufficientIdentities,
+    InvalidArgument,
+    OddPairCount,
+)
 from .evaluation import GroupProtocol, PairProtocol, VerificationPair
 from .sampling import DatasetManifest, ManifestEntry, group_quotas, score_manifest
 
@@ -143,7 +148,7 @@ def gen_identities(cfg: UniverseConfig, pool: str = "real",
     gets its own id namespace so it can never collide with training data.
     """
     if pool not in POOLS:
-        raise ValueError(f"unknown pool {pool!r}")
+        raise InvalidArgument(f"unknown pool {pool!r}")
     if count is None:
         count = (cfg.eval_identities if pool == "holdout"
                  else cfg.identities_per_source)

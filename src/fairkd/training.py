@@ -78,11 +78,6 @@ class EncoderSpec:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_widths, self.embedding_dim)
 
-    @property
-    def n_params(self) -> int:
-        dims = self.layer_dims
-        return sum((dims[i] + 1) * dims[i + 1] for i in range(len(dims) - 1))
-
 
 class Encoder:
     """Dense feature-to-embedding map with hand-rolled forward/backward."""
@@ -159,8 +154,7 @@ class TrainConfig:
     """Optimizer schedule and loop controls.
 
     Defaults mirror the reference regimen (26 epochs, batch 256, lr 0.1
-    decayed by 10 at epochs 8/14/20/25, SGD momentum 0.9, flips only);
-    desk() swaps in the small-batch profile used by the toy experiments.
+    decayed by 10 at epochs 8/14/20/25, SGD momentum 0.9, flips only).
     """
 
     epochs: int = 26
@@ -195,11 +189,6 @@ class TrainConfig:
             raise ConfigError(
                 f"milestones {self.lr_milestones} must lie below epochs "
                 f"{self.epochs}")
-
-    @classmethod
-    def desk(cls, **overrides) -> "TrainConfig":
-        overrides.setdefault("batch_size", 64)
-        return cls(**overrides)
 
 
 def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:

@@ -387,6 +387,22 @@ def test_verify_tables_reports_delta_on_perturbed_row(tmp_path, capsys):
     assert "1/2 rows pass" in out
 
 
+def test_verify_tables_checks_rows_after_a_perfect_group(tmp_path, capsys):
+    """A 100% group makes SER infinite, as in an eval report: that row fails
+    and the rows after it are still checked."""
+    fixture = tmp_path / "rows.csv"
+    fixture.write_text(
+        "label,acc_g1,acc_g2,acc_g3,acc_g4,average,std,ser\n"
+        "perfect,100.00,96.00,96.00,96.00,97.00,2.00,1.72\n"
+        "good,97.40,96.07,95.52,95.95,96.24,0.81,1.72\n")
+    assert main(["verify-tables", "--fixture", str(fixture)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL perfect" in out
+    assert "ser inf (printed 1.72, delta +inf)" in out
+    assert "PASS good" in out
+    assert "1/2 rows pass" in out
+
+
 def test_verify_tables_rejects_malformed_header(tmp_path, capsys):
     fixture = tmp_path / "rows.csv"
     fixture.write_text("name,a,b\nx,1,2\n")

@@ -1,7 +1,11 @@
 import json
+import re
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+from fairkd.cli import main
 from fairkd.config import (
     CONFIG_DIR_ENV,
     EvalConfig,
@@ -10,7 +14,6 @@ from fairkd.config import (
     config_digest,
     from_dict,
     load_config,
-    to_dict,
 )
 from fairkd.errors import ConfigError, FairkdError
 from fairkd.losses import LossConfig, MarginConfig
@@ -111,7 +114,7 @@ def test_digest_is_stable_and_sensitive():
 def test_to_dict_round_trips():
     cfg = from_dict({"train": {"epochs": 5, "lr_milestones": [2]},
                      "seed": 3})
-    again = from_dict(json.loads(json.dumps(to_dict(cfg))))
+    again = from_dict(json.loads(json.dumps(asdict(cfg))))
     assert again == cfg
     assert config_digest(again) == config_digest(cfg)
 
@@ -148,7 +151,7 @@ def test_partial_encoder_section_starts_from_its_default(tmp_path):
     partial.write_text(json.dumps({"teacher": {"init_seed": 3}}))
     full = tmp_path / "full.json"
     full.write_text(json.dumps({"teacher": {
-        **to_dict(RunConfig())["teacher"], "init_seed": 3}}))
+        **asdict(RunConfig())["teacher"], "init_seed": 3}}))
     configs = [load_config(None, ["teacher.init_seed=3"]),
                load_config(str(partial)), load_config(str(full))]
     assert configs[0].teacher.hidden_widths == RunConfig().teacher.hidden_widths
@@ -173,3 +176,73 @@ def test_config_errors_from_the_python_api_are_fairkd_errors(build):
         build()
     assert isinstance(exc.value, FairkdError)
     assert isinstance(exc.value, ValueError)
+
+
+def _demo06_config() -> dict:
+    script = Path(__file__).parent.parent / "demos" / "06_cli_walkthrough.sh"
+    text = re.search(r"cat > config.json <<'EOF'\n(.*?)\nEOF",
+                     script.read_text(), re.S).group(1)
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("doc, digest", [
+    ({}, "98c2a71ad815"),
+    ({"teacher": {"init_seed": 3}}, "221d92876020"),
+    ({"universe": {"n_groups": 2, "noise_scales": [0.1, 0.2]}}, "593c694d6d01"),
+    ({"loss": {"kd_weight": 0.5, "margin": {"kind": "adaface", "m": 0.4}}},
+     "3e40f756e01b"),
+    ({"train": {"epochs": 5, "lr_milestones": [2]},
+      "paths": {"reports": "out/r"}}, "c5e9f09f616a"),
+    ({"student": {"hidden_widths": [8, 8], "init_seed": 4}}, "50352135d378"),
+    ({"seed": 7}, "21e5cc6d24b8"),
+    ({"eval": {"k": 5, "pairs_per_group": 40}}, "c0af56dfff2b"),
+    (None, "8fbb974ffbaa"),
+], ids=["default", "partial-teacher", "partial-universe", "nested-margin",
+        "train-paths", "student", "seed", "eval", "demo06"])
+def test_config_digest_is_pinned(doc, digest):
+    """The digest stamped into every artifact; a change here re-keys them."""
+    cfg = from_dict(_demo06_config() if doc is None else doc)
+    assert config_digest(cfg) == digest
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_in_config_file_exits_2(tmp_path, monkeypatch,
+                                                  capsys, number):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.json"
+    path.write_text('{"universe": {"group_separation": %s}}' % number)
+    with pytest.raises(ConfigError, match="run.json"):
+        load_config(str(path))
+    assert main(["synth-gen", "--config", str(path)]) == 2
+    assert "run.json" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "universe.group_separation=NaN",
+    "universe.noise_scales=[1.0,Infinity,1.0,1.0]",
+    "universe.synth_mean_shift=1e999",
+    "loss.margin.s=-Infinity",
+])
+def test_non_finite_number_in_override_exits_2(tmp_path, monkeypatch, capsys,
+                                               override):
+    monkeypatch.chdir(tmp_path)
+    key = override.partition("=")[0]
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(None, [override])
+    assert main(["synth-gen", "--set", override]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_config_checks_itself_when_built():
+    with pytest.raises(ConfigError, match="teacher.input_dim"):
+        RunConfig(teacher=EncoderSpec(9, (8,), 12))
+    with pytest.raises(ConfigError, match="student.embedding_dim"):
+        RunConfig(student=EncoderSpec(16, (8,), 5))
+
+
+def test_nested_margin_override_builds_a_margin_config():
+    cfg = load_config(None, ["loss.margin.s=20"])
+    assert isinstance(cfg.loss.margin, MarginConfig)
+    assert cfg.loss.margin == MarginConfig(s=20)

@@ -90,10 +90,6 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(lr_factor=1.0)
 
-    def test_desk_profile_shrinks_batch(self):
-        assert TrainConfig.desk().batch_size == 64
-        assert TrainConfig.desk().epochs == 26
-
 
 class TestHorizontalFlip:
     """The batch flip of the training loop, one coordinate reversal per row."""
@@ -257,9 +253,8 @@ class TestDistill:
 
 class TestEncoder:
     def test_param_count_matches_spec(self):
-        assert SPEC.n_params == (DIM + 1) * 24 + (24 + 1) * 8
         enc = Encoder(SPEC)
-        assert sum(p.size for p in enc.parameters()) == SPEC.n_params
+        assert sum(p.size for p in enc.parameters()) == (DIM + 1) * 24 + (24 + 1) * 8
 
     def test_forward_shapes(self):
         enc = Encoder(SPEC)
