@@ -217,7 +217,7 @@ def _check_accuracies(accuracies) -> np.ndarray:
     if acc.ndim != 1 or acc.size < 2:
         raise TooFewGroups(f"need >= 2 group accuracies, got shape {acc.shape}")
     if np.any(~np.isfinite(acc)) or np.any(acc < 0.0) or np.any(acc > 100.0):
-        raise ValueError("accuracies must be finite percents in [0, 100]")
+        raise InvalidArgument("accuracies must be finite percents in [0, 100]")
     return acc
 
 

@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatVersionMismatch, IoError
+from .errors import FormatVersionMismatch, InvalidArgument, IoError
 from .evaluation import EvalReport, GroupProtocol, PairProtocol, VerificationPair
 from .sampling import DatasetManifest, ManifestEntry
 
@@ -78,7 +78,7 @@ def encode_array(arr: np.ndarray) -> dict:
     """Bit-exact array snapshot: dtype, shape, base64 little-endian bytes."""
     arr = np.asarray(arr)
     if arr.dtype.name not in _ARRAY_DTYPES:
-        raise ValueError(f"unsupported array dtype {arr.dtype.name}")
+        raise InvalidArgument(f"unsupported array dtype {arr.dtype.name}")
     little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
     return {"dtype": arr.dtype.name,
             "shape": list(arr.shape),
@@ -121,13 +121,14 @@ def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
     """Write {"schema": schema, **body, **extra_header} as one canonical JSON
     line, then one line per record, atomically.
 
-    extra_header may not shadow a structural key (ValueError).
+    extra_header may not shadow a structural key (InvalidArgument).
     """
     header = {"schema": schema, **body}
     extra = dict(extra_header or {})
     clash = set(extra) & set(header)
     if clash:
-        raise ValueError(f"extra header keys collide with structural keys: {clash}")
+        raise InvalidArgument(
+            f"extra header keys collide with structural keys: {clash}")
     lines = [canonical_json({**header, **extra})]
     lines.extend(map(canonical_json, records))
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -282,7 +283,7 @@ def write_features(features: dict, path,
     ids = sorted(store)
     matrix = np.stack([store[k] for k in ids]) if ids else np.zeros((0, 0))
     if matrix.ndim != 2 or not np.isfinite(matrix).all():
-        raise ValueError("features must be finite vectors")
+        raise InvalidArgument("features must be finite vectors")
     write_doc(path, FEATURES_SCHEMA, {
         "ids": ids,
         "dim": matrix.shape[1],

@@ -38,6 +38,7 @@ from .errors import (
 )
 
 MARGIN_KINDS = ("arcface", "elastic_arcface", "adaface")
+KD_REDUCTIONS = ("mean", "sum")
 
 # Raw feature norms are clipped into this range before entering the AdaFace
 # statistics, so a single exploding sample cannot poison the running mean.
@@ -106,7 +107,7 @@ class LossConfig:
     def __post_init__(self):
         if self.kd_weight < 0:
             raise ConfigError("kd_weight must be non-negative")
-        if self.kd_reduction not in ("mean", "sum"):
+        if self.kd_reduction not in KD_REDUCTIONS:
             raise ConfigError("kd_reduction must be 'mean' or 'sum'")
 
 
@@ -344,6 +345,8 @@ def kd_loss_and_grads(teacher_emb, student_emb, normalized: bool = False,
     l2-normalized embeddings and gradients flow through the normalization.
     Batch inputs (B, D) average the per-sample loss over the batch.
     """
+    if reduction not in KD_REDUCTIONS:
+        raise InvalidArgument(f"unknown reduction {reduction!r}")
     t, t_single = _as_batch(teacher_emb, "teacher embedding")
     s, s_single = _as_batch(student_emb, "student embedding")
     if t.shape != s.shape:

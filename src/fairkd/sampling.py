@@ -159,6 +159,8 @@ def largest_remainder(total: int, ideals) -> list[int]:
     independent of float noise in exactly-tied inputs.
     """
     ideals = [float(x) for x in ideals]
+    if not all(math.isfinite(x) and x >= 0.0 for x in ideals):
+        raise InvalidMergeRequest(f"ideals {ideals} must be finite and >= 0")
     floors = [math.floor(x) for x in ideals]
     leftover = total - sum(floors)
     if leftover < 0 or leftover > len(ideals):
@@ -173,39 +175,52 @@ def largest_remainder(total: int, ideals) -> list[int]:
 
 def group_quotas(total_identities: int, group_count: int) -> list[int]:
     """Per-group identity quotas: floor(total/G), +1 for the first remainder."""
+    if group_count < 1 or total_identities < 0:
+        raise InvalidMergeRequest(f"cannot split {total_identities} identities "
+                                  f"over {group_count} groups")
     base, extra = divmod(total_identities, group_count)
     return [base + (1 if g < extra else 0) for g in range(group_count)]
 
 
-def _pool_identities(manifests, expect_source: str | None = None):
-    """Concatenate manifests into (scores by group, entries by identity).
+def _merge(pools, total_identities: int, name: str, cells) -> DatasetManifest:
+    """Check and rank the pooled manifests, then fill the quota cells.
 
-    Raises if an identity spans manifests or an entry's source contradicts
-    the pool it was passed in.
+    pools maps each pool's expected entry source (None: any) to its
+    manifests. One pass over the pooled list checks group counts and
+    sources, and that no identity spans two manifests (keyed by position,
+    so a manifest passed twice is caught). Each group's identities are
+    ranked by (-score, identity_id). cells(quotas) turns the per-group
+    quotas into (shortfall key, group, source or None, quota) cells; each
+    keeps the top of its group's ranking filtered to its source, and a
+    short cell records its gap under its key.
     """
-    if not manifests:
+    if not all(pools.values()):
         raise EmptyManifest("no manifests given")
-    group_count = manifests[0].group_count
+    pooled = [(source, man) for source, mans in pools.items() for man in mans]
+    group_count = pooled[0][1].group_count
     entries_of: dict[str, list[ManifestEntry]] = {}
     owner: dict[str, int] = {}
-    for k, man in enumerate(manifests):
+    for k, (source, man) in enumerate(pooled):
         if man.group_count != group_count:
             raise InvalidManifest(
                 f"manifest {man.name!r} has {man.group_count} groups, "
                 f"expected {group_count}")
         for e in man.entries:
-            if expect_source is not None and e.source != expect_source:
+            if source is not None and e.source != source:
                 raise InvalidManifest(
                     f"manifest {man.name!r}: entry {e.sample_id} has source "
-                    f"{e.source!r} in a {expect_source} pool")
+                    f"{e.source!r} in a {source} pool")
             prior = owner.setdefault(e.identity_id, k)
             if prior != k:
                 raise DuplicateIdentityAcrossSources(
                     f"identity {e.identity_id!r} appears in manifests "
-                    f"{manifests[prior].name!r} and {man.name!r}")
+                    f"{pooled[prior][1].name!r} and {man.name!r}")
             entries_of.setdefault(e.identity_id, []).append(e)
-    if not entries_of:
+    if not all(any(man.entries for man in mans) for mans in pools.values()):
         raise EmptyManifest("manifests contain no entries")
+    if total_identities < group_count:
+        raise InvalidMergeRequest(
+            f"total_identities {total_identities} < group count {group_count}")
 
     by_group: list[list[IdentityScore]] = [[] for _ in range(group_count)]
     for iid, ents in entries_of.items():
@@ -213,13 +228,15 @@ def _pool_identities(manifests, expect_source: str | None = None):
         by_group[sc.group].append(sc)
     for bucket in by_group:
         bucket.sort(key=lambda sc: (-sc.score, sc.identity_id))
-    return group_count, by_group, entries_of
 
-
-def _take(bucket: list[IdentityScore], quota: int):
-    """Top of an already-sorted bucket plus the unmet part of the quota."""
-    kept = bucket[:quota]
-    return kept, max(0, quota - len(bucket))
+    entries, shortfalls = [], {}
+    for key, g, source, quota in cells(group_quotas(total_identities, group_count)):
+        ranked = [sc for sc in by_group[g] if source is None or sc.source == source]
+        if quota > len(ranked):
+            shortfalls[key] = quota - len(ranked)
+        for sc in ranked[:quota]:
+            entries.extend(entries_of[sc.identity_id])
+    return DatasetManifest(name, group_count, entries, shortfalls)
 
 
 def balanced_merge(manifests, total_identities: int,
@@ -230,20 +247,8 @@ def balanced_merge(manifests, total_identities: int,
     leading groups. A short group keeps everything it has; the gap lands in
     the output's shortfalls instead of another group's quota.
     """
-    group_count, by_group, entries_of = _pool_identities(manifests)
-    if total_identities < group_count:
-        raise InvalidMergeRequest(
-            f"total_identities {total_identities} < group count {group_count}")
-
-    quotas = group_quotas(total_identities, group_count)
-    entries, shortfalls = [], {}
-    for g in range(group_count):
-        kept, short = _take(by_group[g], quotas[g])
-        if short:
-            shortfalls[f"group{g}"] = short
-        for sc in kept:
-            entries.extend(entries_of[sc.identity_id])
-    return DatasetManifest(name, group_count, entries, shortfalls)
+    return _merge({None: manifests}, total_identities, name, lambda quotas: [
+        (f"group{g}", g, None, quota) for g, quota in enumerate(quotas)])
 
 
 def mix_merge(real_manifests, synthetic_manifests, real_fraction: float,
@@ -258,41 +263,20 @@ def mix_merge(real_manifests, synthetic_manifests, real_fraction: float,
     if not 0.0 < real_fraction < 1.0:
         raise InvalidMergeRequest(
             f"real_fraction must lie in (0, 1), got {real_fraction}")
-    group_count, real_by_group, real_entries = _pool_identities(
-        real_manifests, expect_source="real")
-    synth_count, synth_by_group, synth_entries = _pool_identities(
-        synthetic_manifests, expect_source="synthetic")
-    if synth_count != group_count:
-        raise InvalidManifest(
-            f"pools disagree on group count: {group_count} vs {synth_count}")
-    dup = set(real_entries) & set(synth_entries)
-    if dup:
-        raise DuplicateIdentityAcrossSources(
-            f"identities in both pools: {sorted(dup)[:5]}")
-    if total_identities < group_count:
-        raise InvalidMergeRequest(
-            f"total_identities {total_identities} < group count {group_count}")
 
-    quotas = group_quotas(total_identities, group_count)
-    real_total = largest_remainder(
-        total_identities,
-        [total_identities * real_fraction,
-         total_identities * (1.0 - real_fraction)])[0]
-    real_quotas = largest_remainder(
-        real_total, [q * real_total / total_identities for q in quotas])
+    def cells(quotas):
+        real_total = largest_remainder(
+            total_identities,
+            [total_identities * real_fraction,
+             total_identities * (1.0 - real_fraction)])[0]
+        real_quotas = largest_remainder(
+            real_total, [q * real_total / total_identities for q in quotas])
+        for g, (quota, real) in enumerate(zip(quotas, real_quotas)):
+            yield f"group{g}/real", g, "real", real
+            yield f"group{g}/synthetic", g, "synthetic", quota - real
 
-    entries, shortfalls = [], {}
-    for g in range(group_count):
-        cells = (("real", real_by_group[g], real_entries, real_quotas[g]),
-                 ("synthetic", synth_by_group[g], synth_entries,
-                  quotas[g] - real_quotas[g]))
-        for source, bucket, pool, cell_quota in cells:
-            kept, short = _take(bucket, cell_quota)
-            if short:
-                shortfalls[f"group{g}/{source}"] = short
-            for sc in kept:
-                entries.extend(pool[sc.identity_id])
-    return DatasetManifest(name, group_count, entries, shortfalls)
+    return _merge({"real": real_manifests, "synthetic": synthetic_manifests},
+                  total_identities, name, cells)
 
 
 def manifest_stats(manifest: DatasetManifest) -> dict:

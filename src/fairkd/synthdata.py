@@ -234,6 +234,9 @@ def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
     Positives pair two images of one identity; negatives pair images of two
     identities in the same group. Unordered pairs never repeat.
     """
+    if pairs_per_group < 0:
+        raise InvalidArgument(
+            f"pairs_per_group must be >= 0, got {pairs_per_group}")
     if pairs_per_group % 2 != 0:
         raise OddPairCount(
             f"pairs_per_group must be even, got {pairs_per_group}")

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference gradients, error metrics,
 bitwise reference implementations of the margin head and training loop, the
-per-pair scorer and tie loop that evaluation's batch paths replaced, and the
-per-image noise loop that the one-draw pool generator replaced."""
+per-pair scorer and tie loop that evaluation's batch paths replaced, the
+per-image noise loop that the one-draw pool generator replaced, and the
+per-pool merges that the one quota-filling routine replaced."""
 
 import math
 
@@ -11,7 +12,11 @@ from fairkd.core import ZERO_NORM_EPS
 from fairkd.errors import (
     DimensionMismatch,
     DivergenceDetected,
+    DuplicateIdentityAcrossSources,
     EmptyInput,
+    EmptyManifest,
+    InvalidManifest,
+    InvalidMergeRequest,
     MissingSample,
     ZeroVector,
 )
@@ -29,6 +34,13 @@ from fairkd.losses import (
     init_prototypes,
     kd_loss_and_grads,
     sample_elastic_margins,
+)
+from fairkd.sampling import (
+    DatasetManifest,
+    group_quotas,
+    identity_soft_label,
+    largest_remainder,
+    score_identity,
 )
 from fairkd.synthdata import (
     _STREAM_IMAGES,
@@ -314,3 +326,94 @@ def ref_pool_features(cfg, pool):
             noise = rng.standard_normal(cfg.feature_dim)
             out[f"{ident.identity_id}_im{j:02d}"] = clean + scale * noise
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference merges: each pool checked and ranked on its own, each (group,
+# source) cell filled by its own loop. balanced_merge and mix_merge fill
+# their cells through one routine over one pooled ranking and must return
+# the same entries, order and shortfalls, and raise the same error classes.
+
+
+def _ref_pool_identities(manifests, expect_source=None):
+    if not manifests:
+        raise EmptyManifest("no manifests given")
+    group_count = manifests[0].group_count
+    entries_of = {}
+    owner = {}
+    for k, man in enumerate(manifests):
+        if man.group_count != group_count:
+            raise InvalidManifest(f"manifest {man.name!r}: group count")
+        for e in man.entries:
+            if expect_source is not None and e.source != expect_source:
+                raise InvalidManifest(f"entry {e.sample_id}: source")
+            prior = owner.setdefault(e.identity_id, k)
+            if prior != k:
+                raise DuplicateIdentityAcrossSources(e.identity_id)
+            entries_of.setdefault(e.identity_id, []).append(e)
+    if not entries_of:
+        raise EmptyManifest("manifests contain no entries")
+
+    by_group = [[] for _ in range(group_count)]
+    for iid, ents in entries_of.items():
+        sc = score_identity(identity_soft_label(ents), iid, ents[0].source)
+        by_group[sc.group].append(sc)
+    for bucket in by_group:
+        bucket.sort(key=lambda sc: (-sc.score, sc.identity_id))
+    return group_count, by_group, entries_of
+
+
+def _ref_take(bucket, quota):
+    return bucket[:quota], max(0, quota - len(bucket))
+
+
+def ref_balanced_merge(manifests, total_identities, name="balanced"):
+    group_count, by_group, entries_of = _ref_pool_identities(manifests)
+    if total_identities < group_count:
+        raise InvalidMergeRequest("total below group count")
+    quotas = group_quotas(total_identities, group_count)
+    entries, shortfalls = [], {}
+    for g in range(group_count):
+        kept, short = _ref_take(by_group[g], quotas[g])
+        if short:
+            shortfalls[f"group{g}"] = short
+        for sc in kept:
+            entries.extend(entries_of[sc.identity_id])
+    return DatasetManifest(name, group_count, entries, shortfalls)
+
+
+def ref_mix_merge(real_manifests, synthetic_manifests, real_fraction,
+                  total_identities, name="mix"):
+    if not 0.0 < real_fraction < 1.0:
+        raise InvalidMergeRequest("real_fraction out of range")
+    group_count, real_by_group, real_entries = _ref_pool_identities(
+        real_manifests, expect_source="real")
+    synth_count, synth_by_group, synth_entries = _ref_pool_identities(
+        synthetic_manifests, expect_source="synthetic")
+    if synth_count != group_count:
+        raise InvalidManifest("pools disagree on group count")
+    if set(real_entries) & set(synth_entries):
+        raise DuplicateIdentityAcrossSources("identities in both pools")
+    if total_identities < group_count:
+        raise InvalidMergeRequest("total below group count")
+
+    quotas = group_quotas(total_identities, group_count)
+    real_total = largest_remainder(
+        total_identities,
+        [total_identities * real_fraction,
+         total_identities * (1.0 - real_fraction)])[0]
+    real_quotas = largest_remainder(
+        real_total, [q * real_total / total_identities for q in quotas])
+
+    entries, shortfalls = [], {}
+    for g in range(group_count):
+        cells = (("real", real_by_group[g], real_entries, real_quotas[g]),
+                 ("synthetic", synth_by_group[g], synth_entries,
+                  quotas[g] - real_quotas[g]))
+        for source, bucket, pool, cell_quota in cells:
+            kept, short = _ref_take(bucket, cell_quota)
+            if short:
+                shortfalls[f"group{g}/{source}"] = short
+            for sc in kept:
+                entries.extend(pool[sc.identity_id])
+    return DatasetManifest(name, group_count, entries, shortfalls)

@@ -6,11 +6,15 @@ import pickle
 
 import numpy as np
 import pytest
+from helpers import ref_balanced_merge, ref_mix_merge
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairkd.errors import (
     DuplicateIdentityAcrossSources,
     EmptyIdentity,
     EmptyManifest,
+    FairkdError,
     InvalidManifest,
 )
 from fairkd.sampling import (
@@ -175,6 +179,11 @@ class TestBalancedMerge:
         with pytest.raises(DuplicateIdentityAcrossSources):
             balanced_merge([m1, m2], 2)
 
+    def test_same_manifest_twice_raises_duplicate_identity(self):
+        m = man("m", FIVE_IDENTITIES)
+        with pytest.raises(DuplicateIdentityAcrossSources):
+            balanced_merge([m, m], 4)
+
     def test_total_below_group_count_rejected(self):
         with pytest.raises(ValueError):
             balanced_merge([man("m", FIVE_IDENTITIES)], 1)
@@ -317,12 +326,100 @@ class TestMixMerge:
         with pytest.raises(InvalidManifest):
             mix_merge([real], [synth_mislabeled], 0.5, 2)
 
+    def test_same_manifest_in_both_pools_rejected_by_source(self):
+        m = man("m", FIVE_IDENTITIES)
+        with pytest.raises(InvalidManifest):
+            mix_merge([m], [m], 0.5, 4)
+
     def test_fraction_bounds_enforced(self):
         real = man("r", [("a", "real", [[1.0, 0.0]])])
         synth = man("s", [("b", "synthetic", [[1.0, 0.0]])])
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 mix_merge([real], [synth], bad, 2)
+
+
+MERGE_FAULTS = ("no_manifests", "no_entries", "group_count",
+                "same_manifest_twice", "identity_in_two_manifests",
+                "wrong_source", "total_below_groups", "fraction")
+
+
+def coarse_pool(rng, n_ids, G, source, prefix):
+    """Like random_pool, with labels from a coarse grid so scores often tie."""
+    idents = []
+    for k in range(n_ids):
+        raw = rng.integers(1, 4, size=(int(rng.integers(1, 4)), G))
+        idents.append((f"{prefix}{k:03d}", source,
+                       [tuple(row / row.sum()) for row in raw]))
+    rng.shuffle(idents)
+    return idents
+
+
+def split_pool(rng, name, idents, G):
+    """The identities of one pool spread over one or two manifests."""
+    cut = int(rng.integers(1, len(idents) + 1))
+    parts = [idents[:cut], idents[cut:]]
+    return [man(f"{name}{k}", part, G) for k, part in enumerate(parts) if part]
+
+
+def merge_outcome(merge, *args):
+    """(name, group count, entries, shortfalls) of a merge, or its error class."""
+    try:
+        out = merge(*args)
+    except FairkdError as exc:
+        return type(exc)
+    return out.name, out.group_count, out.entries, dict(out.shortfalls)
+
+
+class TestMergeEquivalence:
+    """The merges match the per-pool reference merges of tests/helpers.py:
+    the same entries, order and shortfalls, or the same error class on an
+    input with a single fault."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), G=st.integers(2, 4),
+           mixed=st.booleans(),
+           fault=st.one_of(st.none(), st.sampled_from(MERGE_FAULTS)))
+    def test_merges_match_reference(self, seed, G, mixed, fault):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        real = split_pool(rng, "r", coarse_pool(
+            rng, int(rng.integers(1, 25)), G, "real", "r"), G)
+        synth = split_pool(rng, "s", coarse_pool(
+            rng, int(rng.integers(1, 25)), G, "synthetic", "s"), G)
+        total = int(rng.integers(G, 61))
+        fraction = float(rng.choice([0.25, 0.5, 0.75, rng.uniform(0.05, 0.95)]))
+        donor = (real if rng.random() < 0.5 else synth)[0].entries[0]
+        # A balanced merge takes both pools as one list of manifests; a mixed
+        # merge takes the fault in one of its two pools.
+        pools = [real, synth] if mixed else [real + synth]
+        pool = pools[int(rng.integers(len(pools)))]
+        source = pool[0].entries[0].source
+        if fault == "no_manifests":
+            pool.clear()
+        elif fault == "no_entries":
+            pool[:] = [DatasetManifest("empty", G)]
+        elif fault == "group_count":
+            pool.append(man("wide", [("w", source, [[1.0] + [0.0] * G])], G + 1))
+        elif fault == "same_manifest_twice":
+            pool.append(pool[0])
+        elif fault == "identity_in_two_manifests":
+            pool.append(DatasetManifest("dup", G, [dataclasses.replace(
+                donor, sample_id="dup_0", source=source)]))
+        elif fault == "wrong_source" and mixed:
+            wrong = "synthetic" if source == "real" else "real"
+            pool.append(man("wrong", [("x", wrong, [[1.0] + [0.0] * (G - 1)])], G))
+        elif fault == "total_below_groups":
+            total = int(rng.integers(-2, G))
+        elif fault == "fraction" and mixed:
+            fraction = float(rng.choice([0.0, 1.0, -0.1, 1.5, np.nan]))
+
+        if mixed:
+            got = merge_outcome(mix_merge, *pools, fraction, total)
+            want = merge_outcome(ref_mix_merge, *pools, fraction, total)
+        else:
+            got = merge_outcome(balanced_merge, *pools, total)
+            want = merge_outcome(ref_balanced_merge, *pools, total)
+        assert got == want
 
 
 class TestManifestStats:
