@@ -8,7 +8,7 @@ Modules:
     training    SGD loops: from-scratch and frozen-teacher distillation
     evaluation  batch pair scoring, k-fold thresholds, fairness metrics
     synthdata   toy identity/image/protocol generator
-    formats     on-disk artifact formats (manifests, protocols, reports, ...)
+    formats     every artifact codec, checkpoints and traces included
     config      one RunConfig document wiring every stage together
     cli         command-line pipeline driver
 
@@ -55,14 +55,11 @@ from .evaluation import (
     ser,
 )
 from .training import (
-    Checkpoint,
     Encoder,
     EncoderSpec,
     EpochStats,
     TrainConfig,
     TrainResult,
-    checkpoint_load,
-    checkpoint_save,
     distill,
     lr_at_epoch,
     sgd_step,
@@ -78,6 +75,9 @@ from .synthdata import (
     group_structure,
 )
 from .formats import (
+    Checkpoint,
+    checkpoint_load,
+    checkpoint_save,
     read_features,
     read_manifest,
     read_protocol,

@@ -31,6 +31,8 @@ from .evaluation import (
 from .formats import (
     _finite,
     atomic_write_text,
+    checkpoint_load,
+    checkpoint_save,
     read_features,
     read_manifest,
     read_protocol,
@@ -43,7 +45,7 @@ from .formats import (
 )
 from .sampling import balanced_merge, manifest_stats, mix_merge
 from .synthdata import gen_pair_protocol, generate_universe
-from .training import checkpoint_load, checkpoint_save, distill, train_from_scratch
+from .training import distill, train_from_scratch
 
 
 def _header(cfg: RunConfig) -> dict:

@@ -1,4 +1,5 @@
-"""On-disk formats: manifests, pair protocols, reports, and feature stores.
+"""On-disk formats: manifests, pair protocols, reports, feature stores,
+checkpoints and training traces. No compute module imports this one.
 
 All artifacts are UTF-8 JSON (line-delimited for manifests and protocols,
 single-document for the rest) with an explicit schema tag, written atomically
@@ -11,8 +12,8 @@ it for collisions and writes canonically; read_doc parses, rejects NaN and
 Infinity, checks the schema and runs the artifact's decoder, so that any
 malformed or non-finite file raises FormatVersionMismatch.
 
-Float arrays that must round-trip bitwise (features, checkpoints) are stored
-as base64 of their little-endian raw bytes rather than decimal text.
+Float arrays that must round-trip bitwise (features, checkpoints) are base64
+of their little-endian raw bytes; decode_array refuses a non-finite one.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import FormatVersionMismatch, InvalidArgument, IoError
 from .evaluation import EvalReport, GroupProtocol, PairProtocol, VerificationPair
+from .losses import NormStats
 from .sampling import DatasetManifest, ManifestEntry
+from .training import Encoder, EncoderSpec
 
 MANIFEST_SCHEMA = "fairkd/manifest/1"
 PROTOCOL_SCHEMA = "fairkd/protocol/1"
@@ -86,7 +90,8 @@ def encode_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(obj) -> np.ndarray:
-    """Inverse of encode_array; any malformed record is FormatVersionMismatch."""
+    """Inverse of encode_array; any malformed record, or a float array that
+    holds NaN or Inf, is FormatVersionMismatch."""
     try:
         dtype = obj["dtype"]
         if dtype not in _ARRAY_DTYPES:
@@ -94,7 +99,10 @@ def decode_array(obj) -> np.ndarray:
         shape = tuple(obj["shape"])
         raw = base64.b64decode(obj["data"], validate=True)
         arr = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
-        return arr.reshape(shape).astype(dtype, copy=True)
+        arr = arr.reshape(shape).astype(dtype, copy=True)
+        if not np.isfinite(arr).all():
+            raise ValueError("array holds non-finite values")
+        return arr
     except _DECODE_ERRORS as exc:
         raise FormatVersionMismatch(f"malformed array record: {exc}") from exc
 
@@ -141,7 +149,7 @@ def read_doc(path, schema: str, decode, lines: bool = False):
     one a record; otherwise the whole file is the header and records is
     empty. records is an iterator, parsed as decode consumes it. A missing
     file raises IoError; anything undecodable, non-finite, of the wrong
-    schema or rejected by decode raises FormatVersionMismatch.
+    schema or rejected by decode raises FormatVersionMismatch naming path.
     """
     try:
         text = read_text(path)
@@ -157,7 +165,7 @@ def read_doc(path, schema: str, decode, lines: bool = False):
             raise ValueError(f"expected schema {schema!r}, "
                              f"found {header.get('schema')!r}")
         return decode(header, docs), header
-    except _DECODE_ERRORS as exc:
+    except (*_DECODE_ERRORS, FormatVersionMismatch) as exc:
         raise FormatVersionMismatch(f"{path}: {exc}") from exc
 
 
@@ -297,8 +305,6 @@ def _features_from_doc(doc: dict, _) -> dict:
     if matrix.shape != (len(ids), doc["dim"]):
         raise ValueError(f"matrix of shape {matrix.shape} does not hold "
                          f"{len(ids)} vectors of dim {doc['dim']!r}")
-    if not np.isfinite(matrix).all():
-        raise ValueError("feature store holds non-finite values")
     if sorted(set(ids)) != ids:
         raise ValueError("feature ids must be unique and sorted")
     return dict(zip(ids, matrix))
@@ -306,6 +312,70 @@ def _features_from_doc(doc: dict, _) -> dict:
 
 def read_features(path) -> tuple[dict, dict]:
     return read_doc(path, FEATURES_SCHEMA, _features_from_doc)
+
+
+# ---------------------------------------------------------------------------
+# checkpoints: an encoder's spec and parameters, bit-exact, plus the head state
+
+
+@dataclass
+class Checkpoint:
+    encoder: Encoder
+    prototypes: np.ndarray | None
+    stats: NormStats | None
+    config_digest: str
+    rng_state: dict | None
+
+
+def checkpoint_save(encoder: Encoder, prototypes, stats: NormStats | None,
+                    path, config_digest: str = "",
+                    rng_state: dict | None = None,
+                    extra_header: dict | None = None) -> None:
+    """Bit-exact snapshot of an encoder head state, written atomically."""
+    write_doc(path, CHECKPOINT_SCHEMA, {
+        "spec": asdict(encoder.spec),
+        "weights": [encode_array(w) for w in encoder.weights],
+        "biases": [encode_array(b) for b in encoder.biases],
+        "prototypes": (None if prototypes is None
+                       else encode_array(np.asarray(prototypes))),
+        "norm_stats": None if stats is None else asdict(stats),
+        "config_digest": config_digest,
+        "rng_state": rng_state,
+    }, extra_header)
+
+
+def _checkpoint_from_doc(doc: dict, _) -> Checkpoint:
+    spec = EncoderSpec(**doc["spec"])
+    weights = [decode_array(w) for w in doc["weights"]]
+    biases = [decode_array(b) for b in doc["biases"]]
+    raw_stats = doc.get("norm_stats")
+    stats = None if raw_stats is None else NormStats(
+        mean_norm=_finite(raw_stats["mean_norm"]),
+        std_norm=_finite(raw_stats["std_norm"]))
+    raw_protos = doc.get("prototypes")
+    prototypes = None if raw_protos is None else decode_array(raw_protos)
+
+    # Shapes come from the spec, so a forged spec cannot make the encoder
+    # allocate anything before the mismatch is found.
+    dims = spec.layer_dims
+    expected = list(zip(dims, dims[1:])) + [(d,) for d in dims[1:]]
+    loaded = [w.shape for w in weights] + [b.shape for b in biases]
+    if expected != loaded:
+        raise ValueError(f"parameter shapes {loaded} do not match spec {expected}")
+    encoder = Encoder(spec)
+    encoder.weights = weights
+    encoder.biases = biases
+    return Checkpoint(encoder, prototypes, stats,
+                      str(doc.get("config_digest", "")), doc.get("rng_state"))
+
+
+def checkpoint_load(path) -> Checkpoint:
+    """Read a checkpoint written by checkpoint_save.
+
+    Every malformed document, including non-finite parameters or norm
+    statistics, raises FormatVersionMismatch.
+    """
+    return read_doc(path, CHECKPOINT_SCHEMA, _checkpoint_from_doc)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .errors import (
     DuplicateIdentityAcrossSources,
     EmptyIdentity,
     EmptyManifest,
+    InvalidArgument,
     InvalidManifest,
     InvalidMergeRequest,
 )
@@ -140,6 +141,8 @@ def score_identity(mean_labels, identity_id: str = "",
                    source: str = "real") -> IdentityScore:
     """Assign the argmax group (ties to the lowest index) and its mass."""
     arr = np.asarray(mean_labels, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+        raise InvalidArgument(f"mean labels not a non-empty finite vector: {arr!r}")
     group = int(np.argmax(arr))
     return IdentityScore(identity_id, group, float(arr[group]), source)
 

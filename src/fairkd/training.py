@@ -8,14 +8,14 @@ produces a bitwise-identical loss trace.
 
 Determinism contract: (encoder init_seed, train seed, config, manifest,
 feature store) fully determine every parameter trajectory. The loop is
-single-threaded on purpose.
+single-threaded on purpose. Checkpoints are read and written by formats.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,13 +28,6 @@ from .errors import (
     FrozenViolation,
     MissingSample,
     ShapeMismatch,
-)
-from .formats import (
-    CHECKPOINT_SCHEMA,
-    decode_array,
-    encode_array,
-    read_doc,
-    write_doc,
 )
 from .losses import (
     LossConfig,
@@ -355,80 +348,3 @@ def distill(teacher: Encoder, student_spec: EncoderSpec,
         raise FrozenViolation("teacher parameters changed during distillation")
     return result
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-@dataclass
-class Checkpoint:
-    encoder: Encoder
-    prototypes: np.ndarray | None
-    stats: NormStats | None
-    config_digest: str
-    rng_state: dict | None
-
-
-def checkpoint_save(encoder: Encoder, prototypes, stats: NormStats | None,
-                    path, config_digest: str = "",
-                    rng_state: dict | None = None,
-                    extra_header: dict | None = None) -> None:
-    """Bit-exact snapshot of an encoder head state, written atomically."""
-    write_doc(path, CHECKPOINT_SCHEMA, {
-        "spec": asdict(encoder.spec),
-        "weights": [encode_array(w) for w in encoder.weights],
-        "biases": [encode_array(b) for b in encoder.biases],
-        "prototypes": (None if prototypes is None
-                       else encode_array(np.asarray(prototypes))),
-        "norm_stats": (None if stats is None
-                       else {"mean_norm": stats.mean_norm,
-                             "std_norm": stats.std_norm}),
-        "config_digest": config_digest,
-        "rng_state": rng_state,
-    }, extra_header)
-
-
-def _checkpoint_from_doc(doc: dict, _) -> Checkpoint:
-    raw_spec = doc["spec"]
-    spec = EncoderSpec(
-        input_dim=int(raw_spec["input_dim"]),
-        hidden_widths=tuple(raw_spec["hidden_widths"]),
-        embedding_dim=int(raw_spec["embedding_dim"]),
-        activation=raw_spec["activation"],
-        init_seed=int(raw_spec["init_seed"]),
-    )
-    weights = [decode_array(w) for w in doc["weights"]]
-    biases = [decode_array(b) for b in doc["biases"]]
-    raw_stats = doc.get("norm_stats")
-    stats = None if raw_stats is None else NormStats(
-        mean_norm=float(raw_stats["mean_norm"]),
-        std_norm=float(raw_stats["std_norm"]))
-    raw_protos = doc.get("prototypes")
-    prototypes = None if raw_protos is None else decode_array(raw_protos)
-    arrays = weights + biases + ([] if prototypes is None else [prototypes])
-    scalars = [] if stats is None else [stats.mean_norm, stats.std_norm]
-    if not (all(np.isfinite(a).all() for a in arrays)
-            and all(math.isfinite(v) for v in scalars)):
-        raise ValueError("checkpoint holds non-finite values")
-
-    # Shapes come from the spec, so a forged spec cannot make the encoder
-    # allocate anything before the mismatch is found.
-    dims = spec.layer_dims
-    expected = list(zip(dims, dims[1:])) + [(d,) for d in dims[1:]]
-    loaded = [w.shape for w in weights] + [b.shape for b in biases]
-    if expected != loaded:
-        raise ValueError(f"parameter shapes {loaded} do not match spec {expected}")
-    encoder = Encoder(spec)
-    encoder.weights = weights
-    encoder.biases = biases
-    return Checkpoint(encoder, prototypes, stats,
-                      str(doc.get("config_digest", "")), doc.get("rng_state"))
-
-
-def checkpoint_load(path) -> Checkpoint:
-    """Read a checkpoint written by checkpoint_save.
-
-    Every malformed document, including non-finite parameters or norm
-    statistics, raises FormatVersionMismatch.
-    """
-    return read_doc(path, CHECKPOINT_SCHEMA, _checkpoint_from_doc)[0]

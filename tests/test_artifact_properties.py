@@ -17,6 +17,8 @@ from fairkd.evaluation import (
     build_report,
 )
 from fairkd.formats import (
+    checkpoint_load,
+    checkpoint_save,
     read_features,
     read_manifest,
     read_protocol,
@@ -29,7 +31,7 @@ from fairkd.formats import (
     write_trace,
 )
 from fairkd.sampling import DatasetManifest, ManifestEntry
-from fairkd.training import Encoder, EncoderSpec, checkpoint_load, checkpoint_save
+from fairkd.training import Encoder, EncoderSpec
 
 IDS = [f"s{i}" for i in range(8)]
 

@@ -10,15 +10,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fairkd.errors import FairkdError, FormatVersionMismatch
-from fairkd.formats import decode_array, encode_array
-from fairkd.losses import NormStats
-from fairkd.training import (
+from fairkd.formats import (
     Checkpoint,
-    Encoder,
-    EncoderSpec,
     checkpoint_load,
     checkpoint_save,
+    decode_array,
+    encode_array,
 )
+from fairkd.losses import NormStats
+from fairkd.training import Encoder, EncoderSpec
 
 SPEC = EncoderSpec(input_dim=6, hidden_widths=(5,), embedding_dim=4,
                    init_seed=3)

@@ -8,6 +8,7 @@ import pytest
 from fairkd.cli import main
 from fairkd.config import CONFIG_DIR_ENV
 from fairkd.formats import (
+    checkpoint_save,
     decode_array,
     encode_array,
     read_manifest,
@@ -15,7 +16,7 @@ from fairkd.formats import (
     read_report,
     read_trace,
 )
-from fairkd.training import Encoder, EncoderSpec, checkpoint_save
+from fairkd.training import Encoder, EncoderSpec
 
 TINY = {
     "universe": {"n_groups": 2, "identities_per_source": 12,
@@ -187,6 +188,17 @@ def test_train_on_int_identity_id_exits_1(ws, tmp_path, capsys):
     assert not (tmp_path / "x.ckpt").exists()
 
 
+def test_train_on_corrupt_feature_matrix_exits_1(ws, tmp_path, capsys):
+    doc = json.loads((ws / "m" / "features.json").read_text())
+    bad = tmp_path / "features.json"
+    bad.write_text(json.dumps({**doc, "matrix": {**doc["matrix"],
+                                                 "data": "not base64!"}}))
+    assert main(["train", "--config", cfg_of(ws), "--features", str(bad),
+                 "--out", str(tmp_path / "x.ckpt")]) == 1
+    assert f"error: {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "distill"])
 def test_zero_epochs_writes_empty_trace(ws, tmp_path, capsys, command):
     ckpt, trace = tmp_path / "zero.ckpt", tmp_path / "zero-trace.json"
@@ -317,11 +329,19 @@ def _nan_first_weight(doc):
     return {**doc, "weights": [encode_array(w) for w in weights]}
 
 
+def _with_first_weight(doc, **changes):
+    return {**doc, "weights": [{**doc["weights"][0], **changes},
+                               *doc["weights"][1:]]}
+
+
 @pytest.mark.parametrize("corrupt", [
     _nan_first_weight,
     lambda doc: [doc],
     lambda doc: {**doc, "norm_stats": {"mean_norm": "abc", "std_norm": 1.0}},
-], ids=["nan_weight", "top_level_list", "string_norm_stat"])
+    lambda doc: _with_first_weight(doc, data="not base64!"),
+    lambda doc: _with_first_weight(doc, shape=[3]),
+], ids=["nan_weight", "top_level_list", "string_norm_stat", "bad_base64",
+        "shape_payload_mismatch"])
 def test_eval_on_malformed_checkpoint_exits_1(ws, tmp_path, capsys, corrupt):
     doc = json.loads((ws / "c" / "teacher-scratch.ckpt").read_text())
     bad = tmp_path / "bad.ckpt"

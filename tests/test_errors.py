@@ -17,7 +17,12 @@ from fairkd.losses import (
     init_prototypes,
     kd_loss_and_grads,
 )
-from fairkd.sampling import DatasetManifest, group_quotas, largest_remainder
+from fairkd.sampling import (
+    DatasetManifest,
+    group_quotas,
+    largest_remainder,
+    score_identity,
+)
 from fairkd.synthdata import UniverseConfig, gen_identities, gen_pair_protocol
 
 # Writers must refuse before they touch the file; a write here fails as IoError.
@@ -51,11 +56,15 @@ UNWRITABLE = os.path.join(os.devnull, "artifact.json")
      InvalidArgument),
     (lambda: kd_loss_and_grads(np.ones((2, 3)), np.zeros((2, 3)),
                                reduction="bogus"), InvalidArgument),
+    (lambda: score_identity([]), InvalidArgument),
+    (lambda: score_identity([float("nan"), float("nan")]), InvalidArgument),
+    (lambda: score_identity([[0.2, 0.8]]), InvalidArgument),
 ], ids=["pool", "kfold-k", "prototypes", "table-format", "remainder",
         "elastic-rng", "accuracy-range", "features-nan", "array-dtype",
         "header-collision", "quotas-no-groups", "quotas-negative-total",
         "remainder-nan", "remainder-inf", "remainder-negative",
-        "identities-negative-count", "pairs-negative", "kd-reduction"])
+        "identities-negative-count", "pairs-negative", "kd-reduction",
+        "score-empty", "score-nan", "score-2d"])
 def test_public_api_argument_errors_are_fairkd_errors(call, error):
     with pytest.raises(error) as exc:
         call()

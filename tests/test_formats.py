@@ -1,11 +1,14 @@
 """Round-trip and failure-path coverage for the on-disk formats."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairkd
 from fairkd.errors import (
     FormatVersionMismatch,
     InvalidManifest,
@@ -233,6 +236,12 @@ class TestArrayCodec:
         with pytest.raises(FormatVersionMismatch):
             decode_array(obj)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_array_rejected(self, bad):
+        obj = encode_array(np.array([1.0, bad]))
+        with pytest.raises(FormatVersionMismatch, match="non-finite"):
+            decode_array(obj)
+
 
 def test_canonical_json_rejects_non_finite():
     with pytest.raises(ValueError):
@@ -351,3 +360,27 @@ def test_malformed_artifact_raises_format_error(tmp_path, case):
     path.write_text("\n".join(json.dumps(d) for d in corrupt(docs)) + "\n")
     with pytest.raises(FormatVersionMismatch):
         read(path)
+
+
+COMPUTE_MODULES = ("core", "losses", "sampling", "evaluation", "synthdata",
+                   "training")
+
+
+def test_compute_modules_do_not_import_formats():
+    # formats sits above the compute modules: it imports them, never the
+    # reverse, so every artifact codec lives in one module
+    offenders = []
+    for name in COMPUTE_MODULES:
+        path = Path(fairkd.__file__).with_name(f"{name}.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                imported = [base] + [f"{base}.{alias.name}"
+                                     for alias in node.names]
+            else:
+                continue
+            if any("formats" in target.split(".") for target in imported):
+                offenders.append(f"{name}.py:{node.lineno}")
+    assert offenders == []

@@ -14,6 +14,7 @@ from fairkd.errors import (
     MissingSample,
     ShapeMismatch,
 )
+from fairkd.formats import checkpoint_load, checkpoint_save
 from fairkd.losses import LossConfig, MarginConfig, NormStats
 from fairkd.sampling import DatasetManifest, ManifestEntry
 from fairkd.training import (
@@ -21,8 +22,6 @@ from fairkd.training import (
     EncoderSpec,
     TrainConfig,
     _augment_batch,
-    checkpoint_load,
-    checkpoint_save,
     distill,
     lr_at_epoch,
     sgd_step,
