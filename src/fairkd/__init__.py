@@ -75,7 +75,6 @@ from .synthdata import (
     group_structure,
 )
 from .formats import (
-    Checkpoint,
     checkpoint_load,
     checkpoint_save,
     read_features,

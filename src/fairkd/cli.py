@@ -121,10 +121,7 @@ def _load_training_inputs(cfg: RunConfig, args):
 
 def _write_training_outputs(cfg: RunConfig, result, ckpt_path, trace_path) -> None:
     header = _header(cfg)
-    checkpoint_save(result.encoder, result.prototypes, result.stats,
-                    _prepare(ckpt_path), config_digest=header["config_digest"],
-                    rng_state=result.rng_state,
-                    extra_header={"tool_version": header["tool_version"]})
+    checkpoint_save(result, _prepare(ckpt_path), header)
     write_trace([asdict(e) for e in result.trace], _prepare(trace_path), header)
     final = (f"final epoch loss {result.trace[-1].total_loss:.4f}"
              if result.trace else "no epochs")
@@ -146,7 +143,7 @@ def cmd_distill(cfg: RunConfig, args) -> int:
     teacher_path = args.teacher or Path(cfg.paths.checkpoints) / "teacher-scratch.ckpt"
     if not Path(teacher_path).exists():
         raise ConfigError(f"teacher checkpoint not found: {teacher_path}")
-    teacher = checkpoint_load(teacher_path)
+    teacher, _ = checkpoint_load(teacher_path)
     manifest, store = _load_training_inputs(cfg, args)
     result = distill(teacher.encoder, cfg.student, manifest, store,
                      cfg.loss, cfg.train)
@@ -157,13 +154,12 @@ def cmd_distill(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    checkpoint = checkpoint_load(args.checkpoint)
+    model, _ = checkpoint_load(args.checkpoint)
     protocol, _ = read_protocol(args.protocol or _manifest_path(cfg, "protocol.json"))
     store, _ = read_features(args.features or _manifest_path(cfg, "features.json"))
-    encoder = checkpoint.encoder
     accuracies = []
     for group in protocol.groups:
-        scored = score_pairs(encoder.forward, group, store)
+        scored = score_pairs(model.encoder.forward, group, store)
         accuracies.append(kfold_verification_accuracy(
             [s for s, _ in scored], [same for _, same in scored],
             k=cfg.eval.k, seed=cfg.seed))

@@ -65,6 +65,8 @@ class RunConfig:
 
     def __post_init__(self):
         """Cross-field consistency; single-field checks live in each config."""
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         feat = self.universe.feature_dim
         for label, spec in (("teacher", self.teacher), ("student", self.student)):
             if spec.input_dim != feat:
@@ -83,15 +85,27 @@ def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
+def _fits(value, default) -> bool:
+    """Whether value has the type of default: a bool field takes only a
+    bool, an int field an int but not a bool, a float field an int or a
+    float, a str field a str, and a tuple field a list of such items."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    kinds = (int, float) if type(default) is float else type(default)
+    return (isinstance(value, kinds)
+            and isinstance(value, bool) == isinstance(default, bool))
+
+
 def _build_section(cls, data, path: str, default):
     """cls from data; a key whose default is a dataclass is a nested section.
     A field that cls has no default for is taken from default (the matching
     part of RunConfig()), so {"teacher": {"init_seed": 3}} builds. Fields with
-    a class default keep it, so every complete section digests unchanged."""
+    a class default keep it, so every complete section digests unchanged.
+    Other values are checked with _fits; null passes where cls defaults to None."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    valid = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - valid)
+    valid = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(data) - set(valid))
     if unknown:
         raise ConfigError(f"unknown config key {path}.{unknown[0]}")
     kwargs = {f.name: getattr(default, f.name) for f in fields(cls)
@@ -101,6 +115,9 @@ def _build_section(cls, data, path: str, default):
         section = getattr(default, key)
         if is_dataclass(section):
             kwargs[key] = _build_section(type(section), value, child, section)
+        elif not (_fits(value, section)
+                  or (value is None and valid[key].default is None)):
+            raise ConfigError(f"{child}: expected {type(section).__name__}, got {value!r}")
         elif isinstance(value, list):
             kwargs[key] = tuple(value)
         else:

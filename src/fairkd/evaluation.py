@@ -198,6 +198,8 @@ def kfold_verification_accuracy(scores, labels, k: int = 10,
     s, y = _scores_labels(scores, labels)
     if k < 2:
         raise InvalidArgument(f"k must be >= 2, got {k}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     if s.size == 0:
         raise EmptyInput("cannot evaluate zero pairs")
     if s.size < k:

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import FormatVersionMismatch, InvalidArgument, IoError
 from .evaluation import EvalReport, GroupProtocol, PairProtocol, VerificationPair
 from .losses import NormStats
 from .sampling import DatasetManifest, ManifestEntry
-from .training import Encoder, EncoderSpec
+from .training import Encoder, EncoderSpec, TrainResult
 
 MANIFEST_SCHEMA = "fairkd/manifest/1"
 PROTOCOL_SCHEMA = "fairkd/protocol/1"
@@ -318,33 +318,21 @@ def read_features(path) -> tuple[dict, dict]:
 # checkpoints: an encoder's spec and parameters, bit-exact, plus the head state
 
 
-@dataclass
-class Checkpoint:
-    encoder: Encoder
-    prototypes: np.ndarray | None
-    stats: NormStats | None
-    config_digest: str
-    rng_state: dict | None
-
-
-def checkpoint_save(encoder: Encoder, prototypes, stats: NormStats | None,
-                    path, config_digest: str = "",
-                    rng_state: dict | None = None,
+def checkpoint_save(result: TrainResult, path,
                     extra_header: dict | None = None) -> None:
-    """Bit-exact snapshot of an encoder head state, written atomically."""
+    """Bit-exact snapshot of a trained model, written atomically."""
     write_doc(path, CHECKPOINT_SCHEMA, {
-        "spec": asdict(encoder.spec),
-        "weights": [encode_array(w) for w in encoder.weights],
-        "biases": [encode_array(b) for b in encoder.biases],
-        "prototypes": (None if prototypes is None
-                       else encode_array(np.asarray(prototypes))),
-        "norm_stats": None if stats is None else asdict(stats),
-        "config_digest": config_digest,
-        "rng_state": rng_state,
+        "spec": asdict(result.encoder.spec),
+        "weights": [encode_array(w) for w in result.encoder.weights],
+        "biases": [encode_array(b) for b in result.encoder.biases],
+        "prototypes": (None if result.prototypes is None
+                       else encode_array(result.prototypes)),
+        "norm_stats": None if result.stats is None else asdict(result.stats),
+        "rng_state": result.rng_state,
     }, extra_header)
 
 
-def _checkpoint_from_doc(doc: dict, _) -> Checkpoint:
+def _checkpoint_from_doc(doc: dict, _) -> TrainResult:
     spec = EncoderSpec(**doc["spec"])
     weights = [decode_array(w) for w in doc["weights"]]
     biases = [decode_array(b) for b in doc["biases"]]
@@ -365,17 +353,17 @@ def _checkpoint_from_doc(doc: dict, _) -> Checkpoint:
     encoder = Encoder(spec)
     encoder.weights = weights
     encoder.biases = biases
-    return Checkpoint(encoder, prototypes, stats,
-                      str(doc.get("config_digest", "")), doc.get("rng_state"))
+    # The trace is its own artifact (write_trace), so a loaded model has none.
+    return TrainResult(encoder, prototypes, stats, [], doc.get("rng_state"))
 
 
-def checkpoint_load(path) -> Checkpoint:
-    """Read a checkpoint written by checkpoint_save.
+def checkpoint_load(path) -> tuple[TrainResult, dict]:
+    """(model, header) of a checkpoint written by checkpoint_save.
 
     Every malformed document, including non-finite parameters or norm
     statistics, raises FormatVersionMismatch.
     """
-    return read_doc(path, CHECKPOINT_SCHEMA, _checkpoint_from_doc)[0]
+    return read_doc(path, CHECKPOINT_SCHEMA, _checkpoint_from_doc)
 
 
 # ---------------------------------------------------------------------------

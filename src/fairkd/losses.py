@@ -155,6 +155,8 @@ def init_prototypes(n_classes: int, dim: int, seed: int) -> np.ndarray:
     """Random class-prototype matrix (n_classes, dim), rows near unit scale."""
     if n_classes < 1 or dim < 1:
         raise InvalidArgument("n_classes and dim must be positive")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     w = rng.standard_normal((n_classes, dim))
     return w / math.sqrt(dim)

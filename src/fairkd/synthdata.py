@@ -69,6 +69,8 @@ class UniverseConfig:
     def __post_init__(self):
         if self.n_groups < 2:
             raise ConfigError(f"need at least 2 groups, got {self.n_groups}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.latent_dim < 2 or self.feature_dim < 2:
             raise ConfigError("latent_dim and feature_dim must be >= 2")
         if self.identities_per_source < self.n_groups:
@@ -237,6 +239,8 @@ def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
     if pairs_per_group < 0:
         raise InvalidArgument(
             f"pairs_per_group must be >= 0, got {pairs_per_group}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     if pairs_per_group % 2 != 0:
         raise OddPairCount(
             f"pairs_per_group must be even, got {pairs_per_group}")

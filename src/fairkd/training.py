@@ -58,9 +58,12 @@ class EncoderSpec:
     init_seed: int = 0
 
     def __post_init__(self):
-        self.hidden_widths = tuple(int(w) for w in self.hidden_widths)
+        self.hidden_widths = tuple(self.hidden_widths)  # a str's items are refused
         dims = (self.input_dim, *self.hidden_widths, self.embedding_dim)
-        if any(int(d) < 1 for d in dims):
+        if not all(type(d) is int for d in (*dims, self.init_seed)):
+            raise ConfigError(f"layer widths and init_seed must be ints, got "
+                              f"{dims} and {self.init_seed!r}")
+        if any(d < 1 for d in dims):
             raise ConfigError(f"all layer widths must be positive, got {dims}")
         if self.activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
@@ -164,6 +167,8 @@ class TrainConfig:
         self.lr_milestones = tuple(int(m) for m in self.lr_milestones)
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.base_lr > 0:
@@ -230,10 +235,10 @@ class EpochStats:
 @dataclass
 class TrainResult:
     encoder: Encoder
-    prototypes: np.ndarray
+    prototypes: np.ndarray | None
     stats: NormStats | None
     trace: list[EpochStats]
-    rng_state: dict = field(default_factory=dict)
+    rng_state: dict | None = field(default_factory=dict)
 
 
 def _gather_training_set(manifest: DatasetManifest, store, input_dim: int):

@@ -31,7 +31,7 @@ from fairkd.formats import (
     write_trace,
 )
 from fairkd.sampling import DatasetManifest, ManifestEntry
-from fairkd.training import Encoder, EncoderSpec
+from fairkd.training import Encoder, EncoderSpec, TrainResult
 
 IDS = [f"s{i}" for i in range(8)]
 
@@ -70,9 +70,9 @@ ARTIFACTS = {
                  lambda p: write_features(_features(), p), read_features),
     "trace": ("trace.json", lambda p: write_trace(
         [{"epoch": 0, "lr": 0.1, "cls_loss": 2.5}], p), read_trace),
-    "checkpoint": ("model.ckpt", lambda p: checkpoint_save(
+    "checkpoint": ("model.ckpt", lambda p: checkpoint_save(TrainResult(
         Encoder(EncoderSpec(4, (3,), 2, "tanh", init_seed=1)), np.ones((2, 2)),
-        None, p, config_digest="abc"), checkpoint_load),
+        None, [], None), p, {"config_digest": "abc"}), checkpoint_load),
 }
 
 

@@ -11,22 +11,22 @@ from hypothesis import strategies as st
 
 from fairkd.errors import FairkdError, FormatVersionMismatch
 from fairkd.formats import (
-    Checkpoint,
     checkpoint_load,
     checkpoint_save,
     decode_array,
     encode_array,
 )
 from fairkd.losses import NormStats
-from fairkd.training import Encoder, EncoderSpec
+from fairkd.training import Encoder, EncoderSpec, TrainResult
 
 SPEC = EncoderSpec(input_dim=6, hidden_widths=(5,), embedding_dim=4,
                    init_seed=3)
 
 
 def saved_doc(path):
-    checkpoint_save(Encoder(SPEC), np.ones((3, 4)), NormStats.default(), path,
-                    config_digest="abc", rng_state={"k": 1})
+    checkpoint_save(TrainResult(Encoder(SPEC), np.ones((3, 4)),
+                                NormStats.default(), [], {"k": 1}),
+                    path, {"config_digest": "abc"})
     return json.loads(path.read_text())
 
 
@@ -60,6 +60,9 @@ MALFORMED = {
     "weights_not_list": lambda d: {**d, "weights": {"a": 1}},
     "negative_init_seed": lambda d: {**d, "spec": {**d["spec"],
                                                    "init_seed": -3}},
+    "init_seed_bool": lambda d: {**d, "spec": {**d["spec"], "init_seed": True}},
+    "hidden_widths_string": lambda d: {**d, "spec": {**d["spec"],
+                                                     "hidden_widths": "5"}},
 }
 
 
@@ -112,9 +115,9 @@ def test_mutated_or_truncated_checkpoint_is_a_fairkd_error(tmp_path, data):
                                                          label="value")))
     path.write_text(text)
     try:
-        loaded = checkpoint_load(path)
+        loaded, _ = checkpoint_load(path)
     except FairkdError:
         return
-    assert isinstance(loaded, Checkpoint)
+    assert isinstance(loaded, TrainResult)
     for p in loaded.encoder.parameters():
         assert np.isfinite(p).all()

@@ -16,7 +16,7 @@ from fairkd.formats import (
     read_report,
     read_trace,
 )
-from fairkd.training import Encoder, EncoderSpec
+from fairkd.training import Encoder, EncoderSpec, TrainResult
 
 TINY = {
     "universe": {"n_groups": 2, "identities_per_source": 12,
@@ -309,8 +309,9 @@ def test_eval_on_separable_universe_flags_degenerate_ser(tmp_path):
     # an untrained linear encoder keeps zero-noise identities separable
     ckpt = tmp_path / "c" / "linear.ckpt"
     ckpt.parent.mkdir(parents=True, exist_ok=True)
-    checkpoint_save(Encoder(EncoderSpec(10, (), 8, activation="identity")),
-                    None, None, ckpt)
+    checkpoint_save(TrainResult(
+        Encoder(EncoderSpec(10, (), 8, activation="identity")), None, None, []),
+        ckpt)
     out = tmp_path / "r" / "sep.json"
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
                  "--out", str(out)]) == 0

@@ -235,6 +235,36 @@ def test_non_finite_number_in_override_exits_2(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command, override, message", [
+    ("train", "train.batch_size=2.5", "config.train.batch_size"),
+    ("train", "train.epochs=2.5", "config.train.epochs"),
+    ("train", "train.seed=1.5", "config.train.seed"),
+    ("train", "paths.manifests=123", "config.paths.manifests"),
+    ("synth-gen", "universe.images_per_identity=2.5",
+     "config.universe.images_per_identity"),
+    ("eval", "eval.k=2.5", "config.eval.k"),
+    ("train", "train.epochs=true", "config.train.epochs"),
+    ("train", "teacher.init_seed=true", "config.teacher.init_seed"),
+    ("train", 'loss.kd_on_normalized="yes"', "config.loss.kd_on_normalized"),
+    ("synth-gen", "universe.noise_scales=[true,1,2,3]",
+     "config.universe.noise_scales"),
+    ("synth-gen", "universe.seed=-1", "config.universe: seed must be >= 0"),
+    ("synth-gen", "seed=-1", "config: seed must be >= 0"),
+    ("train", "train.seed=-1", "config.train: seed must be >= 0"),
+    ("eval", "seed=-1", "config: seed must be >= 0"),
+])
+def test_ill_typed_or_negative_seed_value_exits_2(tmp_path, monkeypatch,
+                                                  capsys, command, override,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    extra = ["--checkpoint", "absent.ckpt"] if command == "eval" else []
+    assert main([command, "--set", override, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_config_checks_itself_when_built():
     with pytest.raises(ConfigError, match="teacher.input_dim"):
         RunConfig(teacher=EncoderSpec(9, (8,), 12))

@@ -59,12 +59,18 @@ UNWRITABLE = os.path.join(os.devnull, "artifact.json")
     (lambda: score_identity([]), InvalidArgument),
     (lambda: score_identity([float("nan"), float("nan")]), InvalidArgument),
     (lambda: score_identity([[0.2, 0.8]]), InvalidArgument),
+    (lambda: init_prototypes(3, 4, seed=-1), InvalidArgument),
+    (lambda: gen_pair_protocol(DatasetManifest("m", 2), 2, seed=-1),
+     InvalidArgument),
+    (lambda: kfold_verification_accuracy([0.1, 0.9] * 5, [0, 1] * 5, seed=-1),
+     InvalidArgument),
 ], ids=["pool", "kfold-k", "prototypes", "table-format", "remainder",
         "elastic-rng", "accuracy-range", "features-nan", "array-dtype",
         "header-collision", "quotas-no-groups", "quotas-negative-total",
         "remainder-nan", "remainder-inf", "remainder-negative",
         "identities-negative-count", "pairs-negative", "kd-reduction",
-        "score-empty", "score-nan", "score-2d"])
+        "score-empty", "score-nan", "score-2d", "prototypes-negative-seed",
+        "pairs-negative-seed", "kfold-negative-seed"])
 def test_public_api_argument_errors_are_fairkd_errors(call, error):
     with pytest.raises(error) as exc:
         call()

@@ -21,6 +21,7 @@ from fairkd.training import (
     Encoder,
     EncoderSpec,
     TrainConfig,
+    TrainResult,
     _augment_batch,
     distill,
     lr_at_epoch,
@@ -297,18 +298,17 @@ class TestCheckpoint:
         result = train_from_scratch(SPEC, manifest, store, loss,
                                     small_cfg(epochs=1))
         path = tmp_path / "ck.json"
-        checkpoint_save(result.encoder, result.prototypes, result.stats, path,
-                        config_digest="cfg123", rng_state=result.rng_state)
-        loaded = checkpoint_load(path)
+        checkpoint_save(result, path, {"config_digest": "cfg123"})
+        loaded, header = checkpoint_load(path)
         assert loaded.encoder.param_digest() == result.encoder.param_digest()
         np.testing.assert_array_equal(loaded.prototypes, result.prototypes)
         assert loaded.stats == result.stats
-        assert loaded.config_digest == "cfg123"
+        assert header["config_digest"] == "cfg123"
         assert loaded.rng_state == result.rng_state
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "ck.json"
-        checkpoint_save(Encoder(SPEC), None, None, path)
+        checkpoint_save(TrainResult(Encoder(SPEC), None, None, []), path)
         blob = path.read_text()
         path.write_text(blob[: len(blob) // 2])
         with pytest.raises(FormatVersionMismatch):
