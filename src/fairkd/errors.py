@@ -10,8 +10,9 @@ class FairkdError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class ZeroVector(FairkdError):
-    """A vector with (near-)zero norm was passed where a direction is required."""
+class ZeroVector(FairkdError, ValueError):
+    """A vector with (near-)zero or non-finite norm was passed where a direction
+    is required (also a ValueError: the argument's value is out of range)."""
 
 
 class DimensionMismatch(FairkdError):
@@ -81,8 +82,9 @@ class MissingSample(FairkdError):
     """A protocol references a sample id that the store cannot resolve."""
 
 
-class EmptyInput(FairkdError):
-    """An operation requiring at least one element received none."""
+class EmptyInput(FairkdError, ValueError):
+    """An operation requiring at least one element received none (also a
+    ValueError: an empty argument is outside the operation's domain)."""
 
 
 class TooFewPairs(FairkdError):

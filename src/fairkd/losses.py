@@ -13,7 +13,11 @@ margin. All gradient code treats ang/add as per-call constants: the sampled
 elastic margin and the norm-adaptive terms steer the geometry of the loss but
 are not themselves differentiated through. Every head runs one kernel on
 inputs validated once by the public function: it builds the (B, C) logits and
-turns that buffer in place into the softmax and then d_loss/d_cos.
+turns that buffer in place into the softmax and then d_loss/d_cos, reaching
+each row's target through one flat index ``t = arange(0, B*C, C) + y``. Its
+in-place steps apply the out-of-place formulas' float operations to each
+element in the same order, so trained models stay bitwise identical; ``/ b``
+then ``* s`` stay two steps, as one ``* (s / b)`` rounds differently.
 
 The distillation term is the mean squared difference between teacher and
 student embeddings; the combined objective is
@@ -31,6 +35,7 @@ from .core import ZERO_NORM_EPS
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    EmptyInput,
     IndexOutOfRange,
     InvalidArgument,
     UninitializedStats,
@@ -168,57 +173,50 @@ def _as_batch(embeddings, name: str = "embedding"):
     z = np.atleast_2d(z)
     if z.ndim != 2:
         raise DimensionMismatch(f"{name} must be 1-D or 2-D, got {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if z.size == 0:
+        raise EmptyInput(f"{name} batch is empty, shape {z.shape}")
+    if not np.isfinite(z).all():
         raise ZeroVector(f"{name} contains non-finite components")
     return z, single
 
 
-def _normalize_rows(m: np.ndarray, what: str):
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms <= ZERO_NORM_EPS):
-        raise ZeroVector(f"{what} contains a zero row")
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(m, axis=1), bit for bit, without its wrapper."""
+    return np.sqrt(np.add.reduce(m * m, axis=1))
+
+
+def _normalize_rows(m: np.ndarray, what: str, norms=None, finite=False):
+    """(rows / norms, norms). A NaN entry's row fails the zero-norm test;
+    finite=True also refuses an inf norm, for rows not checked to be finite."""
+    norms = _row_norms(m) if norms is None else norms
+    if not (np.minimum.reduce(norms) > ZERO_NORM_EPS
+            and (not finite or np.maximum.reduce(norms) < math.inf)):
+        raise ZeroVector(f"{what} contains a zero or non-finite row")
     return m / norms[:, None], norms
 
 
 def _through_normalization(d_hat, hat, norms):
     """Carry a gradient w.r.t. row-normalized rows back to the raw rows."""
-    return (d_hat - np.sum(d_hat * hat, axis=1, keepdims=True) * hat
+    return (d_hat - np.add.reduce(d_hat * hat, axis=1, keepdims=True) * hat
             ) / norms[:, None]
 
 
-def _check_labels(labels, n_classes: int, batch: int) -> np.ndarray:
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if y.shape != (batch,):
-        raise DimensionMismatch(f"labels shape {y.shape} != ({batch},)")
-    if np.any(y < 0) or np.any(y >= n_classes):
-        raise IndexOutOfRange(f"label outside [0, {n_classes})")
-    return y
-
-
-def _target_transform(cos_y: np.ndarray, ang: np.ndarray):
+def _target_transform(cos_y: np.ndarray, ang):
     """cos(theta_y + ang) with the standard monotone continuation past pi.
 
     Returns the transformed target cosine and its derivative w.r.t. cos_y.
-    ang == 0 passes cos_y through bitwise, so a zero-margin head equals plain
-    scaled-cosine logits exactly.
+    Entries past pi and zero-margin entries share the continuation branch:
+    there ``cos_y - 0 * sin(0)`` is cos_y bitwise (-0.0 included), so a
+    zero-margin head equals plain scaled-cosine logits exactly.
     """
-    c = np.clip(cos_y, -1.0, 1.0)
-    theta = np.arccos(c)
-    shifted = theta + ang
-    past_pi = shifted > np.pi
-    zero_margin = ang == 0.0
-
-    with np.errstate(invalid="ignore"):
-        tgt = np.where(
-            zero_margin,
-            cos_y,
-            np.where(past_pi, cos_y - ang * np.sin(ang), np.cos(shifted)),
-        )
+    shifted = np.arccos(np.minimum(np.maximum(cos_y, -1.0), 1.0)) + ang
+    plain = (shifted > np.pi) | (ang == 0.0)
+    tgt = np.where(plain, cos_y - ang * np.sin(ang), np.cos(shifted))
     # Derivative clamped near the arccos poles; forward stays exact.
-    c_safe = np.clip(cos_y, -1.0 + _GRAD_COS_CLAMP, 1.0 - _GRAD_COS_CLAMP)
-    d_interior = np.sin(shifted) / np.sqrt(1.0 - c_safe * c_safe)
-    d_tgt = np.where(zero_margin | past_pi, 1.0, d_interior)
-    return tgt, d_tgt
+    c_safe = np.minimum(np.maximum(cos_y, -1.0 + _GRAD_COS_CLAMP),
+                        1.0 - _GRAD_COS_CLAMP)
+    return tgt, np.where(plain, 1.0,
+                         np.sin(shifted) / np.sqrt(1.0 - c_safe * c_safe))
 
 
 def _validate(embeddings, prototypes, labels):
@@ -230,43 +228,46 @@ def _validate(embeddings, prototypes, labels):
     if w.shape[1] != z.shape[1]:
         raise DimensionMismatch(
             f"embedding dim {z.shape[1]} != prototype dim {w.shape[1]}")
-    return z, w, _check_labels(labels, w.shape[0], z.shape[0]), single
+    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    if y.shape != (z.shape[0],):
+        raise DimensionMismatch(f"labels shape {y.shape} != ({z.shape[0]},)")
+    if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= w.shape[0]:
+        raise IndexOutOfRange(f"label outside [0, {w.shape[0]})")
+    return z, w, y, single
 
 
-def _logits(z, w, y, scale, ang, add):
+def _logits(z, w, y, scale, ang, add, z_norms=None):
     """(B, C) margin logits of validated arrays, plus the backward's cache."""
-    z_hat, z_norms = _normalize_rows(z, "embedding")
-    w_hat, w_norms = _normalize_rows(w, "prototypes")
+    z_hat, z_norms = _normalize_rows(z, "embedding", z_norms)
+    w_hat, w_norms = _normalize_rows(w, "prototypes", finite=True)
     logits = z_hat @ w_hat.T
-    rows = np.arange(z.shape[0])
-    ang = np.broadcast_to(np.asarray(ang, dtype=np.float64), rows.shape)
-    tgt, d_tgt = _target_transform(logits[rows, y], ang)
+    flat = logits.reshape(-1)
+    t = np.arange(0, flat.size, w.shape[0]) + y
+    tgt, d_tgt = _target_transform(flat[t], np.asarray(ang, dtype=np.float64))
     logits *= scale
-    logits[rows, y] = scale * (tgt - add)
-    return logits, (rows, z_hat, z_norms, w_hat, w_norms, d_tgt)
+    flat[t] = scale * (tgt - add)
+    return logits, (t, z_hat, z_norms, w_hat, w_norms, d_tgt)
 
 
-def _loss_and_grads(z, w, y, single, scale, ang, add) -> HeadGradients:
-    """The margin head on validated arrays. Its in-place steps keep the
-    operation order of the out-of-place formulas, so every bit is kept."""
-    buf, (rows, z_hat, z_norms, w_hat, w_norms, d_tgt) = _logits(
-        z, w, y, scale, ang, add)
-    buf -= buf.max(axis=1, keepdims=True)
-    shifted_y = buf[rows, y]
+def _loss_and_grads(z, w, y, single, scale, ang, add, z_norms=None):
+    """The margin head on validated arrays: a HeadGradients."""
+    buf, (t, z_hat, z_norms, w_hat, w_norms, d_tgt) = _logits(
+        z, w, y, scale, ang, add, z_norms)
+    flat, b = buf.reshape(-1), t.size
+    buf -= np.maximum.reduce(buf, axis=1, keepdims=True)
+    shifted_y = flat[t]
     np.exp(buf, out=buf)
-    sums = buf.sum(axis=1)
+    sums = np.add.reduce(buf, axis=1)
     buf /= sums[:, None]
-    loss = float((np.log(sums) - shifted_y).mean())
-    buf[rows, y] -= 1.0
-    buf /= rows.size
+    loss = float(np.add.reduce(np.log(sums) - shifted_y) / b)
+    p_y = flat[t]
+    buf /= b
     buf *= scale
-    buf[rows, y] *= d_tgt
+    flat[t] = (p_y - 1.0) / b * scale * d_tgt
 
-    d_z_hat = buf @ w_hat
-    d_w_hat = buf.T @ z_hat
-    d_z = _through_normalization(d_z_hat, z_hat, z_norms)
+    d_z = _through_normalization(buf @ w_hat, z_hat, z_norms)
     return HeadGradients(loss, d_z[0] if single else d_z,
-                         _through_normalization(d_w_hat, w_hat, w_norms))
+                         _through_normalization(buf.T @ z_hat, w_hat, w_norms))
 
 
 def margin_logits(embeddings, prototypes, labels, scale, ang_margin,
@@ -296,9 +297,9 @@ def adaface_margin_terms(raw_norms: np.ndarray, cfg: MarginConfig,
     """
     if stats is None or not stats.initialized:
         raise UninitializedStats("adaface requires initialized NormStats")
-    safe = np.clip(raw_norms, ADAFACE_NORM_MIN, ADAFACE_NORM_MAX)
-    norm_hat = np.clip((safe - stats.mean_norm) / (stats.std_norm / cfg.h),
-                       -1.0, 1.0)
+    safe = np.minimum(np.maximum(raw_norms, ADAFACE_NORM_MIN), ADAFACE_NORM_MAX)
+    norm_hat = np.minimum(np.maximum(
+        (safe - stats.mean_norm) / (stats.std_norm / cfg.h), -1.0), 1.0)
     ang = -cfg.m * norm_hat
     add = cfg.m * norm_hat + cfg.m
     return ang, add, safe
@@ -325,15 +326,15 @@ def head_loss_and_grads(embeddings, prototypes, labels, cfg: MarginConfig,
     pass, matching the forward-only margin_logits.
     """
     z, w, y, single = _validate(embeddings, prototypes, labels)
-    ang, add = cfg.m, 0.0
+    ang, add, norms = cfg.m, 0.0, None
     if cfg.kind == "elastic_arcface":
         if rng is None:
             raise InvalidArgument("elastic_arcface requires an rng")
         ang = sample_elastic_margins(cfg, rng, z.shape[0])
     elif cfg.kind == "adaface":
-        ang, add, safe = adaface_margin_terms(np.linalg.norm(z, axis=1), cfg,
-                                              stats)
-    out = _loss_and_grads(z, w, y, single, cfg.s, ang, add)
+        norms = _row_norms(z)
+        ang, add, safe = adaface_margin_terms(norms, cfg, stats)
+    out = _loss_and_grads(z, w, y, single, cfg.s, ang, add, norms)
     if cfg.kind == "adaface":
         stats.update(safe, cfg.ema_momentum)
     return out
@@ -357,19 +358,15 @@ def kd_loss_and_grads(teacher_emb, student_emb, normalized: bool = False,
     denom = b * (d if reduction == "mean" else 1)
 
     if normalized:
-        t_hat, t_norms = _normalize_rows(t, "teacher embedding")
-        s_hat, s_norms = _normalize_rows(s, "student embedding")
-        diff = t_hat - s_hat
-        loss = float(np.sum(diff * diff) / denom)
-        g_t_hat = 2.0 * diff / denom
-        g_s_hat = -g_t_hat
-        d_t = _through_normalization(g_t_hat, t_hat, t_norms)
-        d_s = _through_normalization(g_s_hat, s_hat, s_norms)
-    else:
-        diff = t - s
-        loss = float(np.sum(diff * diff) / denom)
-        d_t = 2.0 * diff / denom
-        d_s = -d_t
+        t, t_norms = _normalize_rows(t, "teacher embedding")
+        s, s_norms = _normalize_rows(s, "student embedding")
+    diff = t - s
+    loss = float(np.add.reduce(diff * diff, axis=None) / denom)
+    d_t = 2.0 * diff / denom
+    d_s = -d_t
+    if normalized:
+        d_t = _through_normalization(d_t, t, t_norms)
+        d_s = _through_normalization(d_s, s, s_norms)
 
     if t_single and s_single:
         d_t, d_s = d_t[0], d_s[0]

@@ -38,10 +38,10 @@ from .losses import (
 )
 from .sampling import DatasetManifest
 
-# name -> (activation, its derivative given the pre-activation and output)
+# name -> (activation, its derivative given the pre-activation and output);
+# relu's derivative stays a bool mask, which a float product reads as 0 or 1.
 _ACTIVATIONS = {
-    "relu": (lambda pre: np.maximum(pre, 0.0),
-             lambda pre, out: (pre > 0.0).astype(np.float64)),
+    "relu": (lambda pre: np.maximum(pre, 0.0), lambda pre, out: pre > 0.0),
     "tanh": (np.tanh, lambda pre, out: 1.0 - out * out),
     "identity": (lambda pre: pre, lambda pre, out: np.ones_like(pre)),
 }
@@ -130,8 +130,8 @@ class Encoder:
         for i in range(last, -1, -1):
             inp, pre, out = cache[i]
             d_pre = d_out if i == last else d_out * act_grad(pre, out)
-            grads.insert(0, d_pre.sum(axis=0))          # bias
-            grads.insert(0, inp.T @ d_pre)              # weight
+            grads.insert(0, np.add.reduce(d_pre, axis=0))  # bias
+            grads.insert(0, inp.T @ d_pre)                 # weight
             if i > 0:
                 d_out = d_pre @ self.weights[i].T
         return grads
@@ -305,7 +305,7 @@ def _train(spec: EncoderSpec, manifest: DatasetManifest, store,
                 kd_val, _, d_student = kd_loss_and_grads(
                     t_emb, emb, normalized=loss_cfg.kd_on_normalized,
                     reduction=loss_cfg.kd_reduction)
-                d_emb = d_emb + loss_cfg.kd_weight * d_student
+                d_emb += loss_cfg.kd_weight * d_student
             batch_total = head.loss + loss_cfg.kd_weight * kd_val
             if not math.isfinite(batch_total):
                 raise DivergenceDetected(

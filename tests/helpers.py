@@ -15,6 +15,7 @@ from fairkd.errors import (
     DuplicateIdentityAcrossSources,
     EmptyInput,
     EmptyManifest,
+    IndexOutOfRange,
     InvalidManifest,
     InvalidMergeRequest,
     MissingSample,
@@ -25,14 +26,9 @@ from fairkd.losses import (
     HeadGradients,
     MarginConfig,
     NormStats,
-    _as_batch,
-    _check_labels,
-    _normalize_rows,
-    _target_transform,
     adaface_margin_terms,
     head_loss_and_grads,
     init_prototypes,
-    kd_loss_and_grads,
     sample_elastic_margins,
 )
 from fairkd.sampling import (
@@ -106,7 +102,64 @@ def head_cross_entropy(logits, y: int) -> float:
 # ---------------------------------------------------------------------------
 # Reference implementations: the margin head and the training loop as they
 # were written before the in-place kernel and the flat parameter buffer.
-# The optimized code must reproduce them bit for bit.
+# The optimized code must reproduce them bit for bit. The head's helpers are
+# frozen copies too, so the reference never follows a rewrite of losses.
+
+_GRAD_COS_CLAMP = 1e-7
+
+
+def _as_batch(embeddings, name: str = "embedding"):
+    z = np.asarray(embeddings, dtype=np.float64)
+    single = z.ndim == 1
+    z = np.atleast_2d(z)
+    if z.ndim != 2:
+        raise DimensionMismatch(f"{name} must be 1-D or 2-D, got {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ZeroVector(f"{name} contains non-finite components")
+    return z, single
+
+
+def _normalize_rows(m: np.ndarray, what: str):
+    norms = np.linalg.norm(m, axis=1)
+    if np.any(norms <= ZERO_NORM_EPS):
+        raise ZeroVector(f"{what} contains a zero row")
+    return m / norms[:, None], norms
+
+
+def _check_labels(labels, n_classes: int, batch: int) -> np.ndarray:
+    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    if y.shape != (batch,):
+        raise DimensionMismatch(f"labels shape {y.shape} != ({batch},)")
+    if np.any(y < 0) or np.any(y >= n_classes):
+        raise IndexOutOfRange(f"label outside [0, {n_classes})")
+    return y
+
+
+def _target_transform(cos_y: np.ndarray, ang: np.ndarray):
+    """cos(theta_y + ang) with the standard monotone continuation past pi.
+
+    Returns the transformed target cosine and its derivative w.r.t. cos_y.
+    ang == 0 passes cos_y through bitwise, so a zero-margin head equals plain
+    scaled-cosine logits exactly.
+    """
+    c = np.clip(cos_y, -1.0, 1.0)
+    theta = np.arccos(c)
+    shifted = theta + ang
+    past_pi = shifted > np.pi
+    zero_margin = ang == 0.0
+
+    with np.errstate(invalid="ignore"):
+        tgt = np.where(
+            zero_margin,
+            cos_y,
+            np.where(past_pi, cos_y - ang * np.sin(ang), np.cos(shifted)),
+        )
+    # Derivative clamped near the arccos poles; forward stays exact.
+    c_safe = np.clip(cos_y, -1.0 + _GRAD_COS_CLAMP, 1.0 - _GRAD_COS_CLAMP)
+    d_interior = np.sin(shifted) / np.sqrt(1.0 - c_safe * c_safe)
+    d_tgt = np.where(zero_margin | past_pi, 1.0, d_interior)
+    return tgt, d_tgt
+
 
 
 def ref_forward(embeddings, prototypes, labels, scale, ang, add):
@@ -183,6 +236,37 @@ def ref_head_loss_and_grads(embeddings, prototypes, labels, cfg, rng=None,
     return out
 
 
+def ref_kd_loss_and_grads(teacher_emb, student_emb, normalized=False,
+                          reduction="mean"):
+    t, t_single = _as_batch(teacher_emb, "teacher embedding")
+    s, s_single = _as_batch(student_emb, "student embedding")
+    if t.shape != s.shape:
+        raise DimensionMismatch(f"embedding shapes differ: {t.shape} vs {s.shape}")
+    b, d = t.shape
+    denom = b * (d if reduction == "mean" else 1)
+
+    if normalized:
+        t_hat, t_norms = _normalize_rows(t, "teacher embedding")
+        s_hat, s_norms = _normalize_rows(s, "student embedding")
+        diff = t_hat - s_hat
+        loss = float(np.sum(diff * diff) / denom)
+        g_t_hat = 2.0 * diff / denom
+        g_s_hat = -g_t_hat
+        d_t = (g_t_hat - np.sum(g_t_hat * t_hat, axis=1, keepdims=True)
+               * t_hat) / t_norms[:, None]
+        d_s = (g_s_hat - np.sum(g_s_hat * s_hat, axis=1, keepdims=True)
+               * s_hat) / s_norms[:, None]
+    else:
+        diff = t - s
+        loss = float(np.sum(diff * diff) / denom)
+        d_t = 2.0 * diff / denom
+        d_s = -d_t
+
+    if t_single and s_single:
+        d_t, d_s = d_t[0], d_s[0]
+    return loss, d_t, d_s
+
+
 def ref_train(spec, manifest, store, loss_cfg, cfg, teacher=None
               ) -> TrainResult:
     """The training loop with one SGD update per parameter array."""
@@ -214,7 +298,7 @@ def ref_train(spec, manifest, store, loss_cfg, cfg, teacher=None
             kd_val = 0.0
             if use_kd:
                 t_emb = teacher.forward(xb)
-                kd_val, _, d_student = kd_loss_and_grads(
+                kd_val, _, d_student = ref_kd_loss_and_grads(
                     t_emb, emb, normalized=loss_cfg.kd_on_normalized,
                     reduction=loss_cfg.kd_reduction)
                 d_emb = d_emb + loss_cfg.kd_weight * d_student

@@ -3,7 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from fairkd.errors import FairkdError, InvalidArgument, InvalidMergeRequest
+from fairkd.errors import (
+    EmptyInput,
+    FairkdError,
+    InvalidArgument,
+    InvalidMergeRequest,
+    ZeroVector,
+)
 from fairkd.evaluation import (
     build_report,
     fairness_std,
@@ -27,6 +33,13 @@ from fairkd.synthdata import UniverseConfig, gen_identities, gen_pair_protocol
 
 # Writers must refuse before they touch the file; a write here fails as IoError.
 UNWRITABLE = os.path.join(os.devnull, "artifact.json")
+
+
+def prototypes_with(value):
+    """Three valid prototype rows, the last holding one entry set to value."""
+    w = np.eye(3, 4)
+    w[2, 3] = value
+    return w
 
 
 @pytest.mark.parametrize("call, error", [
@@ -64,13 +77,21 @@ UNWRITABLE = os.path.join(os.devnull, "artifact.json")
      InvalidArgument),
     (lambda: kfold_verification_accuracy([0.1, 0.9] * 5, [0, 1] * 5, seed=-1),
      InvalidArgument),
+    (lambda: head_loss_and_grads(np.ones((2, 4)), prototypes_with(np.nan),
+                                 [0, 1], MarginConfig()), ZeroVector),
+    (lambda: head_loss_and_grads(np.ones((2, 4)), prototypes_with(np.inf),
+                                 [0, 1], MarginConfig()), ZeroVector),
+    (lambda: head_loss_and_grads(np.ones((0, 4)), np.eye(3, 4), [],
+                                 MarginConfig()), EmptyInput),
+    (lambda: kd_loss_and_grads(np.ones((0, 3)), np.ones((0, 3))), EmptyInput),
 ], ids=["pool", "kfold-k", "prototypes", "table-format", "remainder",
         "elastic-rng", "accuracy-range", "features-nan", "array-dtype",
         "header-collision", "quotas-no-groups", "quotas-negative-total",
         "remainder-nan", "remainder-inf", "remainder-negative",
         "identities-negative-count", "pairs-negative", "kd-reduction",
         "score-empty", "score-nan", "score-2d", "prototypes-negative-seed",
-        "pairs-negative-seed", "kfold-negative-seed"])
+        "pairs-negative-seed", "kfold-negative-seed", "head-nan-prototypes",
+        "head-inf-prototypes", "head-empty-batch", "kd-empty-batch"])
 def test_public_api_argument_errors_are_fairkd_errors(call, error):
     with pytest.raises(error) as exc:
         call()

@@ -15,7 +15,9 @@ from fairkd.losses import (
     LossConfig,
     MarginConfig,
     NormStats,
+    adaface_margin_terms,
     head_loss_and_grads,
+    kd_loss_and_grads,
     margin_logits,
     margin_loss_and_grads,
 )
@@ -30,6 +32,7 @@ from helpers import (
     assert_bitwise,
     ref_forward,
     ref_head_loss_and_grads,
+    ref_kd_loss_and_grads,
     ref_margin_loss_and_grads,
     ref_train,
 )
@@ -102,6 +105,73 @@ def test_margins_past_pi_are_exercised():
     assert np.any(np.arccos(np.clip(cos_y, -1.0, 1.0)) + ang > math.pi)
     assert_same_head(margin_loss_and_grads(z, w, y, 16.0, ang, 0.0),
                      ref_margin_loss_and_grads(z, w, y, 16.0, ang, 0.0))
+
+
+# The shapes training runs at: paper_kd's arcface head (B=64, C=200, D=12),
+# cli_artifacts' adaface head over 800 identities, the elastic head, and the
+# ragged last batch of an epoch whose size is not a multiple of 64.
+@pytest.mark.parametrize("kind, b, c", [
+    ("arcface", 64, 200), ("adaface", 64, 800), ("elastic_arcface", 64, 200),
+    ("arcface", 16, 200), ("adaface", 16, 800), ("elastic_arcface", 16, 200)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_head_matches_reference_at_training_shapes(kind, b, c, seed):
+    z, w, y = draw_batch(seed, b, c, 12, 3.0, False)
+    cfg = MarginConfig(kind=kind, s=16.0, m=0.3, std=0.05)
+    rngs = [np.random.Generator(np.random.PCG64(seed)) for _ in range(2)]
+    # Mean and spread near the batch's norms, so norm_hat is clipped at
+    # both ends for some rows and interior for the rest.
+    norm_stats = [NormStats(10.0, 0.6) for _ in range(2)]
+    assert_same_head(
+        head_loss_and_grads(z, w, y, cfg, rng=rngs[0], stats=norm_stats[0]),
+        ref_head_loss_and_grads(z, w, y, cfg, rng=rngs[1],
+                                stats=norm_stats[1]))
+    assert norm_stats[0] == norm_stats[1]
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_zero_negative_zero_and_past_pi_margins_in_one_batch():
+    """One batch holds all three cases the continuation branch covers, and
+    ordinary margins beside them."""
+    z, w, y = draw_batch(5, 64, 200, 12, 1.0, False)
+    ang = np.random.Generator(np.random.PCG64(5)).uniform(-0.5, 1.5, 64)
+    ang[0::4], ang[1::4], ang[2::4] = 0.0, -0.0, 3.0
+    _, (_, z_hat, _, w_hat, *_) = ref_forward(z, w, y, 16.0, ang, 0.0)
+    theta = np.arccos(np.clip(np.sum(z_hat * w_hat[y], axis=1), -1.0, 1.0))
+    assert np.all(theta[2::4] + 3.0 > math.pi)
+    assert np.all(np.signbit(ang[1::4])) and not np.any(np.signbit(ang[0::4]))
+    add = np.linspace(-0.2, 0.2, 64)
+    assert_same_head(margin_loss_and_grads(z, w, y, 16.0, ang, add),
+                     ref_margin_loss_and_grads(z, w, y, 16.0, ang, add))
+    assert_bitwise(margin_logits(z, w, y, 16.0, ang, add),
+                   ref_forward(z, w, y, 16.0, ang, add)[0])
+
+
+def test_adaface_at_the_mean_norm_takes_a_negative_zero_margin():
+    """norm_hat == 0 makes ang = -m * 0.0 = -0.0 for that row."""
+    z, w, y = draw_batch(6, 64, 200, 12, 3.0, False)
+    mean = float(np.linalg.norm(z, axis=1)[7])
+    cfg = MarginConfig.adaface(s=16.0, m=0.3)
+    ang = adaface_margin_terms(np.linalg.norm(z, axis=1), cfg,
+                               NormStats(mean, 3.0))[0]
+    assert ang[7] == 0.0 and np.signbit(ang[7])
+    norm_stats = [NormStats(mean, 3.0) for _ in range(2)]
+    assert_same_head(head_loss_and_grads(z, w, y, cfg, stats=norm_stats[0]),
+                     ref_head_loss_and_grads(z, w, y, cfg,
+                                             stats=norm_stats[1]))
+    assert norm_stats[0] == norm_stats[1]
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("b", [1, 16, 64])
+def test_kd_matches_reference(normalized, reduction, b):
+    rng = np.random.Generator(np.random.PCG64(b))
+    t, s = rng.standard_normal((2, b, 12)) * 3.0
+    got = kd_loss_and_grads(t, s, normalized=normalized, reduction=reduction)
+    ref = ref_kd_loss_and_grads(t, s, normalized=normalized,
+                                reduction=reduction)
+    for g, r in zip(got, ref):
+        assert_bitwise(g, r)
 
 
 # Batches of 12 and a scale of 20 keep divisions by the batch size and
