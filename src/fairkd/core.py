@@ -1,9 +1,9 @@
 """Numeric primitives and embedding-space geometry shared by all modules.
 
-Embeddings are plain float64 numpy arrays. ZERO_NORM_EPS and
-cosine_similarity are the only places that decide what counts as a zero
-vector and how cosine values are clamped, so every downstream consumer (loss
-heads, verification scoring) inherits one consistent convention.
+Embeddings are plain float64 numpy arrays. row_norms is the only place that
+decides which rows have no usable direction, and cosine_similarity the only
+place that clamps cosine values, so every consumer (the margin heads, the
+normalized KD term, verification scoring) inherits one convention.
 """
 
 from __future__ import annotations
@@ -16,23 +16,29 @@ from .errors import DimensionMismatch, ZeroVector
 ZERO_NORM_EPS = 1e-12
 
 
+def row_norms(m: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.norm(m, axis=-1) bit for bit, for a float64 array whose every
+    row has a direction. A norm at most ZERO_NORM_EPS, NaN or inf (finite
+    entries whose squares overflow included) raises ZeroVector naming what."""
+    norms = np.sqrt(np.add.reduce(m * m, axis=-1))
+    if not (np.minimum.reduce(norms, axis=None, initial=np.inf) > ZERO_NORM_EPS
+            and np.maximum.reduce(norms, axis=None, initial=0.0) < np.inf):
+        raise ZeroVector(f"{what} has a zero or non-finite row")
+    return norms
+
+
 def cosine_similarity(a, b):
     """Cosine of the angle between a and b, clamped into [-1, 1].
 
     a and b are two (D,) vectors, giving a float, or two (N, D) matrices
-    scored row by row, giving an (N,) array. Non-finite or zero-norm input
-    raises ZeroVector. The clamp guards downstream arccos against rounding
-    overshoot like 1 + 2**-52 on identical directions.
+    scored row by row, giving an (N,) array. A row without a direction (see
+    row_norms) raises ZeroVector. The clamp guards downstream arccos against
+    rounding overshoot like 1 + 2**-52 on identical directions.
     """
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.ndim not in (1, 2) or va.shape != vb.shape:
         raise DimensionMismatch(f"cannot pair shapes {va.shape} and {vb.shape}")
-    if not (np.isfinite(va).all() and np.isfinite(vb).all()):
-        raise ZeroVector("cosine similarity of a non-finite vector is undefined")
-    na = np.linalg.norm(va, axis=-1)
-    nb = np.linalg.norm(vb, axis=-1)
-    if np.any(na <= ZERO_NORM_EPS) or np.any(nb <= ZERO_NORM_EPS):
-        raise ZeroVector("cosine similarity of a zero vector is undefined")
+    na, nb = row_norms(va, "cosine input"), row_norms(vb, "cosine input")
     cos = np.clip(np.einsum("...d,...d->...", va, vb) / (na * nb), -1.0, 1.0)
     return float(cos) if va.ndim == 1 else cos

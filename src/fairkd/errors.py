@@ -11,12 +11,13 @@ class FairkdError(Exception):
 
 
 class ZeroVector(FairkdError, ValueError):
-    """A vector with (near-)zero or non-finite norm was passed where a direction
-    is required (also a ValueError: the argument's value is out of range)."""
+    """A row with no direction (core.row_norms) where one is required, or a
+    non-finite raw KD term (also a ValueError: the value is out of range)."""
 
 
-class DimensionMismatch(FairkdError):
-    """Two vectors/tensors that must share a dimension do not."""
+class DimensionMismatch(FairkdError, ValueError):
+    """Two vectors/tensors that must share a dimension do not (also a
+    ValueError: the argument's shape is out of range)."""
 
 
 class IndexOutOfRange(FairkdError):
@@ -55,7 +56,7 @@ class EmptyManifest(FairkdError):
 
 
 class DivergenceDetected(FairkdError):
-    """A training loss became NaN/Inf; the run is aborted with context."""
+    """A step's embeddings, prototypes or loss became non-finite or directionless."""
 
 
 class FrozenViolation(FairkdError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ZERO_NORM_EPS
+from .core import row_norms
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -175,23 +175,12 @@ def _as_batch(embeddings, name: str = "embedding"):
         raise DimensionMismatch(f"{name} must be 1-D or 2-D, got {z.shape}")
     if z.size == 0:
         raise EmptyInput(f"{name} batch is empty, shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ZeroVector(f"{name} contains non-finite components")
     return z, single
 
 
-def _row_norms(m: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(m, axis=1), bit for bit, without its wrapper."""
-    return np.sqrt(np.add.reduce(m * m, axis=1))
-
-
-def _normalize_rows(m: np.ndarray, what: str, norms=None, finite=False):
-    """(rows / norms, norms). A NaN entry's row fails the zero-norm test;
-    finite=True also refuses an inf norm, for rows not checked to be finite."""
-    norms = _row_norms(m) if norms is None else norms
-    if not (np.minimum.reduce(norms) > ZERO_NORM_EPS
-            and (not finite or np.maximum.reduce(norms) < math.inf)):
-        raise ZeroVector(f"{what} contains a zero or non-finite row")
+def _normalize_rows(m: np.ndarray, what: str, norms=None):
+    """(rows / norms, norms), with norms from core.row_norms unless given."""
+    norms = row_norms(m, what) if norms is None else norms
     return m / norms[:, None], norms
 
 
@@ -236,10 +225,18 @@ def _validate(embeddings, prototypes, labels):
     return z, w, y, single
 
 
+def _check_margins(b: int, ang, add) -> None:
+    """Refuse a margin that is neither a scalar nor one value per row."""
+    for margin in (ang, add):
+        if np.shape(margin) not in ((), (b,)):
+            raise DimensionMismatch(
+                f"margin shape {np.shape(margin)} is neither () nor ({b},)")
+
+
 def _logits(z, w, y, scale, ang, add, z_norms=None):
     """(B, C) margin logits of validated arrays, plus the backward's cache."""
     z_hat, z_norms = _normalize_rows(z, "embedding", z_norms)
-    w_hat, w_norms = _normalize_rows(w, "prototypes", finite=True)
+    w_hat, w_norms = _normalize_rows(w, "prototypes")
     logits = z_hat @ w_hat.T
     flat = logits.reshape(-1)
     t = np.arange(0, flat.size, w.shape[0]) + y
@@ -278,6 +275,7 @@ def margin_logits(embeddings, prototypes, labels, scale, ang_margin,
     a (B,) label vector; margins may be scalars or per-sample vectors.
     """
     z, w, y, single = _validate(embeddings, prototypes, labels)
+    _check_margins(z.shape[0], ang_margin, add_margin)
     logits = _logits(z, w, y, scale, ang_margin, add_margin)[0]
     return logits[0] if single else logits
 
@@ -313,6 +311,7 @@ def margin_loss_and_grads(embeddings, prototypes, labels, scale, ang, add
     geometry (including row normalization of embeddings and prototypes) only.
     """
     z, w, y, single = _validate(embeddings, prototypes, labels)
+    _check_margins(z.shape[0], ang, add)
     return _loss_and_grads(z, w, y, single, scale, ang, add)
 
 
@@ -332,7 +331,7 @@ def head_loss_and_grads(embeddings, prototypes, labels, cfg: MarginConfig,
             raise InvalidArgument("elastic_arcface requires an rng")
         ang = sample_elastic_margins(cfg, rng, z.shape[0])
     elif cfg.kind == "adaface":
-        norms = _row_norms(z)
+        norms = row_norms(z, "embedding")
         ang, add, safe = adaface_margin_terms(norms, cfg, stats)
     out = _loss_and_grads(z, w, y, single, cfg.s, ang, add, norms)
     if cfg.kind == "adaface":
@@ -362,6 +361,8 @@ def kd_loss_and_grads(teacher_emb, student_emb, normalized: bool = False,
         s, s_norms = _normalize_rows(s, "student embedding")
     diff = t - s
     loss = float(np.add.reduce(diff * diff, axis=None) / denom)
+    if not math.isfinite(loss):
+        raise ZeroVector(f"KD loss is {loss}: an embedding is non-finite or huge")
     d_t = 2.0 * diff / denom
     d_s = -d_t
     if normalized:

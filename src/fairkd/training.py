@@ -26,8 +26,10 @@ from .errors import (
     EmptyManifest,
     EpochOutOfRange,
     FrozenViolation,
+    InvalidArgument,
     MissingSample,
     ShapeMismatch,
+    ZeroVector,
 )
 from .losses import (
     LossConfig,
@@ -256,6 +258,10 @@ def _gather_training_set(manifest: DatasetManifest, store, input_dim: int):
     if x.shape[1] != input_dim:
         raise DimensionMismatch(
             f"features have dim {x.shape[1]}, encoder expects {input_dim}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        bad = manifest.entries[int(finite.argmin())].sample_id
+        raise InvalidArgument(f"sample {bad!r} has a non-finite feature vector")
     y = np.array([labels_of[e.identity_id] for e in manifest.entries],
                  dtype=np.int64)
     return x, y, len(labels_of)
@@ -272,6 +278,8 @@ def _flat_parameters(encoder: Encoder, prototypes: np.ndarray):
     return flat, views[-1]
 
 
+# A blow-up is reported once, as DivergenceDetected, with no numpy warnings.
+@np.errstate(all="ignore")
 def _train(spec: EncoderSpec, manifest: DatasetManifest, store,
            loss_cfg: LossConfig, cfg: TrainConfig,
            teacher: Encoder | None) -> TrainResult:
@@ -296,21 +304,21 @@ def _train(spec: EncoderSpec, manifest: DatasetManifest, store,
             yb = y[idx]
 
             emb, cache = encoder.forward_cached(xb)
-            head = head_loss_and_grads(emb, prototypes, yb, loss_cfg.margin,
-                                       rng=rng, stats=stats)
-            d_emb = head.d_embedding
             kd_val = 0.0
-            if use_kd:
-                t_emb = teacher.forward(xb)
-                kd_val, _, d_student = kd_loss_and_grads(
-                    t_emb, emb, normalized=loss_cfg.kd_on_normalized,
-                    reduction=loss_cfg.kd_reduction)
-                d_emb += loss_cfg.kd_weight * d_student
-            batch_total = head.loss + loss_cfg.kd_weight * kd_val
-            if not math.isfinite(batch_total):
+            try:
+                head = head_loss_and_grads(emb, prototypes, yb, loss_cfg.margin,
+                                           rng=rng, stats=stats)
+                d_emb = head.d_embedding
+                if use_kd:
+                    t_emb = teacher.forward(xb)
+                    kd_val, _, d_student = kd_loss_and_grads(
+                        t_emb, emb, normalized=loss_cfg.kd_on_normalized,
+                        reduction=loss_cfg.kd_reduction)
+                    d_emb += loss_cfg.kd_weight * d_student
+            except ZeroVector as exc:
                 raise DivergenceDetected(
-                    f"non-finite loss {batch_total!r} at epoch {epoch}, "
-                    f"batch starting {start}")
+                    f"training diverged at epoch {epoch}, batch starting "
+                    f"{start}: {exc}") from exc
 
             grad = np.concatenate(encoder.backward(cache, d_emb)
                                   + [head.d_prototypes], axis=None)

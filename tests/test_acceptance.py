@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from fairkd.cli import main
+from fairkd.errors import DivergenceDetected
 from fairkd.evaluation import (
     best_threshold_accuracy,
     fairness_std,
@@ -158,6 +159,9 @@ KD_LOSS = LossConfig(margin=MarginConfig.arcface(s=16.0, m=0.3))
 KD_TRAIN = TrainConfig(epochs=60, batch_size=64, base_lr=0.02,
                        lr_milestones=(40, 52), momentum=0.9, hflip_prob=0.0,
                        weight_decay=1e-3, seed=0)
+KD_UNIVERSE = dict(identities_per_source=200, eval_identities=32,
+                   images_per_identity=10, noise_scales=(0.8, 1.0, 1.2, 1.5),
+                   synth_mean_shift=2.0, synth_cov_inflation=4.0)
 
 
 def _protocol_average(encoder, protocol, store):
@@ -183,12 +187,7 @@ def distillation_outcomes():
     t0 = time.perf_counter()
     rows = []
     for seed in range(5):
-        cfg = UniverseConfig(identities_per_source=200, eval_identities=32,
-                             images_per_identity=10,
-                             noise_scales=(0.8, 1.0, 1.2, 1.5),
-                             synth_mean_shift=2.0, synth_cov_inflation=4.0,
-                             seed=seed)
-        bundle = generate_universe(cfg)
+        bundle = generate_universe(UniverseConfig(**KD_UNIVERSE, seed=seed))
         protocol = gen_pair_protocol(bundle.holdout, 160, seed=seed + 1000)
         teacher = train_from_scratch(KD_TEACHER, bundle.real, bundle.features,
                                      KD_LOSS, KD_TRAIN)
@@ -218,6 +217,22 @@ def test_synthetic_source_underperforms_real_source(distillation_outcomes):
     wins = sum(r["synthetic"] < r["real"] for r in rows)
     assert wins >= 4, rows
     assert distillation_outcomes["elapsed"] < 300.0
+
+
+def test_distillation_blow_up_is_reported_once_as_a_divergence():
+    """At the acceptance rate with no clipping, KD on raw embeddings runs
+    away in epoch 0 on universe 2002. The run raises DivergenceDetected from
+    the step where the embeddings lost their direction, and prints no numpy
+    warning on the way (tier-1 would fail on one)."""
+    t0 = time.perf_counter()
+    bundle = generate_universe(UniverseConfig(**KD_UNIVERSE, seed=2002))
+    teacher = train_from_scratch(KD_TEACHER, bundle.real, bundle.features,
+                                 KD_LOSS, KD_TRAIN)
+    with pytest.raises(DivergenceDetected,
+                       match="training diverged at epoch 0, batch starting"):
+        distill(teacher.encoder, KD_STUDENT, bundle.synthetic,
+                bundle.features, KD_LOSS, KD_TRAIN)
+    assert time.perf_counter() - t0 < 30.0
 
 
 # ------------------------------------------------- 5. merge invariants

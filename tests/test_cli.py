@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairkd
 from fairkd.cli import main
 from fairkd.config import CONFIG_DIR_ENV
 from fairkd.formats import (
@@ -269,6 +272,21 @@ def test_distill_without_teacher_checkpoint_exits_2(ws, capsys):
                  "--teacher", str(ws / "c" / "nowhere.ckpt")])
     assert code == 2
     assert "teacher checkpoint not found" in capsys.readouterr().err
+
+
+def test_diverging_distill_exits_1_with_one_message(ws, tmp_path):
+    # At a runaway rate the student blows up in epoch 0. The child process
+    # has no warnings-as-errors filter, so a numpy warning would show on
+    # its stderr next to the divergence.
+    env = dict(os.environ, PYTHONPATH=str(Path(fairkd.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairkd", "distill", "--config", cfg_of(ws),
+         "--set", "train.base_lr=10", "--out", str(tmp_path / "kd.ckpt")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: training diverged at epoch 0")
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "kd.ckpt").exists()
 
 
 # ------------------------------------------------------------------ eval

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairkd.core import cosine_similarity
+from fairkd.core import cosine_similarity, row_norms
 from fairkd.errors import DimensionMismatch, ZeroVector
 
 
@@ -98,3 +98,15 @@ def test_rows_shape_mismatch_rejected():
         cosine_similarity(np.ones((3, 2)), np.ones((2, 2)))
     with pytest.raises(DimensionMismatch):
         cosine_similarity(np.ones((1, 1, 2)), np.ones((1, 1, 2)))
+
+
+def test_row_norms_are_linalg_norms_bit_for_bit():
+    rng = np.random.Generator(np.random.PCG64(3))
+    for shape in [(7,), (5, 12), (64, 12), (3, 4, 5)]:
+        m = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        np.testing.assert_array_equal(row_norms(m, "m"),
+                                      np.linalg.norm(m, axis=-1))
+
+
+def test_cosine_of_no_rows_is_empty():
+    assert cosine_similarity(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)

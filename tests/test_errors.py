@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairkd.errors import (
+    DimensionMismatch,
     EmptyInput,
     FairkdError,
     InvalidArgument,
@@ -22,6 +23,8 @@ from fairkd.losses import (
     head_loss_and_grads,
     init_prototypes,
     kd_loss_and_grads,
+    margin_logits,
+    margin_loss_and_grads,
 )
 from fairkd.sampling import (
     DatasetManifest,
@@ -84,6 +87,14 @@ def prototypes_with(value):
     (lambda: head_loss_and_grads(np.ones((0, 4)), np.eye(3, 4), [],
                                  MarginConfig()), EmptyInput),
     (lambda: kd_loss_and_grads(np.ones((0, 3)), np.ones((0, 3))), EmptyInput),
+    (lambda: margin_loss_and_grads(np.ones((5, 4)), np.eye(3, 4), [0] * 5,
+                                   16.0, np.zeros(3), 0.0), DimensionMismatch),
+    (lambda: margin_loss_and_grads(np.ones((5, 4)), np.eye(3, 4), [0] * 5,
+                                   16.0, 0.3, np.zeros(3)), DimensionMismatch),
+    (lambda: margin_logits(np.ones((5, 4)), np.eye(3, 4), [0] * 5,
+                           16.0, np.zeros(3)), DimensionMismatch),
+    (lambda: margin_logits(np.ones((5, 4)), np.eye(3, 4), [0] * 5,
+                           16.0, 0.3, np.zeros((5, 1))), DimensionMismatch),
 ], ids=["pool", "kfold-k", "prototypes", "table-format", "remainder",
         "elastic-rng", "accuracy-range", "features-nan", "array-dtype",
         "header-collision", "quotas-no-groups", "quotas-negative-total",
@@ -91,7 +102,9 @@ def prototypes_with(value):
         "identities-negative-count", "pairs-negative", "kd-reduction",
         "score-empty", "score-nan", "score-2d", "prototypes-negative-seed",
         "pairs-negative-seed", "kfold-negative-seed", "head-nan-prototypes",
-        "head-inf-prototypes", "head-empty-batch", "kd-empty-batch"])
+        "head-inf-prototypes", "head-empty-batch", "kd-empty-batch",
+        "loss-ang-length", "loss-add-length", "logits-ang-length",
+        "logits-add-shape"])
 def test_public_api_argument_errors_are_fairkd_errors(call, error):
     with pytest.raises(error) as exc:
         call()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fairkd.core import cosine_similarity
 from fairkd.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -265,3 +266,54 @@ def test_batched_matches_per_sample():
     for i in range(5):
         row = margin_logits(embs[i], protos, int(ys[i]), cfg.s, cfg.m)
         np.testing.assert_allclose(batch[i], row, rtol=1e-12, atol=1e-14)
+
+
+# ------------------------------------- one rule for a row with no direction
+
+GOOD_ROWS = np.array([[1.0, 0.5, 0.2], [0.3, 1.0, 0.1], [0.2, 0.1, 1.0]])
+LABELS = np.array([0, 1, 2])
+BAD_ROWS = {
+    "nan": [np.nan, 1.0, 0.0],
+    "inf": [np.inf, 1.0, 0.0],
+    "overflow": [1e200, 1e200, 0.0],   # finite entries, an inf norm
+    "zero": [0.0, 0.0, 0.0],
+}
+KERNELS = {
+    "arcface": lambda z: head_loss_and_grads(
+        z, GOOD_ROWS, LABELS, MarginConfig.arcface()),
+    "elastic_arcface": lambda z: head_loss_and_grads(
+        z, GOOD_ROWS, LABELS, MarginConfig.elastic_arcface(),
+        rng=np.random.default_rng(0)),
+    "adaface": lambda z: head_loss_and_grads(
+        z, GOOD_ROWS, LABELS, MarginConfig.adaface(), stats=NormStats.default()),
+    "prototypes": lambda w: head_loss_and_grads(
+        GOOD_ROWS, w, LABELS, MarginConfig.arcface()),
+    "margin_logits": lambda z: margin_logits(z, GOOD_ROWS, LABELS, 16.0, 0.3),
+    "kd_raw": lambda z: kd_loss_and_grads(GOOD_ROWS, z),
+    "kd_normalized": lambda z: kd_loss_and_grads(GOOD_ROWS, z, normalized=True),
+    "cosine_similarity": lambda z: cosine_similarity(z, GOOD_ROWS),
+}
+
+
+def batch_with(row):
+    """GOOD_ROWS with its last row replaced by row."""
+    return np.vstack([GOOD_ROWS[:2], [row]])
+
+
+# raw KD needs no direction, so a zero row is no error there (next test)
+@pytest.mark.parametrize("kernel, row", [
+    (k, r) for k in sorted(KERNELS) for r in sorted(BAD_ROWS)
+    if (k, r) != ("kd_raw", "zero")])
+def test_every_kernel_refuses_a_row_without_direction(kernel, row):
+    # Squaring 1e200 overflows, which numpy reports as a warning before the
+    # inf norm is refused; the refusal, not the warning, is under test.
+    with np.errstate(over="ignore"), pytest.raises(ZeroVector):
+        KERNELS[kernel](batch_with(BAD_ROWS[row]))
+
+
+def test_raw_kd_takes_a_zero_row():
+    # raw KD compares embeddings unnormalized: a zero row has no direction
+    # but a well-defined squared distance
+    loss, _, d_s = kd_loss_and_grads(GOOD_ROWS, batch_with(BAD_ROWS["zero"]))
+    assert loss == pytest.approx(float(np.sum(GOOD_ROWS[2] ** 2)) / 9)
+    assert np.isfinite(d_s).all()

@@ -10,6 +10,7 @@ from fairkd.errors import (
     EmptyManifest,
     EpochOutOfRange,
     FormatVersionMismatch,
+    InvalidArgument,
     IoError,
     MissingSample,
     ShapeMismatch,
@@ -190,6 +191,21 @@ class TestTrainFromScratch:
         with pytest.raises(MissingSample):
             train_from_scratch(SPEC, manifest, store, LOSS, small_cfg())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_is_refused_before_training(self, value):
+        manifest, store = toy_universe(n_ids=2, imgs=2)
+        store[manifest.entries[3].payload_ref][4] = value
+        with pytest.raises(InvalidArgument, match="'id001_im1'"):
+            train_from_scratch(SPEC, manifest, store, LOSS, small_cfg())
+
+    def test_overflowing_features_abort_with_divergence(self):
+        # finite features whose embeddings' squared norms overflow: the head
+        # refuses the rows it would otherwise normalize to zero
+        manifest, store = toy_universe(n_ids=4, imgs=2, scale=1e200)
+        with pytest.raises(DivergenceDetected,
+                           match="training diverged at epoch 0, batch starting 0"):
+            train_from_scratch(SPEC, manifest, store, LOSS, small_cfg())
+
     def test_adaface_run_updates_norm_stats(self):
         manifest, store = toy_universe()
         loss = LossConfig(margin=MarginConfig.adaface(s=16.0, m=0.3))
@@ -238,11 +254,10 @@ class TestDistill:
 
     def test_overflowing_features_abort_with_divergence(self):
         manifest, store = toy_universe(n_ids=4, imgs=2, scale=1e200)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceDetected):
-                distill(self.teacher, SPEC, manifest, store,
-                        LossConfig(margin=LOSS.margin, kd_weight=1.0),
-                        small_cfg())
+        with pytest.raises(DivergenceDetected):
+            distill(self.teacher, SPEC, manifest, store,
+                    LossConfig(margin=LOSS.margin, kd_weight=1.0),
+                    small_cfg())
 
     def test_digest_sensitive_to_parameter_change(self):
         before = self.teacher.param_digest()
