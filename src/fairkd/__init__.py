@@ -2,7 +2,8 @@
 exercised end-to-end on a procedurally generated toy verification universe.
 
 Modules:
-    core        zero-norm convention and row-wise cosine similarity
+    core        the one rule for a feature vector (feature_rows), the
+                zero-norm convention and row-wise cosine similarity
     losses      margin-based heads, distillation objective, analytic gradients
     sampling    group-balanced merging of dataset manifests
     training    SGD loops: from-scratch and frozen-teacher distillation

@@ -37,8 +37,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
-        if self.pairs_per_group < 2:
-            raise ConfigError("pairs_per_group must be >= 2")
+        if self.pairs_per_group < 2 or self.pairs_per_group % 2:
+            raise ConfigError(f"pairs_per_group must be even and >= 2, got "
+                              f"{self.pairs_per_group}")
 
 
 @dataclass

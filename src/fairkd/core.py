@@ -3,17 +3,38 @@
 Embeddings are plain float64 numpy arrays. row_norms is the only place that
 decides which rows have no usable direction, and cosine_similarity the only
 place that clamps cosine values, so every consumer (the margin heads, the
-normalized KD term, verification scoring) inherits one convention.
+normalized KD term, verification scoring) inherits one convention. Likewise
+feature_rows is the one rule for a feature vector: training, pair scoring and
+the feature-store writer resolve samples through it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
+from .errors import DimensionMismatch, InvalidArgument, MissingSample, ZeroVector
 
 # Below this norm a vector carries no usable direction at float64 precision.
 ZERO_NORM_EPS = 1e-12
+
+
+def feature_rows(store, ids) -> np.ndarray:
+    """store[sid] for each sid in the sequence ids, in order, as one float64
+    (N, D) matrix. An id the store cannot resolve raises MissingSample; values
+    that are not real numbers of one length, or a vector holding NaN or inf
+    (naming its sample id), raise InvalidArgument."""
+    try:
+        rows = np.array([store[sid] for sid in ids])
+    except KeyError as exc:
+        raise MissingSample(f"feature store cannot resolve sample {exc}") from None
+    except ValueError:  # numpy's refusal of vectors of different lengths
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.dtype.kind not in "biuf":
+        raise InvalidArgument("feature vectors must be real numbers of one length")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise InvalidArgument(f"feature vector {ids[bad[0]]!r} is not finite")
+    return rows.astype(np.float64, copy=False)
 
 
 def row_norms(m: np.ndarray, what: str) -> np.ndarray:

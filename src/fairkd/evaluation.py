@@ -21,13 +21,12 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .core import cosine_similarity
+from .core import cosine_similarity, feature_rows
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
     EmptyInput,
     InvalidArgument,
-    MissingSample,
     NonFiniteScore,
     TooFewGroups,
     TooFewPairs,
@@ -114,11 +113,7 @@ def score_pairs(encoder, group: GroupProtocol, store) -> list[tuple[float, bool]
     for p in group.pairs:
         row_of.setdefault(p.sample_a, len(row_of))
         row_of.setdefault(p.sample_b, len(row_of))
-    for sid in row_of:
-        if sid not in store:
-            raise MissingSample(
-                f"group {group.name!r} references unknown sample {sid!r}")
-    emb = np.asarray(encoder(np.stack([store[sid] for sid in row_of])))
+    emb = np.asarray(encoder(feature_rows(store, list(row_of))))
     a = emb[[row_of[p.sample_a] for p in group.pairs]]
     b = emb[[row_of[p.sample_b] for p in group.pairs]]
     return list(zip(cosine_similarity(a, b).tolist(),

@@ -10,7 +10,10 @@ floats, so identical inputs produce byte-identical files.
 Every artifact goes through one codec: write_doc merges the header, checks
 it for collisions and writes canonically; read_doc parses, rejects NaN and
 Infinity, checks the schema and runs the artifact's decoder, so that any
-malformed or non-finite file raises FormatVersionMismatch.
+malformed or non-finite file raises FormatVersionMismatch. Decoders take a
+value only as its JSON type (_typed): a number is a JSON number, an integer
+where an int is due, and never a string or a bool. The feature-store writer
+checks its vectors with core.feature_rows, like training and pair scoring.
 
 Float arrays that must round-trip bitwise (features, checkpoints) are base64
 of their little-endian raw bytes; decode_array refuses a non-finite one.
@@ -27,11 +30,12 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .core import feature_rows
 from .errors import FormatVersionMismatch, InvalidArgument, IoError
 from .evaluation import EvalReport, GroupProtocol, PairProtocol, VerificationPair
 from .losses import NormStats
 from .sampling import DatasetManifest, ManifestEntry
-from .training import Encoder, EncoderSpec, TrainResult
+from .training import Encoder, EncoderSpec, EpochStats, TrainResult
 
 MANIFEST_SCHEMA = "fairkd/manifest/1"
 PROTOCOL_SCHEMA = "fairkd/protocol/1"
@@ -107,10 +111,15 @@ def decode_array(obj) -> np.ndarray:
         raise FormatVersionMismatch(f"malformed array record: {exc}") from exc
 
 
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, found {type(value).__name__}")
-    return value
+def _typed(value, kind):
+    """A decoded JSON value whose type is kind (str, bool, int or float), or
+    an integer as a float where a float is due; anything else, such as a
+    numeric string or a bool for a number, is a TypeError."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"expected a JSON {kind.__name__}, found {value!r}")
 
 
 def _finite(value) -> float:
@@ -190,16 +199,16 @@ def write_manifest(manifest: DatasetManifest, path,
 
 def _manifest_from_doc(header: dict, records) -> DatasetManifest:
     return DatasetManifest(
-        name=header.get("name", ""),
-        group_count=int(header.get("group_count", 0)),
+        name=_typed(header.get("name", ""), str),
+        group_count=_typed(header.get("group_count", 0), int),
         entries=[ManifestEntry(
-            sample_id=_text(rec["sample_id"]),
-            identity_id=_text(rec["identity_id"]),
-            source=_text(rec["source"]),
-            soft_labels=tuple(float(p) for p in rec["soft_labels"]),
-            payload_ref=_text(rec["payload_ref"]),
+            sample_id=_typed(rec["sample_id"], str),
+            identity_id=_typed(rec["identity_id"], str),
+            source=_typed(rec["source"], str),
+            soft_labels=tuple(_typed(p, float) for p in rec["soft_labels"]),
+            payload_ref=_typed(rec["payload_ref"], str),
         ) for rec in records],
-        shortfalls={str(k): int(v)
+        shortfalls={k: _typed(v, int)
                     for k, v in header.get("shortfalls", {}).items()},
     )
 
@@ -225,12 +234,11 @@ def write_protocol(protocol: PairProtocol, path,
 
 
 def _protocol_from_doc(header: dict, records) -> PairProtocol:
-    pairs = {_text(name): [] for name in header["group_names"]}
+    pairs = {_typed(name, str): [] for name in header["group_names"]}
     for rec in records:
-        if not isinstance(rec["same"], bool):
-            raise TypeError(f"'same' must be a JSON bool, found {rec['same']!r}")
-        pairs[_text(rec["group"])].append(VerificationPair(
-            _text(rec["sample_a"]), _text(rec["sample_b"]), rec["same"]))
+        pairs[_typed(rec["group"], str)].append(VerificationPair(
+            _typed(rec["sample_a"], str), _typed(rec["sample_b"], str),
+            _typed(rec["same"], bool)))
     return PairProtocol([GroupProtocol(name, group_pairs)
                          for name, group_pairs in pairs.items()])
 
@@ -256,14 +264,15 @@ def _report_to_obj(report: EvalReport) -> dict:
 
 
 def _report_from_obj(obj: dict) -> EvalReport:
-    degenerate = bool(obj["ser_degenerate"])
+    degenerate = _typed(obj["ser_degenerate"], bool)
     return EvalReport(
-        per_group=tuple(_finite(a) for a in obj["per_group"]),
-        average=_finite(obj["average"]),
-        std=_finite(obj["std"]),
-        ser=float("inf") if degenerate else _finite(obj["ser"]),
+        per_group=tuple(_typed(a, float) for a in obj["per_group"]),
+        average=_typed(obj["average"], float),
+        std=_typed(obj["std"], float),
+        ser=float("inf") if degenerate else _typed(obj["ser"], float),
         ser_degenerate=degenerate,
-        metadata={str(k): str(v) for k, v in obj.get("metadata", {}).items()},
+        metadata={k: _typed(v, str)
+                  for k, v in obj.get("metadata", {}).items()},
     )
 
 
@@ -286,12 +295,9 @@ def read_report(path) -> tuple[list[EvalReport], dict]:
 
 def write_features(features: dict, path,
                    extra_header: dict | None = None) -> None:
-    store = {str(k): np.asarray(v, dtype=np.float64)
-             for k, v in features.items()}
+    store = {str(k): v for k, v in features.items()}
     ids = sorted(store)
-    matrix = np.stack([store[k] for k in ids]) if ids else np.zeros((0, 0))
-    if matrix.ndim != 2 or not np.isfinite(matrix).all():
-        raise InvalidArgument("features must be finite vectors")
+    matrix = feature_rows(store, ids) if ids else np.zeros((0, 0))
     write_doc(path, FEATURES_SCHEMA, {
         "ids": ids,
         "dim": matrix.shape[1],
@@ -300,9 +306,9 @@ def write_features(features: dict, path,
 
 
 def _features_from_doc(doc: dict, _) -> dict:
-    ids = doc["ids"]
+    ids = [_typed(sid, str) for sid in doc["ids"]]
     matrix = decode_array(doc["matrix"])
-    if matrix.shape != (len(ids), doc["dim"]):
+    if matrix.shape != (len(ids), _typed(doc["dim"], int)):
         raise ValueError(f"matrix of shape {matrix.shape} does not hold "
                          f"{len(ids)} vectors of dim {doc['dim']!r}")
     if sorted(set(ids)) != ids:
@@ -338,8 +344,8 @@ def _checkpoint_from_doc(doc: dict, _) -> TrainResult:
     biases = [decode_array(b) for b in doc["biases"]]
     raw_stats = doc.get("norm_stats")
     stats = None if raw_stats is None else NormStats(
-        mean_norm=_finite(raw_stats["mean_norm"]),
-        std_norm=_finite(raw_stats["std_norm"]))
+        mean_norm=_typed(raw_stats["mean_norm"], float),
+        std_norm=_typed(raw_stats["std_norm"], float))
     raw_protos = doc.get("prototypes")
     prototypes = None if raw_protos is None else decode_array(raw_protos)
 
@@ -376,7 +382,12 @@ def write_trace(epochs, path, extra_header: dict | None = None) -> None:
               extra_header)
 
 
+def _epoch_from_obj(obj: dict) -> dict:
+    EpochStats(**obj)  # a TypeError unless obj holds exactly its five fields
+    return {k: _typed(v, int if k == "epoch" else float)
+            for k, v in obj.items()}
+
+
 def read_trace(path) -> tuple[list[dict], dict]:
-    # {**e} rather than dict(e): an epoch must be an object, not a pair list
     return read_doc(path, TRACE_SCHEMA, lambda doc, _: [
-        {**e} for e in doc.get("epochs", [])])
+        _epoch_from_obj(e) for e in doc.get("epochs", [])])

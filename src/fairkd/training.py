@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import feature_rows
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -26,8 +27,6 @@ from .errors import (
     EmptyManifest,
     EpochOutOfRange,
     FrozenViolation,
-    InvalidArgument,
-    MissingSample,
     ShapeMismatch,
     ZeroVector,
 )
@@ -185,10 +184,10 @@ class TrainConfig:
             raise ConfigError(f"hflip_prob must lie in [0, 1], got {self.hflip_prob}")
         if any(b <= a for a, b in zip(self.lr_milestones, self.lr_milestones[1:])):
             raise ConfigError(f"milestones must increase: {self.lr_milestones}")
-        if any(m >= self.epochs for m in self.lr_milestones):
+        if any(not 0 <= m < self.epochs for m in self.lr_milestones):
             raise ConfigError(
-                f"milestones {self.lr_milestones} must lie below epochs "
-                f"{self.epochs}")
+                f"milestones {self.lr_milestones} must lie in [0, epochs) = "
+                f"[0, {self.epochs})")
 
 
 def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
@@ -247,21 +246,10 @@ def _gather_training_set(manifest: DatasetManifest, store, input_dim: int):
     if not manifest.entries:
         raise EmptyManifest(f"manifest {manifest.name!r} has no entries")
     labels_of = manifest.dense_labels()
-    feats = []
-    for e in manifest.entries:
-        try:
-            feats.append(np.asarray(store[e.payload_ref], dtype=np.float64))
-        except KeyError:
-            raise MissingSample(
-                f"feature store cannot resolve {e.payload_ref!r}") from None
-    x = np.stack(feats)
+    x = feature_rows(store, [e.payload_ref for e in manifest.entries])
     if x.shape[1] != input_dim:
         raise DimensionMismatch(
             f"features have dim {x.shape[1]}, encoder expects {input_dim}")
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        bad = manifest.entries[int(finite.argmin())].sample_id
-        raise InvalidArgument(f"sample {bad!r} has a non-finite feature vector")
     y = np.array([labels_of[e.identity_id] for e in manifest.entries],
                  dtype=np.int64)
     return x, y, len(labels_of)

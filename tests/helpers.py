@@ -16,6 +16,7 @@ from fairkd.errors import (
     EmptyInput,
     EmptyManifest,
     IndexOutOfRange,
+    InvalidArgument,
     InvalidManifest,
     InvalidMergeRequest,
     MissingSample,
@@ -48,8 +49,6 @@ from fairkd.training import (
     Encoder,
     EpochStats,
     TrainResult,
-    _augment_batch,
-    _gather_training_set,
     lr_at_epoch,
     sgd_step,
 )
@@ -102,8 +101,9 @@ def head_cross_entropy(logits, y: int) -> float:
 # ---------------------------------------------------------------------------
 # Reference implementations: the margin head and the training loop as they
 # were written before the in-place kernel and the flat parameter buffer.
-# The optimized code must reproduce them bit for bit. The head's helpers are
-# frozen copies too, so the reference never follows a rewrite of losses.
+# The optimized code must reproduce them bit for bit. The head's helpers and
+# the loop's batch flip and feature gathering are frozen copies too, so the
+# reference never follows a rewrite of losses or training.
 
 _GRAD_COS_CLAMP = 1e-7
 
@@ -265,6 +265,38 @@ def ref_kd_loss_and_grads(teacher_emb, student_emb, normalized=False,
     if t_single and s_single:
         d_t, d_s = d_t[0], d_s[0]
     return loss, d_t, d_s
+
+
+def _augment_batch(xb: np.ndarray, p: float, rng: np.random.Generator):
+    mask = rng.random(xb.shape[0]) < p
+    if mask.any():
+        xb = xb.copy()
+        xb[mask] = xb[mask, ::-1]
+    return xb
+
+
+def _gather_training_set(manifest: DatasetManifest, store, input_dim: int):
+    if not manifest.entries:
+        raise EmptyManifest(f"manifest {manifest.name!r} has no entries")
+    labels_of = manifest.dense_labels()
+    feats = []
+    for e in manifest.entries:
+        try:
+            feats.append(np.asarray(store[e.payload_ref], dtype=np.float64))
+        except KeyError:
+            raise MissingSample(
+                f"feature store cannot resolve {e.payload_ref!r}") from None
+    x = np.stack(feats)
+    if x.shape[1] != input_dim:
+        raise DimensionMismatch(
+            f"features have dim {x.shape[1]}, encoder expects {input_dim}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        bad = manifest.entries[int(finite.argmin())].sample_id
+        raise InvalidArgument(f"sample {bad!r} has a non-finite feature vector")
+    y = np.array([labels_of[e.identity_id] for e in manifest.entries],
+                 dtype=np.int64)
+    return x, y, len(labels_of)
 
 
 def ref_train(spec, manifest, store, loss_cfg, cfg, teacher=None

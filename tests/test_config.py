@@ -18,7 +18,7 @@ from fairkd.config import (
 from fairkd.errors import ConfigError, FairkdError
 from fairkd.losses import LossConfig, MarginConfig
 from fairkd.synthdata import UniverseConfig
-from fairkd.training import EncoderSpec
+from fairkd.training import EncoderSpec, TrainConfig
 
 
 def test_defaults_load_and_validate():
@@ -170,7 +170,10 @@ def test_section_that_is_not_an_object_rejected():
     lambda: UniverseConfig(n_groups=1),
     lambda: LossConfig(kd_weight=-1),
     lambda: EvalConfig(k=1),
-], ids=["margin", "encoder", "universe", "loss", "eval"])
+    lambda: TrainConfig(lr_milestones=(-1,)),
+    lambda: EvalConfig(pairs_per_group=3),
+], ids=["margin", "encoder", "universe", "loss", "eval", "negative-milestone",
+        "odd-pairs"])
 def test_config_errors_from_the_python_api_are_fairkd_errors(build):
     with pytest.raises(ConfigError) as exc:
         build()
@@ -262,6 +265,23 @@ def test_ill_typed_or_negative_seed_value_exits_2(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}")
     assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, override, message", [
+    # a negative milestone would silently run epoch 0 at base_lr / 10
+    ("train", "train.lr_milestones=[-1]", "config.train: milestones (-1,)"),
+    # an odd count would pass config load, then fail in gen_pair_protocol
+    ("synth-gen", "eval.pairs_per_group=3",
+     "config.eval: pairs_per_group must be even"),
+])
+def test_config_that_can_never_run_exits_2(tmp_path, monkeypatch, capsys,
+                                           command, override, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(None, [override])
+    assert main([command, "--set", override]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "runs").exists()
 
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from fairkd.core import cosine_similarity, row_norms
-from fairkd.errors import DimensionMismatch, ZeroVector
+from fairkd.core import cosine_similarity, feature_rows, row_norms
+from fairkd.errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    MissingSample,
+    ZeroVector,
+)
 
 
 # The row normalization inside the row-wise cosine: scoring a row against
@@ -110,3 +115,34 @@ def test_row_norms_are_linalg_norms_bit_for_bit():
 
 def test_cosine_of_no_rows_is_empty():
     assert cosine_similarity(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0,)
+
+
+# The one rule for a feature vector: a store lookup per id, one matrix out.
+STORE = {"a": np.array([0.1, 0.2]), "b": [3, 4], "c": np.float32([0.5, 0.25])}
+
+
+def test_feature_rows_are_the_store_vectors_in_id_order():
+    rows = feature_rows(STORE, ["c", "a", "b", "a"])
+    assert rows.dtype == np.float64
+    expected = np.stack([np.asarray(STORE[s], dtype=np.float64)
+                         for s in ("c", "a", "b", "a")])
+    assert rows.tobytes() == expected.tobytes()
+
+
+def test_feature_rows_name_the_missing_sample():
+    with pytest.raises(MissingSample, match="'z'"):
+        feature_rows(STORE, ["a", "z"])
+
+
+@pytest.mark.parametrize("value", [
+    [1.0, 2.0, 3.0], 1.0, ["1", "2"], [1j, 2j], [None, 1.0], [[1.0, 2.0]],
+], ids=["ragged", "scalar", "numeric-text", "complex", "none", "matrix"])
+def test_feature_rows_refuse_values_that_are_not_real_vectors(value):
+    with pytest.raises(InvalidArgument, match="of one length"):
+        feature_rows({**STORE, "b": value}, ["a", "b"])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_rows_name_a_non_finite_vector(value):
+    with pytest.raises(InvalidArgument, match="'b' is not finite"):
+        feature_rows({**STORE, "b": [1.0, value]}, ["a", "b", "c"])

@@ -12,13 +12,17 @@ from fairkd.errors import (
     ZeroVector,
 )
 from fairkd.evaluation import (
+    GroupProtocol,
+    VerificationPair,
     build_report,
     fairness_std,
     kfold_verification_accuracy,
     render_table,
+    score_pairs,
 )
 from fairkd.formats import encode_array, write_doc, write_features
 from fairkd.losses import (
+    LossConfig,
     MarginConfig,
     head_loss_and_grads,
     init_prototypes,
@@ -28,11 +32,13 @@ from fairkd.losses import (
 )
 from fairkd.sampling import (
     DatasetManifest,
+    ManifestEntry,
     group_quotas,
     largest_remainder,
     score_identity,
 )
 from fairkd.synthdata import UniverseConfig, gen_identities, gen_pair_protocol
+from fairkd.training import EncoderSpec, TrainConfig, train_from_scratch
 
 # Writers must refuse before they touch the file; a write here fails as IoError.
 UNWRITABLE = os.path.join(os.devnull, "artifact.json")
@@ -43,6 +49,27 @@ def prototypes_with(value):
     w = np.eye(3, 4)
     w[2, 3] = value
     return w
+
+
+def store_with(value):
+    """Feature vectors of samples a, b and c, the last one replaced by value."""
+    return {"a": np.ones(4), "b": np.full(4, 2.0), "c": value}
+
+
+# The three public callers that resolve samples in a feature store.
+STORE_CALLERS = {
+    "train": lambda store: train_from_scratch(
+        EncoderSpec(4, (3,), 2),
+        DatasetManifest("m", 2, [
+            ManifestEntry(s, f"id-{s}", "real", (1.0, 0.0), s) for s in "abc"]),
+        store, LossConfig(), TrainConfig(epochs=1, lr_milestones=())),
+    "pairs": lambda store: score_pairs(lambda f: f, GroupProtocol("g", [
+        VerificationPair("a", "c", True), VerificationPair("a", "b", False)]),
+        store),
+    "features": lambda store: write_features(store, UNWRITABLE),
+}
+BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
+               "nan": np.array([1.0, np.nan, 1.0, 1.0])}
 
 
 @pytest.mark.parametrize("call, error", [
@@ -95,6 +122,9 @@ def prototypes_with(value):
                            16.0, np.zeros(3)), DimensionMismatch),
     (lambda: margin_logits(np.ones((5, 4)), np.eye(3, 4), [0] * 5,
                            16.0, 0.3, np.zeros((5, 1))), DimensionMismatch),
+    *[(lambda caller=caller, value=value:
+       STORE_CALLERS[caller](store_with(value)), InvalidArgument)
+      for caller in STORE_CALLERS for value in BAD_VECTORS.values()],
 ], ids=["pool", "kfold-k", "prototypes", "table-format", "remainder",
         "elastic-rng", "accuracy-range", "features-nan", "array-dtype",
         "header-collision", "quotas-no-groups", "quotas-negative-total",
@@ -104,12 +134,20 @@ def prototypes_with(value):
         "pairs-negative-seed", "kfold-negative-seed", "head-nan-prototypes",
         "head-inf-prototypes", "head-empty-batch", "kd-empty-batch",
         "loss-ang-length", "loss-add-length", "logits-ang-length",
-        "logits-add-shape"])
+        "logits-add-shape",
+        *[f"{caller}-{kind}-vector" for caller in STORE_CALLERS
+          for kind in BAD_VECTORS]])
 def test_public_api_argument_errors_are_fairkd_errors(call, error):
     with pytest.raises(error) as exc:
         call()
     assert isinstance(exc.value, FairkdError)
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("caller", list(STORE_CALLERS))
+def test_every_store_caller_names_the_non_finite_sample(caller):
+    with pytest.raises(InvalidArgument, match="'c'"):
+        STORE_CALLERS[caller](store_with(BAD_VECTORS["nan"]))
 
 
 def test_zero_total_and_zero_identity_count_stay_allowed():

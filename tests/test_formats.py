@@ -294,6 +294,8 @@ WRITE_AND_READ = {
     "report": (sample_report, read_report),
     "features": (sample_features, read_features),
     "trace": (lambda p: write_trace(TestTrace.EPOCHS, p), read_trace),
+    "checkpoint": (lambda p: checkpoint_save(sample_model(), p),
+                   checkpoint_load),
 }
 
 
@@ -350,6 +352,39 @@ MALFORMED = {
                     lambda d: [d[0], {**d[1], "source": ["real"]}, *d[2:]]),
     "payload_ref_null": ("manifest",
                          lambda d: [d[0], {**d[1], "payload_ref": None}, *d[2:]]),
+    # numbers are JSON numbers: no numeric strings, no bools, no floats
+    # where an integer is due
+    "per_group_text_and_bool": ("report",
+                                lambda d: first_report(d, per_group=["90", True])),
+    "average_text": ("report", lambda d: first_report(d, average="91.75")),
+    "ser_degenerate_text": ("report",
+                            lambda d: first_report(d, ser_degenerate="no")),
+    "report_metadata_int": ("report",
+                            lambda d: first_report(d, metadata={"model": 5})),
+    "group_count_float": ("manifest",
+                          lambda d: [{**d[0], "group_count": 2.9}, *d[1:]]),
+    "shortfall_text": ("manifest", lambda d: [
+        {**d[0], "shortfalls": {"group1": "2"}}, *d[1:]]),
+    "shortfall_bool": ("manifest", lambda d: [
+        {**d[0], "shortfalls": {"group1": True}}, *d[1:]]),
+    "soft_labels_numeric_text": ("manifest", lambda d: [
+        d[0], {**d[1], "soft_labels": ["0.8", "0.2"]}, *d[2:]]),
+    "manifest_name_int": ("manifest", lambda d: [{**d[0], "name": 7}, *d[1:]]),
+    "feature_ids_int": ("features", lambda d: [{**d[0], "ids": [0, 1]}]),
+    "feature_dim_float": ("features", lambda d: [{**d[0], "dim": 4.0}]),
+    "norm_stat_numeric_text": ("checkpoint", lambda d: [{
+        **d[0], "norm_stats": {**d[0]["norm_stats"], "mean_norm": "20.0"}}]),
+    "norm_stat_bool": ("checkpoint", lambda d: [{
+        **d[0], "norm_stats": {**d[0]["norm_stats"], "std_norm": True}}]),
+    # an epoch holds exactly EpochStats' five fields, each a JSON number
+    "trace_epoch_foreign_keys": ("trace",
+                                 lambda d: [{**d[0], "epochs": [{"foo": "bar"}]}]),
+    "trace_epoch_missing_key": ("trace", lambda d: [{**d[0], "epochs": [
+        {k: v for k, v in d[0]["epochs"][0].items() if k != "kd_loss"}]}]),
+    "trace_lr_text": ("trace", lambda d: [{**d[0], "epochs": [
+        {**d[0]["epochs"][0], "lr": "0.1"}]}]),
+    "trace_epoch_float": ("trace", lambda d: [{**d[0], "epochs": [
+        {**d[0]["epochs"][0], "epoch": 0.5}]}]),
 }
 
 
