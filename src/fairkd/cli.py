@@ -21,7 +21,7 @@ from . import __version__
 from .config import RunConfig, config_digest, load_config
 from .errors import ConfigError, FairkdError, FixtureFormatError, IoError
 from .evaluation import (
-    _check_accuracies,
+    EvalReport,
     build_report,
     kfold_verification_accuracy,
     render_table,
@@ -190,8 +190,8 @@ def cmd_report(cfg: RunConfig, args) -> int:
 # ------------------------------------------------------------ verify-tables
 
 
-def _read_fixture(path) -> list[tuple[str, list[float], str, str, str]]:
-    """Rows of (label, accuracies, printed average, printed std, printed ser)."""
+def _read_fixture(path) -> list[tuple[str, EvalReport, str, str, str]]:
+    """Rows of (label, report, printed average, printed std, printed ser)."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -218,12 +218,11 @@ def _read_fixture(path) -> list[tuple[str, list[float], str, str, str]]:
                 f"{path}:{i}: expected {len(header)} fields, got {len(row)}")
         label = row[0]
         try:
-            accs = [float(v) for v in row[1:1 + n_groups]]
-            _check_accuracies(accs)
+            report = build_report([float(v) for v in row[1:1 + n_groups]])
             printed = [round2(_finite(v)) for v in row[-3:]]
         except ValueError as exc:
             raise FixtureFormatError(f"{path}:{i}: {exc}") from exc
-        out.append((label, accs, *printed))
+        out.append((label, report, *printed))
     return out
 
 
@@ -235,8 +234,7 @@ def cmd_verify_tables(cfg: RunConfig, args) -> int:
     failures = 0
     rows = _read_fixture(fixture)
     width = max(len(label) for label, *_ in rows)
-    for label, accs, p_avg, p_std, p_ser in rows:
-        report = build_report(accs)
+    for label, report, p_avg, p_std, p_ser in rows:
         got = tuple(map(round2, (report.average, report.std, report.ser)))
         printed = (p_avg, p_std, p_ser)
         if got == printed:

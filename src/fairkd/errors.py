@@ -96,8 +96,9 @@ class NonFiniteScore(FairkdError):
     """A verification score is NaN/Inf; the scoring pipeline is broken."""
 
 
-class TooFewGroups(FairkdError):
-    """Fewer than two group accuracies were passed to a fairness metric."""
+class TooFewGroups(FairkdError, ValueError):
+    """Fewer than two group accuracies were passed to a fairness metric (also
+    a ValueError: the argument's size is out of range)."""
 
 
 class DegenerateDenominator(FairkdError):

@@ -88,18 +88,6 @@ class PairProtocol:
             g.validate()
 
 
-@dataclass
-class EvalReport:
-    """Per-group verification accuracies and their fairness summary."""
-
-    per_group: tuple[float, ...]
-    average: float
-    std: float
-    ser: float
-    ser_degenerate: bool
-    metadata: dict[str, str] = field(default_factory=dict)
-
-
 def score_pairs(encoder, group: GroupProtocol, store) -> list[tuple[float, bool]]:
     """(cosine score, same label) per pair, in protocol order.
 
@@ -233,23 +221,38 @@ def ser(accuracies) -> float:
     return (100.0 - float(np.min(acc))) / (100.0 - best)
 
 
+@dataclass(frozen=True)
+class EvalReport:
+    """Per-group accuracies and the average, STD and SER computed from them
+    when the report is built (SER_DEGENERATE when the best group is perfect)."""
+
+    per_group: tuple[float, ...]
+    metadata: dict[str, str] = field(default_factory=dict)
+    average: float = field(init=False)
+    std: float = field(init=False)
+    ser: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        acc = _check_accuracies(self.per_group)
+        try:
+            ratio = ser(acc)
+        except DegenerateDenominator:
+            ratio = SER_DEGENERATE
+        built = {"per_group": tuple(float(a) for a in acc),
+                 "metadata": {str(k): str(v) for k, v in self.metadata.items()},
+                 "average": float(np.mean(acc)), "std": fairness_std(acc),
+                 "ser": ratio}
+        for name, value in built.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def ser_degenerate(self) -> bool:
+        return math.isinf(self.ser)
+
+
 def build_report(accuracies, metadata: dict | None = None) -> EvalReport:
     """Condense per-group accuracies into the report row the tables print."""
-    acc = _check_accuracies(accuracies)
-    try:
-        ratio = ser(acc)
-        degenerate = False
-    except DegenerateDenominator:
-        ratio = SER_DEGENERATE
-        degenerate = True
-    return EvalReport(
-        per_group=tuple(float(a) for a in acc),
-        average=float(np.mean(acc)),
-        std=fairness_std(acc),
-        ser=ratio,
-        ser_degenerate=degenerate,
-        metadata={str(k): str(v) for k, v in (metadata or {}).items()},
-    )
+    return EvalReport(accuracies, metadata or {})
 
 
 def round2(value: float) -> str:

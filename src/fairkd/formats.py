@@ -8,15 +8,18 @@ Serialization is canonical: sorted keys, fixed separators, and repr-exact
 floats, so identical inputs produce byte-identical files.
 
 Every artifact goes through one codec: write_doc merges the header, checks
-it for collisions and writes canonically; read_doc parses, rejects NaN and
-Infinity, checks the schema and runs the artifact's decoder, so that any
-malformed or non-finite file raises FormatVersionMismatch. Decoders take a
-value only as its JSON type (_typed): a number is a JSON number, an integer
-where an int is due, and never a string or a bool. The feature-store writer
-checks its vectors with core.feature_rows, like training and pair scoring.
+it for collisions, refuses NaN and Infinity and writes canonically; read_doc
+parses, rejects NaN and Infinity, checks the schema and runs the artifact's
+decoder, so that any malformed or non-finite file raises
+FormatVersionMismatch. Decoders take a value only as its JSON type (_typed):
+a number is a JSON number, an integer where an int is due, and never a
+string or a bool. A report is rebuilt from its groups, so a stored summary
+that disagrees with them is refused. The feature-store writer checks its
+vectors with core.feature_rows, like training and pair scoring.
 
 Float arrays that must round-trip bitwise (features, checkpoints) are base64
-of their little-endian raw bytes; decode_array refuses a non-finite one.
+of their little-endian raw bytes; decode_array refuses a non-finite one, and
+the writers refuse one before they encode it.
 """
 
 from __future__ import annotations
@@ -93,6 +96,14 @@ def encode_array(arr: np.ndarray) -> dict:
             "data": base64.b64encode(little.tobytes()).decode("ascii")}
 
 
+def _encode_finite(arr: np.ndarray) -> dict:
+    """encode_array of an array that decode_array accepts: one that holds
+    NaN or Inf is InvalidArgument."""
+    if not np.isfinite(arr).all():
+        raise InvalidArgument("array holds non-finite values")
+    return encode_array(arr)
+
+
 def decode_array(obj) -> np.ndarray:
     """Inverse of encode_array; any malformed record, or a float array that
     holds NaN or Inf, is FormatVersionMismatch."""
@@ -138,7 +149,8 @@ def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
     """Write {"schema": schema, **body, **extra_header} as one canonical JSON
     line, then one line per record, atomically.
 
-    extra_header may not shadow a structural key (InvalidArgument).
+    extra_header may not shadow a structural key, and no value may be NaN or
+    Inf (InvalidArgument, raised before the file is touched).
     """
     header = {"schema": schema, **body}
     extra = dict(extra_header or {})
@@ -146,8 +158,11 @@ def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
     if clash:
         raise InvalidArgument(
             f"extra header keys collide with structural keys: {clash}")
-    lines = [canonical_json({**header, **extra})]
-    lines.extend(map(canonical_json, records))
+    try:
+        lines = [canonical_json({**header, **extra})]
+        lines.extend(map(canonical_json, records))
+    except ValueError as exc:  # json's refusal of NaN and Infinity
+        raise InvalidArgument(f"cannot write {path}: {exc}") from exc
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -264,16 +279,15 @@ def _report_to_obj(report: EvalReport) -> dict:
 
 
 def _report_from_obj(obj: dict) -> EvalReport:
-    degenerate = _typed(obj["ser_degenerate"], bool)
-    return EvalReport(
-        per_group=tuple(_typed(a, float) for a in obj["per_group"]),
-        average=_typed(obj["average"], float),
-        std=_typed(obj["std"], float),
-        ser=float("inf") if degenerate else _typed(obj["ser"], float),
-        ser_degenerate=degenerate,
-        metadata={k: _typed(v, str)
-                  for k, v in obj.get("metadata", {}).items()},
-    )
+    # the stored summary must be exactly, JSON type included, what is written
+    report = EvalReport(
+        tuple(_typed(a, float) for a in obj["per_group"]),
+        {k: _typed(v, str) for k, v in obj.get("metadata", {}).items()})
+    summary = _report_to_obj(report)
+    for key in ("average", "std", "ser", "ser_degenerate"):
+        if (type(obj[key]), obj[key]) != (type(summary[key]), summary[key]):
+            raise ValueError(f"stored {key} {obj[key]!r} is not {summary[key]!r}")
+    return report
 
 
 def write_report(reports, path, extra_header: dict | None = None) -> None:
@@ -295,9 +309,11 @@ def read_report(path) -> tuple[list[EvalReport], dict]:
 
 def write_features(features: dict, path,
                    extra_header: dict | None = None) -> None:
-    store = {str(k): v for k, v in features.items()}
-    ids = sorted(store)
-    matrix = feature_rows(store, ids) if ids else np.zeros((0, 0))
+    for k in features:
+        if not isinstance(k, str):
+            raise InvalidArgument(f"feature ids must be strings, got {k!r}")
+    ids = sorted(features)
+    matrix = feature_rows(features, ids) if ids else np.zeros((0, 0))
     write_doc(path, FEATURES_SCHEMA, {
         "ids": ids,
         "dim": matrix.shape[1],
@@ -329,10 +345,10 @@ def checkpoint_save(result: TrainResult, path,
     """Bit-exact snapshot of a trained model, written atomically."""
     write_doc(path, CHECKPOINT_SCHEMA, {
         "spec": asdict(result.encoder.spec),
-        "weights": [encode_array(w) for w in result.encoder.weights],
-        "biases": [encode_array(b) for b in result.encoder.biases],
+        "weights": [_encode_finite(w) for w in result.encoder.weights],
+        "biases": [_encode_finite(b) for b in result.encoder.biases],
         "prototypes": (None if result.prototypes is None
-                       else encode_array(result.prototypes)),
+                       else _encode_finite(result.prototypes)),
         "norm_stats": None if result.stats is None else asdict(result.stats),
         "rng_state": result.rng_state,
     }, extra_header)
@@ -377,9 +393,13 @@ def checkpoint_load(path) -> tuple[TrainResult, dict]:
 
 
 def write_trace(epochs, path, extra_header: dict | None = None) -> None:
-    """epochs is a list of flat dicts (epoch, lr, losses...)."""
-    write_doc(path, TRACE_SCHEMA, {"epochs": [dict(e) for e in epochs]},
-              extra_header)
+    """epochs is a list of dicts of EpochStats' five fields, each checked by
+    the reader's rule (_epoch_from_obj); a refused one is InvalidArgument."""
+    try:
+        epochs = [_epoch_from_obj(e) for e in epochs]
+    except TypeError as exc:
+        raise InvalidArgument(f"cannot write {path}: {exc}") from exc
+    write_doc(path, TRACE_SCHEMA, {"epochs": epochs}, extra_header)
 
 
 def _epoch_from_obj(obj: dict) -> dict:

@@ -165,7 +165,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.lr_milestones = tuple(int(m) for m in self.lr_milestones)
+        self.lr_milestones = tuple(self.lr_milestones)
+        if not all(type(m) is int for m in self.lr_milestones):
+            raise ConfigError(f"milestones must be ints, got {self.lr_milestones}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:

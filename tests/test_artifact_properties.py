@@ -69,7 +69,8 @@ ARTIFACTS = {
     "features": ("features.json",
                  lambda p: write_features(_features(), p), read_features),
     "trace": ("trace.json", lambda p: write_trace(
-        [{"epoch": 0, "lr": 0.1, "cls_loss": 2.5}], p), read_trace),
+        [{"epoch": 0, "lr": 0.1, "cls_loss": 2.5, "kd_loss": 0.5,
+          "total_loss": 3.0}], p), read_trace),
     "checkpoint": ("model.ckpt", lambda p: checkpoint_save(TrainResult(
         Encoder(EncoderSpec(4, (3,), 2, "tanh", init_seed=1)), np.ones((2, 2)),
         None, [], None), p, {"config_digest": "abc"}), checkpoint_load),
@@ -85,6 +86,14 @@ def valid(tmp_path_factory):
         write(root / name)
         blobs[kind] = (root / name).read_bytes()
     return blobs
+
+
+@pytest.mark.parametrize("kind", list(ARTIFACTS))
+def test_valid_artifact_loads(tmp_path, valid, kind):
+    # the mutations below start from a file the reader accepts
+    name, _, read = ARTIFACTS[kind]
+    (tmp_path / name).write_bytes(valid[kind])
+    read(tmp_path / name)
 
 
 @st.composite

@@ -10,6 +10,7 @@ import pytest
 import fairkd
 from fairkd.cli import main
 from fairkd.config import CONFIG_DIR_ENV
+from fairkd.evaluation import build_report
 from fairkd.formats import (
     checkpoint_save,
     decode_array,
@@ -18,6 +19,7 @@ from fairkd.formats import (
     read_protocol,
     read_report,
     read_trace,
+    write_report,
 )
 from fairkd.training import Encoder, EncoderSpec, TrainResult
 
@@ -400,6 +402,18 @@ def test_report_with_nan_exits_1(tmp_path, capsys):
     assert main(["report", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "non-finite" in captured.err
+
+
+def test_report_with_edited_summary_exits_1(tmp_path, capsys):
+    path = tmp_path / "edited.json"
+    write_report(build_report((91.0, 92.5)), path)
+    doc = json.loads(path.read_text())
+    doc["reports"][0]["average"] = 50.0
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and "average" in captured.err
 
 
 # --------------------------------------------------------- verify-tables

@@ -172,8 +172,11 @@ def test_section_that_is_not_an_object_rejected():
     lambda: EvalConfig(k=1),
     lambda: TrainConfig(lr_milestones=(-1,)),
     lambda: EvalConfig(pairs_per_group=3),
+    lambda: TrainConfig(lr_milestones=(2.5,)),
+    lambda: TrainConfig(lr_milestones=(True,)),
+    lambda: TrainConfig(lr_milestones=("3",)),
 ], ids=["margin", "encoder", "universe", "loss", "eval", "negative-milestone",
-        "odd-pairs"])
+        "odd-pairs", "float-milestone", "bool-milestone", "text-milestone"])
 def test_config_errors_from_the_python_api_are_fairkd_errors(build):
     with pytest.raises(ConfigError) as exc:
         build()

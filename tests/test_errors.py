@@ -20,10 +20,17 @@ from fairkd.evaluation import (
     render_table,
     score_pairs,
 )
-from fairkd.formats import encode_array, write_doc, write_features
+from fairkd.formats import (
+    checkpoint_save,
+    encode_array,
+    write_doc,
+    write_features,
+    write_trace,
+)
 from fairkd.losses import (
     LossConfig,
     MarginConfig,
+    NormStats,
     head_loss_and_grads,
     init_prototypes,
     kd_loss_and_grads,
@@ -38,7 +45,13 @@ from fairkd.sampling import (
     score_identity,
 )
 from fairkd.synthdata import UniverseConfig, gen_identities, gen_pair_protocol
-from fairkd.training import EncoderSpec, TrainConfig, train_from_scratch
+from fairkd.training import (
+    Encoder,
+    EncoderSpec,
+    TrainConfig,
+    TrainResult,
+    train_from_scratch,
+)
 
 # Writers must refuse before they touch the file; a write here fails as IoError.
 UNWRITABLE = os.path.join(os.devnull, "artifact.json")
@@ -49,6 +62,14 @@ def prototypes_with(value):
     w = np.eye(3, 4)
     w[2, 3] = value
     return w
+
+
+def model_with(weight=0.0, prototype=0.0, mean_norm=20.0):
+    """A small trained model; the defaults make it valid."""
+    encoder = Encoder(EncoderSpec(4, (3,), 2, init_seed=1))
+    encoder.weights[0][0, 0] = weight
+    return TrainResult(encoder, np.full((3, 2), prototype),
+                       NormStats(mean_norm, 1.0), [], None)
 
 
 def store_with(value):
@@ -88,6 +109,21 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
      InvalidArgument),
     (lambda: encode_array(np.zeros(2, dtype=np.float32)), InvalidArgument),
     (lambda: write_doc(UNWRITABLE, "s", {"a": 1}, {"a": 2}), InvalidArgument),
+    (lambda: checkpoint_save(model_with(weight=np.nan), UNWRITABLE),
+     InvalidArgument),
+    (lambda: checkpoint_save(model_with(prototype=np.inf), UNWRITABLE),
+     InvalidArgument),
+    (lambda: checkpoint_save(model_with(mean_norm=np.nan), UNWRITABLE),
+     InvalidArgument),
+    (lambda: write_trace([{"epoch": 0, "lr": 0.1, "cls_loss": np.nan,
+                           "kd_loss": 0.5, "total_loss": 3.0}], UNWRITABLE),
+     InvalidArgument),
+    (lambda: write_doc(UNWRITABLE, "s", {"a": 1}, {"b": np.inf}),
+     InvalidArgument),
+    (lambda: write_trace([{"epoch": 0, "lr": 0.1, "cls_loss": 2.5}],
+                         UNWRITABLE), InvalidArgument),
+    (lambda: write_features({1: np.ones(4), "1": np.zeros(4)}, UNWRITABLE),
+     InvalidArgument),
     (lambda: group_quotas(5, 0), InvalidMergeRequest),
     (lambda: group_quotas(-5, 2), InvalidMergeRequest),
     (lambda: largest_remainder(3, [float("nan"), 1.0]), InvalidMergeRequest),
@@ -127,7 +163,10 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
       for caller in STORE_CALLERS for value in BAD_VECTORS.values()],
 ], ids=["pool", "kfold-k", "prototypes", "table-format", "remainder",
         "elastic-rng", "accuracy-range", "features-nan", "array-dtype",
-        "header-collision", "quotas-no-groups", "quotas-negative-total",
+        "header-collision", "checkpoint-nan-weight",
+        "checkpoint-inf-prototypes", "checkpoint-nan-norm-stat",
+        "trace-nan-value", "header-inf-value", "trace-three-fields",
+        "features-int-key", "quotas-no-groups", "quotas-negative-total",
         "remainder-nan", "remainder-inf", "remainder-negative",
         "identities-negative-count", "pairs-negative", "kd-reduction",
         "score-empty", "score-nan", "score-2d", "prototypes-negative-seed",

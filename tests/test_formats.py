@@ -385,6 +385,15 @@ MALFORMED = {
         {**d[0]["epochs"][0], "lr": "0.1"}]}]),
     "trace_epoch_float": ("trace", lambda d: [{**d[0], "epochs": [
         {**d[0]["epochs"][0], "epoch": 0.5}]}]),
+    # a report's summary is computed from its groups, never taken on trust
+    "report_average_edited": ("report",
+                              lambda d: first_report(d, average=50.0)),
+    "report_per_group_out_of_range": ("report", lambda d: first_report(
+        d, per_group=[150.0, -20.0])),
+    "report_one_group": ("report",
+                         lambda d: first_report(d, per_group=[91.0])),
+    "report_degenerate_flag_on_finite_ser": ("report", lambda d: first_report(
+        d, ser=None, ser_degenerate=True)),
 }
 
 
