@@ -48,14 +48,25 @@ from .synthdata import gen_pair_protocol, generate_universe
 from .training import distill, train_from_scratch
 
 
-def _header(cfg: RunConfig) -> dict:
-    return {"config_digest": config_digest(cfg), "tool_version": __version__}
-
-
 def _prepare(path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _write(cfg: RunConfig, write, value, path, **extra) -> Path:
+    """write(value, path, header) into a made directory; the one place that
+    stamps an artifact's header: config digest, tool version and extra."""
+    path = _prepare(path)
+    write(value, path, {"config_digest": config_digest(cfg),
+                        "tool_version": __version__, **extra})
+    return path
+
+
+def _write_manifest(cfg: RunConfig, manifest, path) -> dict:
+    stats = manifest_stats(manifest)
+    _write(cfg, write_manifest, manifest, path, stats=stats)
+    return stats
 
 
 def _manifest_path(cfg: RunConfig, name: str) -> Path:
@@ -69,19 +80,14 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
     bundle = generate_universe(cfg.universe)
     protocol = gen_pair_protocol(bundle.holdout, cfg.eval.pairs_per_group,
                                  seed=cfg.seed)
-    header = _header(cfg)
     out = []
     for manifest in (bundle.real, bundle.synthetic, bundle.holdout):
-        path = _prepare(_manifest_path(cfg, f"{manifest.name}.manifest"))
-        write_manifest(manifest, path,
-                       {**header, "stats": manifest_stats(manifest)})
-        out.append(path)
-    features_path = _prepare(_manifest_path(cfg, "features.json"))
-    write_features(bundle.features, features_path, header)
-    out.append(features_path)
-    protocol_path = _prepare(_manifest_path(cfg, "protocol.json"))
-    write_protocol(protocol, protocol_path, header)
-    out.append(protocol_path)
+        out.append(_manifest_path(cfg, f"{manifest.name}.manifest"))
+        _write_manifest(cfg, manifest, out[-1])
+    out.append(_write(cfg, write_features, bundle.features,
+                      _manifest_path(cfg, "features.json")))
+    out.append(_write(cfg, write_protocol, protocol,
+                      _manifest_path(cfg, "protocol.json")))
     for path in out:
         print(f"wrote {path}")
     return 0
@@ -90,9 +96,7 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 def cmd_merge(cfg: RunConfig, args) -> int:
     manifests = [read_manifest(p)[0] for p in args.inputs]
     merged = balanced_merge(manifests, args.total, name=args.name)
-    stats = manifest_stats(merged)
-    write_manifest(merged, _prepare(args.out),
-                   {**_header(cfg), "stats": stats})
+    stats = _write_manifest(cfg, merged, args.out)
     print(f"wrote {args.out}: {stats['total_identities']} identities, "
           f"{stats['total_images']} images")
     return 0
@@ -103,9 +107,7 @@ def cmd_mix(cfg: RunConfig, args) -> int:
     synthetic = [read_manifest(p)[0] for p in args.synthetic]
     mixed = mix_merge(real, synthetic, args.fraction, args.total,
                       name=args.name)
-    stats = manifest_stats(mixed)
-    write_manifest(mixed, _prepare(args.out),
-                   {**_header(cfg), "stats": stats})
+    stats = _write_manifest(cfg, mixed, args.out)
     print(f"wrote {args.out}: {stats['total_identities']} identities, "
           f"real fraction {stats['real_identity_fraction']:.4f}")
     return 0
@@ -119,24 +121,24 @@ def _load_training_inputs(cfg: RunConfig, args):
     return manifest, store
 
 
-def _write_training_outputs(cfg: RunConfig, result, ckpt_path, trace_path) -> None:
-    header = _header(cfg)
-    checkpoint_save(result, _prepare(ckpt_path), header)
-    write_trace([asdict(e) for e in result.trace], _prepare(trace_path), header)
+def _write_training_outputs(cfg: RunConfig, args, result, stem: str) -> int:
+    """Checkpoint and loss trace at --out/--trace, else named after stem."""
+    ckpt = args.out or Path(cfg.paths.checkpoints) / f"{stem}.ckpt"
+    trace = args.trace or Path(cfg.paths.reports) / f"{stem}-trace.json"
+    _write(cfg, checkpoint_save, result, ckpt)
+    _write(cfg, write_trace, [asdict(e) for e in result.trace], trace)
     final = (f"final epoch loss {result.trace[-1].total_loss:.4f}"
              if result.trace else "no epochs")
-    print(f"wrote {ckpt_path}")
-    print(f"wrote {trace_path} ({final})")
+    print(f"wrote {ckpt}")
+    print(f"wrote {trace} ({final})")
+    return 0
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
     spec = cfg.teacher if args.encoder == "teacher" else cfg.student
     manifest, store = _load_training_inputs(cfg, args)
     result = train_from_scratch(spec, manifest, store, cfg.loss, cfg.train)
-    ckpt = args.out or Path(cfg.paths.checkpoints) / f"{args.encoder}-scratch.ckpt"
-    trace = args.trace or Path(cfg.paths.reports) / f"{args.encoder}-scratch-trace.json"
-    _write_training_outputs(cfg, result, ckpt, trace)
-    return 0
+    return _write_training_outputs(cfg, args, result, f"{args.encoder}-scratch")
 
 
 def cmd_distill(cfg: RunConfig, args) -> int:
@@ -147,10 +149,7 @@ def cmd_distill(cfg: RunConfig, args) -> int:
     manifest, store = _load_training_inputs(cfg, args)
     result = distill(teacher.encoder, cfg.student, manifest, store,
                      cfg.loss, cfg.train)
-    ckpt = args.out or Path(cfg.paths.checkpoints) / "student-distilled.ckpt"
-    trace = args.trace or Path(cfg.paths.reports) / "student-distilled-trace.json"
-    _write_training_outputs(cfg, result, ckpt, trace)
-    return 0
+    return _write_training_outputs(cfg, args, result, "student-distilled")
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
@@ -167,7 +166,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                 "distilled": args.distilled, "loss": args.loss_label}
     report = build_report(accuracies, metadata)
     out = args.out or Path(cfg.paths.reports) / "report.json"
-    write_report(report, _prepare(out), _header(cfg))
+    _write(cfg, write_report, report, out)
     print(render_table([report]))
     print(f"wrote {out}")
     return 0
@@ -262,6 +261,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", metavar="KEY=VALUE", action="append",
                         dest="overrides", default=[],
                         help="override any config key, e.g. train.epochs=3")
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--manifest", default=None)
+    training.add_argument("--features", default=None)
+    training.add_argument("--out", default=None, help="checkpoint path")
+    training.add_argument("--trace", default=None, help="per-epoch loss trace path")
 
     parser = argparse.ArgumentParser(
         prog="fairkd",
@@ -292,22 +296,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mix)
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[common, training],
                        help="train an encoder from scratch on a manifest")
     p.add_argument("--encoder", choices=("teacher", "student"), default="student")
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--features", default=None)
-    p.add_argument("--out", default=None, help="checkpoint path")
-    p.add_argument("--trace", default=None, help="per-epoch loss trace path")
     p.set_defaults(func=cmd_train, default_manifest="real-train.manifest")
 
-    p = sub.add_parser("distill", parents=[common],
+    p = sub.add_parser("distill", parents=[common, training],
                        help="train the student against a frozen teacher checkpoint")
     p.add_argument("--teacher", default=None, help="teacher checkpoint path")
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--features", default=None)
-    p.add_argument("--out", default=None, help="checkpoint path")
-    p.add_argument("--trace", default=None, help="per-epoch loss trace path")
     p.set_defaults(func=cmd_distill, default_manifest="synthetic-train.manifest")
 
     p = sub.add_parser("eval", parents=[common],

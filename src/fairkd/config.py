@@ -29,7 +29,8 @@ CONFIG_DIR_ENV = "FAIRKD_CONFIG_DIR"
 
 @dataclass
 class EvalConfig:
-    """Verification protocol size and cross-validation depth."""
+    """Verification protocol size and cross-validation depth; each group's
+    pairs must fill the k folds, so pairs_per_group >= k."""
 
     k: int = 10
     pairs_per_group: int = 60
@@ -40,6 +41,9 @@ class EvalConfig:
         if self.pairs_per_group < 2 or self.pairs_per_group % 2:
             raise ConfigError(f"pairs_per_group must be even and >= 2, got "
                               f"{self.pairs_per_group}")
+        if self.pairs_per_group < self.k:
+            raise ConfigError(f"pairs_per_group {self.pairs_per_group} cannot "
+                              f"fill k={self.k} folds")
 
 
 @dataclass
@@ -102,7 +106,8 @@ def _build_section(cls, data, path: str, default):
     A field that cls has no default for is taken from default (the matching
     part of RunConfig()), so {"teacher": {"init_seed": 3}} builds. Fields with
     a class default keep it, so every complete section digests unchanged.
-    Other values are checked with _fits; null passes where cls defaults to None."""
+    Other values are checked with _fits; null passes where cls defaults to None.
+    A float field stores float(value), so base_lr=1 and =1.0 digest alike."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
     valid = {f.name: f for f in fields(cls)}
@@ -121,6 +126,8 @@ def _build_section(cls, data, path: str, default):
             raise ConfigError(f"{child}: expected {type(section).__name__}, got {value!r}")
         elif isinstance(value, list):
             kwargs[key] = tuple(value)
+        elif type(section) is float:
+            kwargs[key] = float(value)
         else:
             kwargs[key] = value
     try:

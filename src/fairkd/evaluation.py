@@ -66,6 +66,11 @@ class GroupProtocol:
         return sum(1 for p in self.pairs if not p.same)
 
     def validate(self) -> None:
+        for p in self.pairs:
+            if type(p.same) is not bool:
+                raise InvalidArgument(
+                    f"group {self.name!r}: pair ({p.sample_a!r}, "
+                    f"{p.sample_b!r}) has same={p.same!r}, not a bool")
         if self.positive_count != self.negative_count:
             raise UnbalancedProtocol(
                 f"group {self.name!r}: {self.positive_count} positive vs "
@@ -74,8 +79,9 @@ class GroupProtocol:
 
 @dataclass(frozen=True)
 class PairProtocol:
-    """Per-group pair protocols, checked when built: every group holds as
-    many positive as negative pairs. Frozen, so it stays that way."""
+    """Per-group pair protocols, checked when built: group names are unique,
+    every pair's same is a bool, and every group holds as many positive as
+    negative pairs. Frozen, so it stays that way."""
 
     groups: tuple[GroupProtocol, ...] = ()
 
@@ -84,6 +90,9 @@ class PairProtocol:
         self.validate()
 
     def validate(self) -> None:
+        names = [g.name for g in self.groups]
+        if len(set(names)) != len(names):
+            raise InvalidArgument(f"repeated group name in {names}")
         for g in self.groups:
             g.validate()
 
@@ -157,18 +166,15 @@ def stratified_fold_indices(labels, k: int, seed: int) -> list[np.ndarray]:
 
     Each class is shuffled with its own draw from one seeded generator and
     dealt to consecutive folds, the negatives continuing where the positives
-    stopped so no fold ends up empty while sizes stay within one.
+    stopped so no fold ends up empty while sizes stay within one: item i of
+    the positives followed by the negatives goes to fold i % k.
     """
     y = np.asarray(labels, dtype=bool)
     rng = np.random.Generator(np.random.PCG64(seed))
     pos = rng.permutation(np.flatnonzero(y))
     neg = rng.permutation(np.flatnonzero(~y))
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for j, idx in enumerate(pos):
-        folds[j % k].append(int(idx))
-    for j, idx in enumerate(neg):
-        folds[(pos.size + j) % k].append(int(idx))
-    return [np.array(f, dtype=np.int64) for f in folds]
+    order = np.concatenate((pos, neg))
+    return [order[f::k] for f in range(k)]
 
 
 def kfold_verification_accuracy(scores, labels, k: int = 10,

@@ -249,13 +249,14 @@ def write_protocol(protocol: PairProtocol, path,
 
 
 def _protocol_from_doc(header: dict, records) -> PairProtocol:
-    pairs = {_typed(name, str): [] for name in header["group_names"]}
+    """Groups in group_names order, so a name given twice is refused."""
+    names = [_typed(name, str) for name in header["group_names"]]
+    pairs = {name: [] for name in names}
     for rec in records:
         pairs[_typed(rec["group"], str)].append(VerificationPair(
             _typed(rec["sample_a"], str), _typed(rec["sample_b"], str),
             _typed(rec["same"], bool)))
-    return PairProtocol([GroupProtocol(name, group_pairs)
-                         for name, group_pairs in pairs.items()])
+    return PairProtocol([GroupProtocol(name, pairs[name]) for name in names])
 
 
 def read_protocol(path) -> tuple[PairProtocol, dict]:

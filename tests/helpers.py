@@ -1,8 +1,9 @@
 """Shared test utilities: finite-difference gradients, error metrics,
 bitwise reference implementations of the margin head and training loop, the
-per-pair scorer and tie loop that evaluation's batch paths replaced, the
-per-image noise loop that the one-draw pool generator replaced, and the
-per-pool merges that the one quota-filling routine replaced."""
+per-pair scorer, tie loop and fold-dealing loop that evaluation's batch paths
+replaced, the per-image noise loop that the one-draw pool generator
+replaced, and the per-pool merges that the one quota-filling routine
+replaced."""
 
 import math
 
@@ -423,6 +424,20 @@ def ref_best_threshold_accuracy(scores, labels):
     else:
         threshold = float((ss[best_cut - 1] + ss[best_cut]) / 2.0)
     return threshold, 100.0 * float(correct[best_cut]) / n
+
+
+def ref_stratified_fold_indices(labels, k: int, seed: int):
+    """The loop that dealt fold items one at a time, before slicing."""
+    y = np.asarray(labels, dtype=bool)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pos = rng.permutation(np.flatnonzero(y))
+    neg = rng.permutation(np.flatnonzero(~y))
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for j, idx in enumerate(pos):
+        folds[j % k].append(int(idx))
+    for j, idx in enumerate(neg):
+        folds[(pos.size + j) % k].append(int(idx))
+    return [np.array(f, dtype=np.int64) for f in folds]
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,21 @@ import pytest
 
 import fairkd
 from fairkd.cli import main
-from fairkd.config import CONFIG_DIR_ENV
+from fairkd.config import CONFIG_DIR_ENV, config_digest, load_config
 from fairkd.evaluation import build_report
 from fairkd.formats import (
+    checkpoint_load,
     checkpoint_save,
     decode_array,
     encode_array,
+    read_features,
     read_manifest,
     read_protocol,
     read_report,
     read_trace,
     write_report,
 )
+from fairkd.sampling import manifest_stats
 from fairkd.training import Encoder, EncoderSpec, TrainResult
 
 TINY = {
@@ -317,6 +320,46 @@ def test_eval_is_byte_identical_across_runs(ws):
                      "--out", str(out)]) == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# an artifact's name -> its reader, for every file the pipeline below writes
+READERS = {".manifest": read_manifest, "features.json": read_features,
+           "protocol.json": read_protocol, ".ckpt": checkpoint_load,
+           "-trace.json": read_trace, "report.json": read_report}
+
+
+def test_every_artifact_header_names_its_config_and_version(tmp_path):
+    cfg = write_config(tmp_path)
+    m = tmp_path / "m"
+    commands = [
+        ["synth-gen"],
+        ["merge", str(m / "real-train.manifest"),
+         str(m / "synthetic-train.manifest"), "--total", "24",
+         "--out", str(m / "all-train.manifest")],
+        ["mix", "--real", str(m / "real-train.manifest"),
+         "--synthetic", str(m / "synthetic-train.manifest"),
+         "--fraction", "0.5", "--total", "12",
+         "--out", str(m / "mix-train.manifest")],
+        ["train", "--encoder", "teacher"],
+        ["distill"],
+        ["eval", "--checkpoint", str(tmp_path / "c" / "student-distilled.ckpt")],
+    ]
+    for command in commands:
+        assert main([*command, "--config", str(cfg)]) == 0
+    digest = config_digest(load_config(str(cfg)))
+    written = sorted(p for p in tmp_path.rglob("*") if p.is_file()
+                     and p != cfg)
+    assert len(written) == 12
+    for path in written:
+        (read,) = [r for suffix, r in READERS.items()
+                   if path.name.endswith(suffix)]
+        value, header = read(path)
+        assert header["config_digest"] == digest, path
+        assert header["tool_version"] == fairkd.__version__, path
+        if read is read_manifest:
+            assert header["stats"] == manifest_stats(value), path
+        else:
+            assert "stats" not in header, path
 
 
 def test_eval_on_separable_universe_flags_degenerate_ser(tmp_path):

@@ -175,8 +175,10 @@ def test_section_that_is_not_an_object_rejected():
     lambda: TrainConfig(lr_milestones=(2.5,)),
     lambda: TrainConfig(lr_milestones=(True,)),
     lambda: TrainConfig(lr_milestones=("3",)),
+    lambda: EvalConfig(k=10, pairs_per_group=4),
 ], ids=["margin", "encoder", "universe", "loss", "eval", "negative-milestone",
-        "odd-pairs", "float-milestone", "bool-milestone", "text-milestone"])
+        "odd-pairs", "float-milestone", "bool-milestone", "text-milestone",
+        "pairs-below-k"])
 def test_config_errors_from_the_python_api_are_fairkd_errors(build):
     with pytest.raises(ConfigError) as exc:
         build()
@@ -277,6 +279,9 @@ def test_ill_typed_or_negative_seed_value_exits_2(tmp_path, monkeypatch,
     # an odd count would pass config load, then fail in gen_pair_protocol
     ("synth-gen", "eval.pairs_per_group=3",
      "config.eval: pairs_per_group must be even"),
+    # fewer pairs than folds would pass synth-gen and train, then fail eval
+    ("synth-gen", "eval.pairs_per_group=4",
+     "config.eval: pairs_per_group 4 cannot fill k=10 folds"),
 ])
 def test_config_that_can_never_run_exits_2(tmp_path, monkeypatch, capsys,
                                            command, override, message):
@@ -286,6 +291,23 @@ def test_config_that_can_never_run_exits_2(tmp_path, monkeypatch, capsys,
     assert main([command, "--set", override]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("overrides, twin", [
+    (["train.base_lr=1"], ["train.base_lr=1.0"]),
+    (["loss.kd_weight=1"], []),
+    (["loss.margin.s=64", "universe.group_separation=4"], []),
+], ids=["base-lr", "kd-weight-default", "nested-and-universe"])
+def test_an_integer_for_a_float_field_digests_as_the_float(overrides, twin):
+    # the same run under two spellings must carry one config digest
+    cfg = load_config(None, overrides)
+    assert config_digest(cfg) == config_digest(load_config(None, twin))
+    for key in overrides:
+        section, *path = key.partition("=")[0].split(".")
+        value = getattr(cfg, section)
+        for name in path:
+            value = getattr(value, name)
+        assert type(value) is float
 
 
 def test_run_config_checks_itself_when_built():

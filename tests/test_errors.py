@@ -13,6 +13,7 @@ from fairkd.errors import (
 )
 from fairkd.evaluation import (
     GroupProtocol,
+    PairProtocol,
     VerificationPair,
     build_report,
     fairness_std,
@@ -25,6 +26,7 @@ from fairkd.formats import (
     encode_array,
     write_doc,
     write_features,
+    write_protocol,
     write_trace,
 )
 from fairkd.losses import (
@@ -70,6 +72,14 @@ def model_with(weight=0.0, prototype=0.0, mean_norm=20.0):
     encoder.weights[0][0, 0] = weight
     return TrainResult(encoder, np.full((3, 2), prototype),
                        NormStats(mean_norm, 1.0), [], None)
+
+
+def protocol_with(names=("g",), same=True):
+    """A one-positive, one-negative group under each name, its positive pair
+    labelled same; the defaults make it valid."""
+    return PairProtocol([GroupProtocol(name, [
+        VerificationPair("a", "b", same), VerificationPair("a", "c", False)])
+        for name in names])
 
 
 def store_with(value):
@@ -124,6 +134,12 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
                          UNWRITABLE), InvalidArgument),
     (lambda: write_features({1: np.ones(4), "1": np.zeros(4)}, UNWRITABLE),
      InvalidArgument),
+    (lambda: write_protocol(protocol_with(names=("g", "g")), UNWRITABLE),
+     InvalidArgument),
+    (lambda: write_protocol(protocol_with(same=1), UNWRITABLE),
+     InvalidArgument),
+    (lambda: write_protocol(protocol_with(same=np.True_), UNWRITABLE),
+     InvalidArgument),
     (lambda: group_quotas(5, 0), InvalidMergeRequest),
     (lambda: group_quotas(-5, 2), InvalidMergeRequest),
     (lambda: largest_remainder(3, [float("nan"), 1.0]), InvalidMergeRequest),
@@ -166,7 +182,8 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
         "header-collision", "checkpoint-nan-weight",
         "checkpoint-inf-prototypes", "checkpoint-nan-norm-stat",
         "trace-nan-value", "header-inf-value", "trace-three-fields",
-        "features-int-key", "quotas-no-groups", "quotas-negative-total",
+        "features-int-key", "protocol-repeated-group", "protocol-int-same",
+        "protocol-numpy-same", "quotas-no-groups", "quotas-negative-total",
         "remainder-nan", "remainder-inf", "remainder-negative",
         "identities-negative-count", "pairs-negative", "kd-reduction",
         "score-empty", "score-nan", "score-2d", "prototypes-negative-seed",

@@ -30,8 +30,13 @@ from fairkd.evaluation import (
     round2,
     score_pairs,
     ser,
+    stratified_fold_indices,
 )
-from helpers import ref_best_threshold_accuracy, ref_score_pairs
+from helpers import (
+    ref_best_threshold_accuracy,
+    ref_score_pairs,
+    ref_stratified_fold_indices,
+)
 
 TABLE_ROW_A = (97.40, 96.07, 95.52, 95.95)   # -> 96.24 / 0.81 / 1.72
 TABLE_ROW_B = (95.63, 93.20, 92.25, 91.55)   # -> 93.16 / 1.78 / 1.93
@@ -213,6 +218,20 @@ class TestKFold:
             _, pooled = best_threshold_accuracy(scores, labels)
             acc = kfold_verification_accuracy(scores, labels, k=10, seed=seed)
             assert acc <= pooled + 5.0
+
+
+@REF_SETTINGS
+@given(labels=st.lists(st.booleans(), max_size=59), k=st.integers(2, 11),
+       seed=st.integers(0, 2**32 - 1))
+def test_fold_slicing_matches_the_dealing_loop(labels, k, seed):
+    """Slicing the shuffled positives-then-negatives deals like the loop."""
+    for y in (labels, [True] * len(labels), [False] * len(labels)):
+        got = stratified_fold_indices(y, k, seed)
+        want = ref_stratified_fold_indices(y, k, seed)
+        assert len(got) == len(want) == k
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
 
 
 class TestFairnessStd:

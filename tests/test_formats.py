@@ -394,6 +394,9 @@ MALFORMED = {
                          lambda d: first_report(d, per_group=[91.0])),
     "report_degenerate_flag_on_finite_ser": ("report", lambda d: first_report(
         d, ser=None, ser_degenerate=True)),
+    # a group is named once; a second "g0" would fold into the first
+    "group_names_repeated": ("protocol", lambda d: [
+        {**d[0], "group_names": ["g0", "g0"]}, *d[1:]]),
 }
 
 
