@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from json import JSONDecodeError
 from pathlib import Path
 
-from .errors import ConfigError
+from .core import check_fields, rule
+from .errors import ConfigError, ConfigTypeError
 from .formats import JSON_DECODER, canonical_json, read_text
 from .losses import LossConfig
 from .synthdata import UniverseConfig
@@ -32,15 +33,11 @@ class EvalConfig:
     """Verification protocol size and cross-validation depth; each group's
     pairs must fill the k folds, so pairs_per_group >= k."""
 
-    k: int = 10
-    pairs_per_group: int = 60
+    k: int = rule(int, 10, ge=2)
+    pairs_per_group: int = rule(int, 60, ge=2, even=True)
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError(f"k must be >= 2, got {self.k}")
-        if self.pairs_per_group < 2 or self.pairs_per_group % 2:
-            raise ConfigError(f"pairs_per_group must be even and >= 2, got "
-                              f"{self.pairs_per_group}")
+        check_fields(self)
         if self.pairs_per_group < self.k:
             raise ConfigError(f"pairs_per_group {self.pairs_per_group} cannot "
                               f"fill k={self.k} folds")
@@ -50,34 +47,34 @@ class EvalConfig:
 class PathsConfig:
     """Output directories; commands create them on demand."""
 
-    manifests: str = "runs/manifests"
-    checkpoints: str = "runs/checkpoints"
-    reports: str = "runs/reports"
+    manifests: str = rule(str, "runs/manifests")
+    checkpoints: str = rule(str, "runs/checkpoints")
+    reports: str = rule(str, "runs/reports")
+
+    __post_init__ = check_fields
 
 
 @dataclass
 class RunConfig:
-    universe: UniverseConfig = field(default_factory=UniverseConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    loss: LossConfig = field(default_factory=LossConfig)
-    teacher: EncoderSpec = field(default_factory=lambda: EncoderSpec(
+    universe: UniverseConfig = rule(UniverseConfig, UniverseConfig)
+    train: TrainConfig = rule(TrainConfig, TrainConfig)
+    loss: LossConfig = rule(LossConfig, LossConfig)
+    teacher: EncoderSpec = rule(EncoderSpec, lambda: EncoderSpec(
         input_dim=16, hidden_widths=(64, 48), embedding_dim=12, init_seed=1))
-    student: EncoderSpec = field(default_factory=lambda: EncoderSpec(
+    student: EncoderSpec = rule(EncoderSpec, lambda: EncoderSpec(
         input_dim=16, hidden_widths=(24,), embedding_dim=12, init_seed=2))
-    eval: EvalConfig = field(default_factory=EvalConfig)
-    paths: PathsConfig = field(default_factory=PathsConfig)
-    seed: int = 0
+    eval: EvalConfig = rule(EvalConfig, EvalConfig)
+    paths: PathsConfig = rule(PathsConfig, PathsConfig)
+    seed: int = rule(int, 0, ge=0)
 
     def __post_init__(self):
-        """Cross-field consistency; single-field checks live in each config."""
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        """Cross-field consistency; each field's own rule is beside it."""
+        check_fields(self)
         feat = self.universe.feature_dim
         for label, spec in (("teacher", self.teacher), ("student", self.student)):
             if spec.input_dim != feat:
-                raise ConfigError(
-                    f"{label}.input_dim is {spec.input_dim} but "
-                    f"universe.feature_dim is {feat}")
+                raise ConfigError(f"{label}.input_dim is {spec.input_dim} but "
+                                  f"universe.feature_dim is {feat}")
         if self.teacher.embedding_dim != self.student.embedding_dim:
             raise ConfigError(
                 f"student.embedding_dim is {self.student.embedding_dim} but "
@@ -90,50 +87,28 @@ def config_digest(cfg: RunConfig) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _fits(value, default) -> bool:
-    """Whether value has the type of default: a bool field takes only a
-    bool, an int field an int but not a bool, a float field an int or a
-    float, a str field a str, and a tuple field a list of such items."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    kinds = (int, float) if type(default) is float else type(default)
-    return (isinstance(value, kinds)
-            and isinstance(value, bool) == isinstance(default, bool))
-
-
 def _build_section(cls, data, path: str, default):
     """cls from data; a key whose default is a dataclass is a nested section.
     A field that cls has no default for is taken from default (the matching
     part of RunConfig()), so {"teacher": {"init_seed": 3}} builds. Fields with
     a class default keep it, so every complete section digests unchanged.
-    Other values are checked with _fits; null passes where cls defaults to None.
-    A float field stores float(value), so base_lr=1 and =1.0 digest alike."""
+    The record checks its own values; its errors are prefixed with path."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    valid = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(valid))
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown config key {path}.{unknown[0]}")
     kwargs = {f.name: getattr(default, f.name) for f in fields(cls)
               if f.default is MISSING and f.default_factory is MISSING}
     for key, value in data.items():
-        child = f"{path}.{key}"
         section = getattr(default, key)
-        if is_dataclass(section):
-            kwargs[key] = _build_section(type(section), value, child, section)
-        elif not (_fits(value, section)
-                  or (value is None and valid[key].default is None)):
-            raise ConfigError(f"{child}: expected {type(section).__name__}, got {value!r}")
-        elif isinstance(value, list):
-            kwargs[key] = tuple(value)
-        elif type(section) is float:
-            kwargs[key] = float(value)
-        else:
-            kwargs[key] = value
+        kwargs[key] = (_build_section(type(section), value, f"{path}.{key}", section)
+                       if is_dataclass(section) else value)
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    except ConfigError as exc:
+        sep = "." if isinstance(exc, ConfigTypeError) else ": "
+        raise ConfigError(f"{path}{sep}{exc}") from exc
 
 
 def from_dict(data: dict) -> RunConfig:

@@ -5,17 +5,77 @@ decides which rows have no usable direction, and cosine_similarity the only
 place that clamps cosine values, so every consumer (the margin heads, the
 normalized KD term, verification scoring) inherits one convention. Likewise
 feature_rows is the one rule for a feature vector: training, pair scoring and
-the feature-store writer resolve samples through it.
+the feature-store writer resolve samples through it. And rule/check_fields is
+the one rule for a config field: its type and bounds, declared beside it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from dataclasses import MISSING, field, fields
+from types import GenericAlias
+
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, MissingSample, ZeroVector
+from .errors import (
+    ConfigError,
+    ConfigTypeError,
+    DimensionMismatch,
+    InvalidArgument,
+    MissingSample,
+    ZeroVector,
+)
 
 # Below this norm a vector carries no usable direction at float64 precision.
 ZERO_NORM_EPS = 1e-12
+
+# check -> (what a value must be, given the bound; whether the value is)
+_CHECKS = {"ge": (">= {}", operator.ge), "gt": ("> {}", operator.gt),
+           "le": ("<= {}", operator.le), "lt": ("< {}", operator.lt),
+           "choices": ("in {}", lambda value, allowed: value in allowed),
+           "even": ("even", lambda value, _: value % 2 == 0)}
+
+
+def rule(kind, default=MISSING, *, finite=True, **checks):
+    """A dataclass field that check_fields holds to kind, finite and checks.
+    kind is bool, int, float, str, a record class or tuple[item, ...] of the
+    first four, whose checks apply to each item; finite=False admits inf.
+    A callable default is the default factory."""
+    key = "default_factory" if callable(default) else "default"
+    return field(**{key: default}, metadata={"rule": (kind, finite, checks)})
+
+
+def check_fields(record) -> None:
+    """Hold every field of a config record to its rule, or raise ConfigError;
+    a value of the wrong type is a ConfigTypeError. bool is not int, None
+    passes only where the default is None, a float field stores float(x) of
+    an int or float, and a tuple field a tuple of a list."""
+    for f in fields(record):
+        kind, finite, checks = f.metadata["rule"]
+        value = getattr(record, f.name)
+        if value is None and f.default is None:
+            continue
+        many = isinstance(kind, GenericAlias)
+        item = kind.__args__[0] if many else kind
+        seq = isinstance(value, (tuple, list))
+        items = tuple(value) if seq else (value,)
+        takes = (int, float) if item is float else item
+        if seq != many or not all(isinstance(v, takes) and
+                                  isinstance(v, bool) == (item is bool)
+                                  for v in items):
+            raise ConfigTypeError(f"{f.name}: expected "
+                                  f"{kind if many else kind.__name__}, got {value!r}")
+        items = tuple(map(float, items)) if item is float else items
+        for v in items:
+            if item is float and finite and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            for check, bound in checks.items():
+                text, holds = _CHECKS[check]
+                if not holds(v, bound):
+                    raise ConfigError(f"{f.name} must be {text.format(bound)}, "
+                                      f"got {value!r}")
+        setattr(record, f.name, items if many else items[0])
 
 
 def feature_rows(store, ids) -> np.ndarray:

@@ -122,5 +122,10 @@ class ConfigError(FairkdError, ValueError):
     ValueError: a config field holds a value out of range)."""
 
 
+class ConfigTypeError(ConfigError, TypeError):
+    """A config field holds a value of the wrong type; the message starts
+    with the field's name, so a section path prefixes it as a dotted key."""
+
+
 class FixtureFormatError(FairkdError):
     """The reference-metrics fixture file is malformed."""

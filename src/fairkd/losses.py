@@ -27,13 +27,12 @@ student embeddings; the combined objective is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import row_norms
+from .core import check_fields, row_norms, rule
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
@@ -64,26 +63,14 @@ class MarginConfig:
     std is only read by elastic_arcface; h and ema_momentum only by adaface.
     """
 
-    kind: str = "arcface"
-    s: float = 64.0
-    m: float = 0.5
-    std: float = 0.0
-    h: float = 0.333
-    ema_momentum: float = 0.01
+    kind: str = rule(str, "arcface", choices=MARGIN_KINDS)
+    s: float = rule(float, 64.0, gt=0)
+    m: float = rule(float, 0.5, ge=0, lt=math.pi / 2)
+    std: float = rule(float, 0.0, ge=0)
+    h: float = rule(float, 0.333, gt=0)
+    ema_momentum: float = rule(float, 0.01, gt=0, le=1)
 
-    def __post_init__(self):
-        if self.kind not in MARGIN_KINDS:
-            raise ConfigError(f"unknown margin kind {self.kind!r}")
-        if not self.s > 0:
-            raise ConfigError("scale s must be positive")
-        if not 0.0 <= self.m < math.pi / 2:
-            raise ConfigError("margin m must lie in [0, pi/2)")
-        if self.std < 0:
-            raise ConfigError("std must be non-negative")
-        if not self.h > 0:
-            raise ConfigError("h must be positive")
-        if not 0.0 < self.ema_momentum <= 1.0:
-            raise ConfigError("ema_momentum must lie in (0, 1]")
+    __post_init__ = check_fields
 
     @classmethod
     def arcface(cls, s: float = 64.0, m: float = 0.5) -> "MarginConfig":
@@ -104,16 +91,12 @@ class MarginConfig:
 class LossConfig:
     """Combined objective: classification head plus weighted distillation."""
 
-    margin: MarginConfig = field(default_factory=MarginConfig)
-    kd_weight: float = 1.0
-    kd_on_normalized: bool = False
-    kd_reduction: str = "mean"
+    margin: MarginConfig = rule(MarginConfig, MarginConfig)
+    kd_weight: float = rule(float, 1.0, ge=0)
+    kd_on_normalized: bool = rule(bool, False)
+    kd_reduction: str = rule(str, "mean", choices=KD_REDUCTIONS)
 
-    def __post_init__(self):
-        if self.kd_weight < 0:
-            raise ConfigError("kd_weight must be non-negative")
-        if self.kd_reduction not in KD_REDUCTIONS:
-            raise ConfigError("kd_reduction must be 'mean' or 'sum'")
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -140,6 +123,8 @@ class NormStats:
         """Fold a batch of clipped feature norms into the running stats."""
         if not self.initialized:
             raise UninitializedStats("NormStats used before initialization")
+        if norms.size == 0:
+            raise InvalidArgument("NormStats cannot fold in an empty batch")
         batch_mean = float(np.mean(norms))
         batch_std = float(np.std(norms)) if norms.size > 1 else 0.0
         self.mean_norm = (1.0 - momentum) * self.mean_norm + momentum * batch_mean
@@ -217,12 +202,14 @@ def _validate(embeddings, prototypes, labels):
     if w.shape[1] != z.shape[1]:
         raise DimensionMismatch(
             f"embedding dim {z.shape[1]} != prototype dim {w.shape[1]}")
-    y = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    y = np.atleast_1d(np.asarray(labels))
     if y.shape != (z.shape[0],):
         raise DimensionMismatch(f"labels shape {y.shape} != ({z.shape[0]},)")
+    if y.dtype.kind not in "iu":
+        raise InvalidArgument(f"labels must be integers, got dtype {y.dtype}")
     if np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= w.shape[0]:
         raise IndexOutOfRange(f"label outside [0, {w.shape[0]})")
-    return z, w, y, single
+    return z, w, y.astype(np.int64, copy=False), single
 
 
 def _check_margins(b: int, ang, add) -> None:

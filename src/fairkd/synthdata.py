@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_fields, rule
 from .errors import (
     ConfigError,
     InsufficientIdentities,
@@ -53,49 +54,29 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 class UniverseConfig:
     """Shape and hardness knobs of the generated universe."""
 
-    n_groups: int = 4
-    identities_per_source: int = 40
-    eval_identities: int = 16
-    images_per_identity: int = 8
-    latent_dim: int = 6
-    feature_dim: int = 16
-    noise_scales: tuple[float, ...] | None = None
-    label_concentration: float = 20.0
-    group_separation: float = 4.0
-    synth_mean_shift: float = 1.5
-    synth_cov_inflation: float = 1.6
-    seed: int = 0
+    n_groups: int = rule(int, 4, ge=2)
+    identities_per_source: int = rule(int, 40)
+    eval_identities: int = rule(int, 16)
+    images_per_identity: int = rule(int, 8, ge=1)
+    latent_dim: int = rule(int, 6, ge=2)
+    feature_dim: int = rule(int, 16, ge=2)
+    noise_scales: tuple[float, ...] | None = rule(tuple[float, ...], None, ge=0)
+    label_concentration: float = rule(float, 20.0, finite=False, gt=0)  # inf: one-hot
+    group_separation: float = rule(float, 4.0, ge=0)
+    synth_mean_shift: float = rule(float, 1.5, ge=0)
+    synth_cov_inflation: float = rule(float, 1.6, gt=0)
+    seed: int = rule(int, 0, ge=0)
 
     def __post_init__(self):
-        if self.n_groups < 2:
-            raise ConfigError(f"need at least 2 groups, got {self.n_groups}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.latent_dim < 2 or self.feature_dim < 2:
-            raise ConfigError("latent_dim and feature_dim must be >= 2")
-        if self.identities_per_source < self.n_groups:
-            raise ConfigError("need at least one identity per group per source")
-        if self.eval_identities < self.n_groups:
-            raise ConfigError("need at least one holdout identity per group")
-        if self.images_per_identity < 1:
-            raise ConfigError("images_per_identity must be >= 1")
+        check_fields(self)
+        if min(self.identities_per_source, self.eval_identities) < self.n_groups:
+            raise ConfigError("identities_per_source and eval_identities must "
+                              f"be >= n_groups = {self.n_groups}")
         if self.noise_scales is None:
-            self.noise_scales = tuple(
-                float(s) for s in np.linspace(0.25, 0.55, self.n_groups))
-        else:
-            self.noise_scales = tuple(float(s) for s in self.noise_scales)
+            self.noise_scales = tuple(np.linspace(0.25, 0.55, self.n_groups).tolist())
         if len(self.noise_scales) != self.n_groups:
-            raise ConfigError(
-                f"{len(self.noise_scales)} noise scales for "
-                f"{self.n_groups} groups")
-        if any(s < 0 for s in self.noise_scales):
-            raise ConfigError("noise scales must be non-negative")
-        if not (self.label_concentration > 0):
-            raise ConfigError("label_concentration must be positive")
-        if self.group_separation < 0 or self.synth_mean_shift < 0:
-            raise ConfigError("separation and shift must be non-negative")
-        if not self.synth_cov_inflation > 0:
-            raise ConfigError("synth_cov_inflation must be positive")
+            raise ConfigError(f"{len(self.noise_scales)} noise scales for "
+                              f"{self.n_groups} groups")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import feature_rows
+from .core import check_fields, feature_rows, rule
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -52,24 +52,13 @@ _ACTIVATIONS = {
 class EncoderSpec:
     """Shape and initialization of a fully-connected embedding encoder."""
 
-    input_dim: int
-    hidden_widths: tuple[int, ...]
-    embedding_dim: int
-    activation: str = "relu"
-    init_seed: int = 0
+    input_dim: int = rule(int, ge=1)
+    hidden_widths: tuple[int, ...] = rule(tuple[int, ...], ge=1)
+    embedding_dim: int = rule(int, ge=1)
+    activation: str = rule(str, "relu", choices=tuple(_ACTIVATIONS))
+    init_seed: int = rule(int, 0, ge=0)
 
-    def __post_init__(self):
-        self.hidden_widths = tuple(self.hidden_widths)  # a str's items are refused
-        dims = (self.input_dim, *self.hidden_widths, self.embedding_dim)
-        if not all(type(d) is int for d in (*dims, self.init_seed)):
-            raise ConfigError(f"layer widths and init_seed must be ints, got "
-                              f"{dims} and {self.init_seed!r}")
-        if any(d < 1 for d in dims):
-            raise ConfigError(f"all layer widths must be positive, got {dims}")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.init_seed < 0:
-            raise ConfigError(f"init_seed must be >= 0, got {self.init_seed}")
+    __post_init__ = check_fields
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -154,42 +143,22 @@ class TrainConfig:
     decayed by 10 at epochs 8/14/20/25, SGD momentum 0.9, flips only).
     """
 
-    epochs: int = 26
-    batch_size: int = 256
-    base_lr: float = 0.1
-    lr_milestones: tuple[int, ...] = (8, 14, 20, 25)
-    lr_factor: float = 10.0
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    hflip_prob: float = 0.5
-    seed: int = 0
+    epochs: int = rule(int, 26, ge=0)
+    batch_size: int = rule(int, 256, ge=1)
+    base_lr: float = rule(float, 0.1, gt=0)
+    lr_milestones: tuple[int, ...] = rule(tuple[int, ...], (8, 14, 20, 25))
+    lr_factor: float = rule(float, 10.0, gt=1)
+    momentum: float = rule(float, 0.9, ge=0, lt=1)
+    weight_decay: float = rule(float, 0.0, ge=0)
+    hflip_prob: float = rule(float, 0.5, ge=0, le=1)
+    seed: int = rule(int, 0, ge=0)
 
     def __post_init__(self):
-        self.lr_milestones = tuple(self.lr_milestones)
-        if not all(type(m) is int for m in self.lr_milestones):
-            raise ConfigError(f"milestones must be ints, got {self.lr_milestones}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.base_lr > 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
-        if not self.lr_factor > 1:
-            raise ConfigError(f"lr_factor must exceed 1, got {self.lr_factor}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
-        if not 0.0 <= self.hflip_prob <= 1.0:
-            raise ConfigError(f"hflip_prob must lie in [0, 1], got {self.hflip_prob}")
-        if any(b <= a for a, b in zip(self.lr_milestones, self.lr_milestones[1:])):
-            raise ConfigError(f"milestones must increase: {self.lr_milestones}")
-        if any(not 0 <= m < self.epochs for m in self.lr_milestones):
-            raise ConfigError(
-                f"milestones {self.lr_milestones} must lie in [0, epochs) = "
-                f"[0, {self.epochs})")
+        check_fields(self)
+        chain = (-1, *self.lr_milestones, self.epochs)
+        if any(b <= a for a, b in zip(chain, chain[1:])):
+            raise ConfigError(f"milestones {self.lr_milestones} must increase "
+                              f"within [0, epochs) = [0, {self.epochs})")
 
 
 def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:

@@ -1,6 +1,7 @@
 import json
+import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -9,13 +10,14 @@ from fairkd.cli import main
 from fairkd.config import (
     CONFIG_DIR_ENV,
     EvalConfig,
+    PathsConfig,
     RunConfig,
     apply_overrides,
     config_digest,
     from_dict,
     load_config,
 )
-from fairkd.errors import ConfigError, FairkdError
+from fairkd.errors import ConfigError, ConfigTypeError, FairkdError
 from fairkd.losses import LossConfig, MarginConfig
 from fairkd.synthdata import UniverseConfig
 from fairkd.training import EncoderSpec, TrainConfig
@@ -176,9 +178,36 @@ def test_section_that_is_not_an_object_rejected():
     lambda: TrainConfig(lr_milestones=(True,)),
     lambda: TrainConfig(lr_milestones=("3",)),
     lambda: EvalConfig(k=10, pairs_per_group=4),
+    lambda: TrainConfig(epochs=2.5, lr_milestones=()),
+    lambda: TrainConfig(batch_size=True),
+    lambda: EvalConfig(k=2.5, pairs_per_group=4),
+    lambda: LossConfig(kd_on_normalized="yes"),
+    lambda: LossConfig(kd_weight=math.nan),
+    lambda: TrainConfig(base_lr=math.inf),
+    lambda: TrainConfig(weight_decay=math.nan),
+    lambda: TrainConfig(lr_factor=math.inf),
+    lambda: UniverseConfig(synth_mean_shift=math.nan),
+    lambda: UniverseConfig(noise_scales=(math.nan, 1, 1, 1)),
+    lambda: UniverseConfig(n_groups=2.5),
+    lambda: RunConfig(seed=True),
+    lambda: RunConfig(seed=1.5),
+    lambda: PathsConfig(manifests=123),
+    lambda: MarginConfig(s=math.inf),
+    lambda: MarginConfig(std=math.nan),
+    lambda: MarginConfig(m=True),
+    lambda: LossConfig(margin="arcface"),
+    lambda: RunConfig(train=None),
+    lambda: UniverseConfig(latent_dim=2.5),
+    lambda: UniverseConfig(group_separation=math.inf),
 ], ids=["margin", "encoder", "universe", "loss", "eval", "negative-milestone",
         "odd-pairs", "float-milestone", "bool-milestone", "text-milestone",
-        "pairs-below-k"])
+        "pairs-below-k", "float-epochs", "bool-batch-size", "float-k",
+        "text-kd-on-normalized", "nan-kd-weight", "inf-base-lr",
+        "nan-weight-decay", "inf-lr-factor", "nan-synth-mean-shift",
+        "nan-noise-scale", "float-n-groups", "bool-seed", "float-seed",
+        "int-paths", "inf-margin-s", "nan-margin-std", "bool-margin-m",
+        "text-margin", "none-train", "float-latent-dim",
+        "inf-group-separation"])
 def test_config_errors_from_the_python_api_are_fairkd_errors(build):
     with pytest.raises(ConfigError) as exc:
         build()
@@ -260,6 +289,8 @@ def test_non_finite_number_in_override_exits_2(tmp_path, monkeypatch, capsys,
     ("synth-gen", "seed=-1", "config: seed must be >= 0"),
     ("train", "train.seed=-1", "config.train: seed must be >= 0"),
     ("eval", "seed=-1", "config: seed must be >= 0"),
+    ("synth-gen", "seed=true", "config.seed"),
+    ("synth-gen", "loss.margin.m=true", "config.loss.margin.m"),
 ])
 def test_ill_typed_or_negative_seed_value_exits_2(tmp_path, monkeypatch,
                                                   capsys, command, override,
@@ -297,11 +328,13 @@ def test_config_that_can_never_run_exits_2(tmp_path, monkeypatch, capsys,
     (["train.base_lr=1"], ["train.base_lr=1.0"]),
     (["loss.kd_weight=1"], []),
     (["loss.margin.s=64", "universe.group_separation=4"], []),
-], ids=["base-lr", "kd-weight-default", "nested-and-universe"])
+    (["train.base_lr=1.0"], lambda: RunConfig(train=TrainConfig(base_lr=1))),
+], ids=["base-lr", "kd-weight-default", "nested-and-universe", "python-api"])
 def test_an_integer_for_a_float_field_digests_as_the_float(overrides, twin):
     # the same run under two spellings must carry one config digest
     cfg = load_config(None, overrides)
-    assert config_digest(cfg) == config_digest(load_config(None, twin))
+    assert config_digest(cfg) == config_digest(
+        twin() if callable(twin) else load_config(None, twin))
     for key in overrides:
         section, *path = key.partition("=")[0].split(".")
         value = getattr(cfg, section)
@@ -321,3 +354,20 @@ def test_nested_margin_override_builds_a_margin_config():
     cfg = load_config(None, ["loss.margin.s=20"])
     assert isinstance(cfg.loss.margin, MarginConfig)
     assert cfg.loss.margin == MarginConfig(s=20)
+
+
+def test_every_config_field_declares_its_rule_and_is_checked():
+    # a field added without a rule, or a record whose __post_init__ skips
+    # core.check_fields, would let an ill-typed value build
+    pending, seen = [RunConfig()], set()
+    while pending:
+        record = pending.pop()
+        seen.add(type(record).__name__)
+        for f in fields(record):
+            assert "rule" in f.metadata, f"{type(record).__name__}.{f.name}"
+            if is_dataclass(getattr(record, f.name)):
+                pending.append(getattr(record, f.name))
+            with pytest.raises(ConfigTypeError, match=f"^{f.name}: expected"):
+                replace(record, **{f.name: object()})
+    assert seen == {"RunConfig", "UniverseConfig", "TrainConfig", "LossConfig",
+                    "MarginConfig", "EncoderSpec", "EvalConfig", "PathsConfig"}

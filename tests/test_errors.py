@@ -174,6 +174,9 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
                            16.0, np.zeros(3)), DimensionMismatch),
     (lambda: margin_logits(np.ones((5, 4)), np.eye(3, 4), [0] * 5,
                            16.0, 0.3, np.zeros((5, 1))), DimensionMismatch),
+    (lambda: head_loss_and_grads(np.ones((2, 4)), np.eye(3, 4), [1.7, 0.0],
+                                 MarginConfig()), InvalidArgument),
+    (lambda: NormStats.default().update(np.zeros(0), 0.1), InvalidArgument),
     *[(lambda caller=caller, value=value:
        STORE_CALLERS[caller](store_with(value)), InvalidArgument)
       for caller in STORE_CALLERS for value in BAD_VECTORS.values()],
@@ -190,7 +193,7 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
         "pairs-negative-seed", "kfold-negative-seed", "head-nan-prototypes",
         "head-inf-prototypes", "head-empty-batch", "kd-empty-batch",
         "loss-ang-length", "loss-add-length", "logits-ang-length",
-        "logits-add-shape",
+        "logits-add-shape", "head-float-labels", "norm-stats-empty-batch",
         *[f"{caller}-{kind}-vector" for caller in STORE_CALLERS
           for kind in BAD_VECTORS]])
 def test_public_api_argument_errors_are_fairkd_errors(call, error):
