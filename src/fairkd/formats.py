@@ -1,25 +1,18 @@
 """On-disk formats: manifests, pair protocols, reports, feature stores,
 checkpoints and training traces. No compute module imports this one.
 
-All artifacts are UTF-8 JSON (line-delimited for manifests and protocols,
-single-document for the rest) with an explicit schema tag, written atomically
-(temp file + rename) so a crashed command never leaves a partial artifact.
-Serialization is canonical: sorted keys, fixed separators, and repr-exact
-floats, so identical inputs produce byte-identical files.
-
-Every artifact goes through one codec: write_doc merges the header, checks
-it for collisions, refuses NaN and Infinity and writes canonically; read_doc
-parses, rejects NaN and Infinity, checks the schema and runs the artifact's
-decoder, so that any malformed or non-finite file raises
-FormatVersionMismatch. Decoders take a value only as its JSON type (_typed):
-a number is a JSON number, an integer where an int is due, and never a
-string or a bool. A report is rebuilt from its groups, so a stored summary
-that disagrees with them is refused. The feature-store writer checks its
-vectors with core.feature_rows, like training and pair scoring.
-
-Float arrays that must round-trip bitwise (features, checkpoints) are base64
-of their little-endian raw bytes; decode_array refuses a non-finite one, and
-the writers refuse one before they encode it.
+Every artifact is UTF-8 JSON with a schema tag, written atomically (temp file
++ rename) and canonically (sorted keys, fixed separators, repr-exact floats),
+so identical inputs give byte-identical files. Manifests and protocols are a
+header line, then one record per line; manifest records come from a template
+that encodes each label tuple once. write_doc refuses a header clash, NaN,
+Infinity or an unencodable value before the file is touched. read_doc takes
+each non-blank line as exactly one JSON value, scanned once by the finite
+decoder, checks the schema and runs the artifact's decoder, so a malformed
+file raises FormatVersionMismatch. Decoders take a value only as its JSON
+type (_typed), by column for manifest records and feature ids. A report is
+rebuilt from its groups. Float arrays that must round-trip bitwise are base64
+of their little-endian bytes; a non-finite one is refused on write and read.
 """
 
 from __future__ import annotations
@@ -30,6 +23,8 @@ import math
 import os
 import tempfile
 from dataclasses import asdict
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -52,10 +47,9 @@ _ARRAY_DTYPES = ("float64", "int64")
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def canonical_json(obj) -> str:
-    """Deterministic single-line JSON; rejects NaN/Inf outright."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+# Deterministic single-line JSON, NaN/Inf refused, from one prebuilt encoder.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False).encode
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -147,10 +141,10 @@ JSON_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
               records=()) -> None:
     """Write {"schema": schema, **body, **extra_header} as one canonical JSON
-    line, then one line per record, atomically.
+    line, then records, each already one encoded line, atomically.
 
-    extra_header may not shadow a structural key, and no value may be NaN or
-    Inf (InvalidArgument, raised before the file is touched).
+    extra_header may not shadow a structural key, and no value may be NaN,
+    Inf or of a type json refuses (InvalidArgument, before the file is touched).
     """
     header = {"schema": schema, **body}
     extra = dict(extra_header or {})
@@ -159,11 +153,10 @@ def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
         raise InvalidArgument(
             f"extra header keys collide with structural keys: {clash}")
     try:
-        lines = [canonical_json({**header, **extra})]
-        lines.extend(map(canonical_json, records))
-    except ValueError as exc:  # json's refusal of NaN and Infinity
+        text = "\n".join([canonical_json({**header, **extra}), *records])
+    except (TypeError, ValueError) as exc:  # json refuses NaN, Infinity or the type
         raise InvalidArgument(f"cannot write {path}: {exc}") from exc
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, text + "\n")
 
 
 def read_doc(path, schema: str, decode, lines: bool = False):
@@ -178,7 +171,7 @@ def read_doc(path, schema: str, decode, lines: bool = False):
     try:
         text = read_text(path)
         chunks = text.splitlines() if lines else [text]
-        docs = map(JSON_DECODER.decode, filter(str.strip, chunks))
+        docs = map(_value, filter(str.strip, chunks))
         header = next(docs, None)
         if header is None:
             raise ValueError("empty file")
@@ -193,6 +186,15 @@ def read_doc(path, schema: str, decode, lines: bool = False):
         raise FormatVersionMismatch(f"{path}: {exc}") from exc
 
 
+def _value(chunk: str):
+    """The one JSON value of chunk: one scan that must end where it does."""
+    line = chunk.strip(" \t\n\r")
+    value, end = JSON_DECODER.raw_decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # manifests: one header line, then one JSON object per image entry
 
@@ -203,26 +205,40 @@ def write_manifest(manifest: DatasetManifest, path,
         "name": manifest.name,
         "group_count": manifest.group_count,
         "shortfalls": dict(manifest.shortfalls),
-    }, extra_header, records=({
-        "sample_id": e.sample_id,
-        "identity_id": e.identity_id,
-        "source": e.source,
-        "soft_labels": list(e.soft_labels),
-        "payload_ref": e.payload_ref,
-    } for e in manifest.entries))
+    }, extra_header, records=_entry_lines(manifest.entries))
+
+
+def _entry_lines(entries):
+    """Each entry's canonical_json line, from a template; each label sequence
+    is encoded once, keyed by object: (1, 0.0) == (1.0, 0.0) encode apart."""
+    text, labels = json.encoder.encode_basestring_ascii, {}
+    for e in entries:
+        if (key := id(e.soft_labels)) not in labels:
+            labels[key] = canonical_json(list(e.soft_labels))
+        yield (f'{{"identity_id":{text(e.identity_id)},"payload_ref":'
+               f'{text(e.payload_ref)},"sample_id":{text(e.sample_id)},'
+               f'"soft_labels":{labels[key]},"source":{text(e.source)}}}')
+
+
+def _column(values, kind):
+    """[_typed(v, kind) for v in values], in one type scan if all are kind."""
+    if set(map(type, values)) <= {kind}:
+        return values
+    return [_typed(v, kind) for v in values]
 
 
 def _manifest_from_doc(header: dict, records) -> DatasetManifest:
+    ids, identities, sources, labels, refs = list(zip(*map(itemgetter(
+        "sample_id", "identity_id", "source", "soft_labels", "payload_ref"),
+        records))) or [()] * 5
+    labels = (map(tuple, labels)
+              if set(map(type, chain.from_iterable(labels))) <= {float}
+              else [tuple(_typed(p, float) for p in row) for row in labels])
     return DatasetManifest(
         name=_typed(header.get("name", ""), str),
         group_count=_typed(header.get("group_count", 0), int),
-        entries=[ManifestEntry(
-            sample_id=_typed(rec["sample_id"], str),
-            identity_id=_typed(rec["identity_id"], str),
-            source=_typed(rec["source"], str),
-            soft_labels=tuple(_typed(p, float) for p in rec["soft_labels"]),
-            payload_ref=_typed(rec["payload_ref"], str),
-        ) for rec in records],
+        entries=map(ManifestEntry, _column(ids, str), _column(identities, str),
+                    _column(sources, str), labels, _column(refs, str)),
         shortfalls={k: _typed(v, int)
                     for k, v in header.get("shortfalls", {}).items()},
     )
@@ -240,12 +256,12 @@ def write_protocol(protocol: PairProtocol, path,
                    extra_header: dict | None = None) -> None:
     write_doc(path, PROTOCOL_SCHEMA, {
         "group_names": [g.name for g in protocol.groups],
-    }, extra_header, records=({
+    }, extra_header, records=map(canonical_json, ({
         "group": g.name,
         "sample_a": p.sample_a,
         "sample_b": p.sample_b,
         "same": p.same,
-    } for g in protocol.groups for p in g.pairs))
+    } for g in protocol.groups for p in g.pairs)))
 
 
 def _protocol_from_doc(header: dict, records) -> PairProtocol:
@@ -323,12 +339,12 @@ def write_features(features: dict, path,
 
 
 def _features_from_doc(doc: dict, _) -> dict:
-    ids = [_typed(sid, str) for sid in doc["ids"]]
+    ids = _column(list(doc["ids"]), str)
     matrix = decode_array(doc["matrix"])
     if matrix.shape != (len(ids), _typed(doc["dim"], int)):
         raise ValueError(f"matrix of shape {matrix.shape} does not hold "
                          f"{len(ids)} vectors of dim {doc['dim']!r}")
-    if sorted(set(ids)) != ids:
+    if not all(map(str.__lt__, ids, ids[1:])):
         raise ValueError("feature ids must be unique and sorted")
     return dict(zip(ids, matrix))
 

@@ -35,7 +35,7 @@ SOURCES = ("real", "synthetic")
 SOFT_LABEL_SUM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestEntry:
     """One image record: identity membership plus soft group labels.
 
@@ -77,30 +77,42 @@ class DatasetManifest:
                                   dict(self.shortfalls)))
 
     def validate(self) -> None:
-        """Raise InvalidManifest on any malformed entry or duplicate sample."""
-        if self.group_count < 1:
-            raise InvalidManifest(f"group_count must be >= 1, got {self.group_count}")
-        seen_samples = set()
-        source_of = {}
-        for e in self.entries:
-            if e.source not in SOURCES:
-                raise InvalidManifest(f"entry {e.sample_id}: unknown source {e.source!r}")
-            if len(e.soft_labels) != self.group_count:
-                raise InvalidManifest(
-                    f"entry {e.sample_id}: {len(e.soft_labels)} soft labels, "
-                    f"expected {self.group_count}")
-            if any(not math.isfinite(p) or p < 0.0 for p in e.soft_labels):
-                raise InvalidManifest(f"entry {e.sample_id}: soft labels must be >= 0")
-            if abs(sum(e.soft_labels) - 1.0) > SOFT_LABEL_SUM_TOL:
-                raise InvalidManifest(f"entry {e.sample_id}: soft labels sum to "
-                                      f"{sum(e.soft_labels)!r}, not 1")
-            if e.sample_id in seen_samples:
-                raise InvalidManifest(f"duplicate sample_id {e.sample_id!r}")
-            seen_samples.add(e.sample_id)
-            prior = source_of.setdefault(e.identity_id, e.source)
-            if prior != e.source:
-                raise InvalidManifest(
-                    f"identity {e.identity_id!r} mixes sources {prior} and {e.source}")
+        """Raise InvalidManifest on any malformed entry or duplicate sample:
+        by column, each check only before the first failure so far, so the
+        message is that of the first bad entry's first failed check."""
+        g, entries = self.group_count, self.entries
+        if g < 1:
+            raise InvalidManifest(f"group_count must be >= 1, got {g}")
+        end, error = len(entries), None
+        sources = [e.source for e in entries]
+        if sources.count("real") + sources.count("synthetic") < end:
+            end = next(i for i, s in enumerate(sources) if s not in SOURCES)
+            error = f"unknown source {sources[end]!r}"
+        counts = [len(e.soft_labels) for e in entries[:end]]
+        if counts.count(g) < end:
+            end = next(i for i, n in enumerate(counts) if n != g)
+            error = f"{counts[end]} soft labels, expected {g}"
+        labels = np.array([e.soft_labels for e in entries[:end]]).reshape(end, g)
+        with np.errstate(all="ignore"):  # each row summed left to right, as sum()
+            bad = (~np.isfinite(labels) | (labels < 0.0)).any(axis=1)
+            off = bad | (abs(sum(labels.T, np.zeros(end)) - 1.0) > SOFT_LABEL_SUM_TOL)
+        if off.any():
+            end = int(off.argmax())
+            error = ("soft labels must be >= 0" if bad[end] else "soft "
+                     f"labels sum to {sum(entries[end].soft_labels)!r}, not 1")
+        sample_ids = [e.sample_id for e in entries[:end]]
+        ids = [e.identity_id for e in entries[:end]]
+        if len(set(sample_ids)) < end or len(set(zip(ids, sources))) > len(set(ids)):
+            seen, source_of = set(), {}
+            for sid, iid, source in zip(sample_ids, ids, sources):
+                if sid in seen:
+                    raise InvalidManifest(f"duplicate sample_id {sid!r}")
+                seen.add(sid)
+                if (prior := source_of.setdefault(iid, source)) != source:
+                    raise InvalidManifest(f"identity {iid!r} mixes sources "
+                                          f"{prior} and {source}")
+        if error is not None:
+            raise InvalidManifest(f"entry {entries[end].sample_id}: {error}")
 
     def identities(self) -> dict[str, list[ManifestEntry]]:
         """Entries grouped by identity, in first-appearance order."""
@@ -147,11 +159,27 @@ def score_identity(mean_labels, identity_id: str = "",
     return IdentityScore(identity_id, group, float(arr[group]), source)
 
 
+def _score_identities(by_id: dict) -> list[IdentityScore]:
+    """score_identity(identity_soft_label(ents), iid, ents[0].source) for each
+    identity of by_id, bitwise: rows are added in order from 0.0 as mean(axis=0)
+    adds them; one group, whose column numpy sums pairwise, takes that path."""
+    counts = np.array([len(ents) for ents in by_id.values()])
+    labels = np.array([e.soft_labels for ents in by_id.values() for e in ents], float)
+    if labels.ndim < 2 or labels.shape[1] < 2:
+        return [score_identity(identity_soft_label(ents), iid, ents[0].source)
+                for iid, ents in by_id.items()]
+    means = np.zeros((counts.size, labels.shape[1]))
+    np.add.at(means, np.repeat(np.arange(counts.size), counts), labels)
+    means /= counts[:, None]
+    groups = means.argmax(axis=1).tolist()
+    return [IdentityScore(iid, g, float(mean[g]), ents[0].source)
+            for (iid, ents), g, mean in zip(by_id.items(), groups, means)]
+
+
 def score_manifest(manifest: DatasetManifest) -> list[IdentityScore]:
     """Score every identity of a manifest, in lexicographic identity order."""
-    by_id = manifest.identities()
-    return [score_identity(identity_soft_label(by_id[iid]), iid, by_id[iid][0].source)
-            for iid in sorted(by_id)]
+    return sorted(_score_identities(manifest.identities()),
+                  key=lambda sc: sc.identity_id)
 
 
 def largest_remainder(total: int, ideals) -> list[int]:
@@ -226,11 +254,9 @@ def _merge(pools, total_identities: int, name: str, cells) -> DatasetManifest:
             f"total_identities {total_identities} < group count {group_count}")
 
     by_group: list[list[IdentityScore]] = [[] for _ in range(group_count)]
-    for iid, ents in entries_of.items():
-        sc = score_identity(identity_soft_label(ents), iid, ents[0].source)
+    for sc in sorted(_score_identities(entries_of),
+                     key=lambda sc: (-sc.score, sc.identity_id)):
         by_group[sc.group].append(sc)
-    for bucket in by_group:
-        bucket.sort(key=lambda sc: (-sc.score, sc.identity_id))
 
     entries, shortfalls = [], {}
     for key, g, source, quota in cells(group_quotas(total_identities, group_count)):
@@ -291,21 +317,18 @@ def manifest_stats(manifest: DatasetManifest) -> dict:
     groups = {str(g): {src: {"identities": 0, "images": 0} for src in SOURCES}
               for g in range(manifest.group_count)}
     by_id = manifest.identities()
-    total_identities = 0
-    real_identities = 0
-    for sc in score_manifest(manifest):
+    scores = _score_identities(by_id)
+    for sc in scores:
         cell = groups[str(sc.group)][sc.source]
         cell["identities"] += 1
         cell["images"] += len(by_id[sc.identity_id])
-        total_identities += 1
-        real_identities += sc.source == "real"
     return {
         "name": manifest.name,
         "group_count": manifest.group_count,
         "groups": groups,
-        "total_identities": total_identities,
+        "total_identities": len(scores),
         "total_images": len(manifest.entries),
-        "real_identity_fraction": (real_identities / total_identities
-                                   if total_identities else 0.0),
+        "real_identity_fraction": (sum(sc.source == "real" for sc in scores)
+                                   / len(scores) if scores else 0.0),
         "shortfalls": dict(manifest.shortfalls),
     }

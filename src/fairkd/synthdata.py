@@ -247,16 +247,16 @@ def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
         chosen: set[frozenset] = set()
         pairs: list[VerificationPair] = []
         while len(pairs) < half:
-            iid = multi[int(rng.integers(len(multi)))]
-            a, b = rng.choice(images[iid], size=2, replace=False)
+            own = images[multi[int(rng.integers(len(multi)))]]
+            a, b = (own[k] for k in rng.choice(len(own), size=2, replace=False))
             key = frozenset((a, b))
             if key not in chosen:
                 chosen.add(key)
-                pairs.append(VerificationPair(str(a), str(b), True))
+                pairs.append(VerificationPair(a, b, True))
         while len(pairs) < pairs_per_group:
-            i1, i2 = rng.choice(members, size=2, replace=False)
-            a = str(rng.choice(images[str(i1)]))
-            b = str(rng.choice(images[str(i2)]))
+            two = rng.choice(len(members), size=2, replace=False)
+            a, b = (images[members[k]] for k in two)
+            a, b = a[rng.choice(len(a))], b[rng.choice(len(b))]
             key = frozenset((a, b))
             if key not in chosen:
                 chosen.add(key)

@@ -27,6 +27,7 @@ from .errors import (
     EmptyManifest,
     EpochOutOfRange,
     FrozenViolation,
+    InvalidArgument,
     ShapeMismatch,
     ZeroVector,
 )
@@ -114,6 +115,8 @@ class Encoder:
     def backward(self, cache, d_embedding) -> list[np.ndarray]:
         """Gradients for every parameter, ordered like parameters()."""
         d_out = np.asarray(d_embedding, dtype=np.float64)
+        if d_out.shape != (shape := cache[-1][2].shape):
+            raise DimensionMismatch(f"gradient {d_out.shape} for output {shape}")
         grads: list[np.ndarray] = []
         act_grad = _ACTIVATIONS[self.spec.activation][1]
         last = len(self.weights) - 1
@@ -182,6 +185,8 @@ def sgd_step(params, grads, lr: float, momentum: float, velocity) -> None:
 
     velocity <- momentum * velocity + grad; param <- param - lr * velocity.
     """
+    if not (math.isfinite(lr) and math.isfinite(momentum)):
+        raise InvalidArgument(f"non-finite lr {lr!r} or momentum {momentum!r}")
     if not (len(params) == len(grads) == len(velocity)):
         raise ShapeMismatch(
             f"got {len(params)} params, {len(grads)} grads, "

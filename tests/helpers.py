@@ -2,8 +2,9 @@
 bitwise reference implementations of the margin head and training loop, the
 per-pair scorer, tie loop and fold-dealing loop that evaluation's batch paths
 replaced, the per-image noise loop that the one-draw pool generator
-replaced, and the per-pool merges that the one quota-filling routine
-replaced."""
+replaced, the per-pool merges that the one quota-filling routine
+replaced, and the entry-by-entry manifest check and per-record manifest
+writer that the column checks and the template writer replaced."""
 
 import math
 
@@ -24,6 +25,7 @@ from fairkd.errors import (
     ZeroVector,
 )
 from fairkd.evaluation import _scores_labels
+from fairkd.formats import MANIFEST_SCHEMA, canonical_json
 from fairkd.losses import (
     HeadGradients,
     MarginConfig,
@@ -34,6 +36,8 @@ from fairkd.losses import (
     sample_elastic_margins,
 )
 from fairkd.sampling import (
+    SOFT_LABEL_SUM_TOL,
+    SOURCES,
     DatasetManifest,
     group_quotas,
     identity_soft_label,
@@ -548,3 +552,48 @@ def ref_mix_merge(real_manifests, synthetic_manifests, real_fraction,
             for sc in kept:
                 entries.extend(pool[sc.identity_id])
     return DatasetManifest(name, group_count, entries, shortfalls)
+
+
+# ---------------------------------------------------------------------------
+# Reference manifest codec: DatasetManifest.validate as the entry-by-entry
+# loop it was before the column checks, and write_manifest's text as one
+# canonical_json call per record. The column checks must raise the same
+# message, and the template writer must write the same bytes.
+
+
+def ref_validate(group_count, entries):
+    """Raise InvalidManifest on the first malformed entry or duplicate."""
+    if group_count < 1:
+        raise InvalidManifest(f"group_count must be >= 1, got {group_count}")
+    seen_samples = set()
+    source_of = {}
+    for e in entries:
+        if e.source not in SOURCES:
+            raise InvalidManifest(f"entry {e.sample_id}: unknown source {e.source!r}")
+        if len(e.soft_labels) != group_count:
+            raise InvalidManifest(
+                f"entry {e.sample_id}: {len(e.soft_labels)} soft labels, "
+                f"expected {group_count}")
+        if any(not math.isfinite(p) or p < 0.0 for p in e.soft_labels):
+            raise InvalidManifest(f"entry {e.sample_id}: soft labels must be >= 0")
+        if abs(sum(e.soft_labels) - 1.0) > SOFT_LABEL_SUM_TOL:
+            raise InvalidManifest(f"entry {e.sample_id}: soft labels sum to "
+                                  f"{sum(e.soft_labels)!r}, not 1")
+        if e.sample_id in seen_samples:
+            raise InvalidManifest(f"duplicate sample_id {e.sample_id!r}")
+        seen_samples.add(e.sample_id)
+        prior = source_of.setdefault(e.identity_id, e.source)
+        if prior != e.source:
+            raise InvalidManifest(
+                f"identity {e.identity_id!r} mixes sources {prior} and {e.source}")
+
+
+def ref_manifest_text(manifest, extra_header=None):
+    """The text write_manifest writes, one canonical_json call per line."""
+    header = {"schema": MANIFEST_SCHEMA, "name": manifest.name,
+              "group_count": manifest.group_count,
+              "shortfalls": dict(manifest.shortfalls), **(extra_header or {})}
+    records = [{"sample_id": e.sample_id, "identity_id": e.identity_id,
+                "source": e.source, "soft_labels": list(e.soft_labels),
+                "payload_ref": e.payload_ref} for e in manifest.entries]
+    return "\n".join(map(canonical_json, [header, *records])) + "\n"

@@ -52,6 +52,7 @@ from fairkd.training import (
     EncoderSpec,
     TrainConfig,
     TrainResult,
+    sgd_step,
     train_from_scratch,
 )
 
@@ -80,6 +81,13 @@ def protocol_with(names=("g",), same=True):
     return PairProtocol([GroupProtocol(name, [
         VerificationPair("a", "b", same), VerificationPair("a", "c", False)])
         for name in names])
+
+
+def backward_with(d_embedding):
+    """Encoder.backward of a 5-row forward pass with the given gradient."""
+    encoder = Encoder(EncoderSpec(4, (3,), 2))
+    _, cache = encoder.forward_cached(np.ones((5, 4)))
+    return encoder.backward(cache, d_embedding)
 
 
 def store_with(value):
@@ -177,6 +185,11 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
     (lambda: head_loss_and_grads(np.ones((2, 4)), np.eye(3, 4), [1.7, 0.0],
                                  MarginConfig()), InvalidArgument),
     (lambda: NormStats.default().update(np.zeros(0), 0.1), InvalidArgument),
+    (lambda: sgd_step([np.ones(2)], [np.ones(2)], float("nan"), 0.9,
+                      [np.zeros(2)]), InvalidArgument),
+    (lambda: sgd_step([np.ones(2)], [np.ones(2)], 0.1, float("inf"),
+                      [np.zeros(2)]), InvalidArgument),
+    (lambda: backward_with(np.ones((5, 7))), DimensionMismatch),
     *[(lambda caller=caller, value=value:
        STORE_CALLERS[caller](store_with(value)), InvalidArgument)
       for caller in STORE_CALLERS for value in BAD_VECTORS.values()],
@@ -194,6 +207,7 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
         "head-inf-prototypes", "head-empty-batch", "kd-empty-batch",
         "loss-ang-length", "loss-add-length", "logits-ang-length",
         "logits-add-shape", "head-float-labels", "norm-stats-empty-batch",
+        "sgd-nan-lr", "sgd-inf-momentum", "backward-wrong-shape",
         *[f"{caller}-{kind}-vector" for caller in STORE_CALLERS
           for kind in BAD_VECTORS]])
 def test_public_api_argument_errors_are_fairkd_errors(call, error):

@@ -3,14 +3,20 @@
 import ast
 import json
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import ref_manifest_text
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fairkd
 from fairkd.errors import (
     FormatVersionMismatch,
+    InvalidArgument,
     InvalidManifest,
     IoError,
     UnbalancedProtocol,
@@ -467,3 +473,113 @@ def test_compute_modules_do_not_import_formats():
             if any("formats" in target.split(".") for target in imported):
                 offenders.append(f"{name}.py:{node.lineno}")
     assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# The manifest codec: a template writer, and one JSON value per line
+
+
+ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+# label values whose encodings differ from those of equal values: ints,
+# -0.0 and subnormals
+COLD = st.sampled_from([0, 0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+
+
+@st.composite
+def label_rows(draw, g):
+    if draw(st.booleans()):
+        row = [draw(COLD) for _ in range(g)]
+        row[draw(st.integers(0, g - 1))] = draw(st.sampled_from([1, 1.0]))
+        return tuple(row)
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=g, max_size=g))
+    return tuple(x / sum(raw) for x in raw)
+
+
+@st.composite
+def manifests(draw):
+    """Valid manifests whose entries share label tuples, among them tuples
+    equal to another but encoded differently, such as (1, 0.0) and
+    (1.0, 0.0)."""
+    g = draw(st.integers(1, 4))
+    pool = draw(st.lists(label_rows(g), min_size=1, max_size=4))
+    pool.append(tuple(float(abs(p)) for p in pool[0]))
+    sources = draw(st.dictionaries(ID_TEXT, st.sampled_from(["real", "synthetic"]),
+                                   min_size=1, max_size=3))
+    entries = []
+    for sid in draw(st.lists(ID_TEXT, unique=True, max_size=8)):
+        iid = draw(st.sampled_from(sorted(sources)))
+        entries.append(ManifestEntry(sid, iid, sources[iid],
+                                     draw(st.sampled_from(pool)), draw(ID_TEXT)))
+    return DatasetManifest(draw(ID_TEXT), g, entries, draw(st.dictionaries(
+        ID_TEXT, st.integers(0, 5), max_size=2)))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(manifest=manifests())
+def test_template_writer_writes_the_per_record_bytes(tmp_path, manifest):
+    path = tmp_path / "m"
+    extra = {"note": "naïve"}
+    write_manifest(manifest, path, extra)
+    assert path.read_bytes() == ref_manifest_text(manifest, extra).encode()
+
+
+def swap_line(lines, k, line):
+    return [*lines[:k], line, *lines[k + 1:]]
+
+
+# a valid manifest's lines (header, then s1's record with labels [0.8,0.2],
+# then two more) -> malformed text; each line must hold one JSON value
+RAW_MANIFESTS = {
+    "two_values_on_one_line": lambda ls: [ls[0], ls[1] + ls[2], *ls[3:]],
+    "two_values_with_a_comma": lambda ls: [ls[0], ls[1] + "," + ls[2], *ls[3:]],
+    "header_and_record_on_one_line": lambda ls: [ls[0] + ls[1], *ls[2:]],
+    "record_split_across_lines": lambda ls: [ls[0], ls[1][:40], ls[1][40:],
+                                             *ls[2:]],
+    "trailing_garbage": lambda ls: swap_line(ls, 1, ls[1] + " x"),
+    "leading_garbage": lambda ls: swap_line(ls, 1, "x " + ls[1]),
+    "label_1e999": lambda ls: swap_line(ls, 1, ls[1].replace("0.8,", "1e999,")),
+    "label_bool": lambda ls: swap_line(ls, 1, ls[1].replace(",0.2]", ",true]")),
+    "label_null": lambda ls: swap_line(ls, 1, ls[1].replace(",0.2]", ",null]")),
+    "labels_an_object": lambda ls: swap_line(
+        ls, 1, ls[1].replace("[0.8,0.2]", '{"a":1}')),
+}
+
+
+@pytest.mark.parametrize("case", list(RAW_MANIFESTS))
+def test_malformed_manifest_text_names_the_file(tmp_path, case):
+    path = tmp_path / "m.jsonl"
+    write_manifest(sample_manifest(), path)
+    lines = path.read_text().splitlines()
+    assert '"soft_labels":[0.8,0.2]' in lines[1]
+    path.write_text("\n".join(RAW_MANIFESTS[case](lines)) + "\n")
+    with pytest.raises(FormatVersionMismatch, match=re.escape(str(path))):
+        read_manifest(path)
+
+
+def test_blank_and_padded_lines_still_read(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_manifest(sample_manifest(), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n\n".join(f" \t{line}\t " for line in lines) + "\n \n")
+    assert read_manifest(path)[0] == sample_manifest()
+
+
+@pytest.mark.parametrize("field", ["sample_id", "identity_id", "payload_ref"])
+def test_manifest_with_a_non_string_id_is_not_written(tmp_path, field):
+    first, *rest = sample_manifest().entries
+    manifest = DatasetManifest("toy", 2, [replace(first, **{field: 1}), *rest])
+    path = tmp_path / "m.jsonl"
+    with pytest.raises(InvalidArgument):
+        write_manifest(manifest, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("ids", [["b", "a"], ["a", "a"]])
+def test_feature_ids_out_of_order_or_repeated_are_refused(tmp_path, ids):
+    path = tmp_path / "f.json"
+    sample_features(path)
+    doc = json.loads(path.read_text())
+    path.write_text(canonical_json({**doc, "ids": ids}))
+    with pytest.raises(FormatVersionMismatch, match="unique and sorted"):
+        read_features(path)

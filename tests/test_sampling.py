@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from helpers import ref_balanced_merge, ref_mix_merge
+from helpers import ref_balanced_merge, ref_mix_merge, ref_validate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -444,3 +444,66 @@ class TestManifestStats:
         images = sum(cell["images"] for grp in stats["groups"].values()
                      for cell in grp.values())
         assert images == stats["total_images"] == len(pool.entries)
+
+
+# label rows for the check below: right and wrong counts, negatives,
+# non-finite values, sums off by about the tolerance and ints
+def candidate_rows(g):
+    one_hot = tuple(1.0 if k == 0 else 0.0 for k in range(g))
+    return [one_hot, one_hot[::-1], tuple(1.0 / g for _ in range(g)),
+            (1,) + (0,) * (g - 1), (-0.0,) * (g - 1) + (1.0,),
+            one_hot + (0.0,), one_hot[1:], (0.5,) * (g + 1),
+            (-0.5,) + (1.5,) + (0.0,) * (g - 2), (float("nan"),) * g,
+            (float("inf"),) + (0.0,) * (g - 1), (0.5,) * g,
+            (1.0 + 1e-6,) + (0.0,) * (g - 1), (1.0 - 2e-6,) + (0.0,) * (g - 1),
+            (1.0 + 5e-7,) + (0.0,) * (g - 1)]
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except InvalidManifest as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), g=st.integers(0, 3))
+def test_column_checks_raise_what_the_entry_loop_raises(data, g):
+    rows = candidate_rows(max(g, 2))
+    entries = [ManifestEntry(
+        data.draw(st.sampled_from("abcd")), data.draw(st.sampled_from("xyz")),
+        data.draw(st.sampled_from(["real", "real", "synthetic", "other"])),
+        data.draw(st.sampled_from(rows)), "ref")
+        for _ in range(data.draw(st.integers(0, 7)))]
+    want = outcome(ref_validate, g, entries)
+    assert outcome(DatasetManifest, "m", g, entries) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), g=st.integers(1, 5))
+def test_identity_scores_are_bitwise_the_one_identity_path(seed, g):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n_ids = int(rng.integers(1, 12))
+    entries = []
+    for k, iid in enumerate(rng.integers(0, n_ids, int(rng.integers(1, 60)))):
+        raw = rng.random(g) * (rng.random(g) < 0.8)
+        raw[int(rng.integers(g))] += 1e-3
+        # off a sum of 1 by up to 4e-7, so that one group is not all 1.0
+        labels = raw / raw.sum() * (1.0 + rng.uniform(-4e-7, 4e-7))
+        labels[labels == 0.0] = -0.0 if rng.random() < 0.5 else 0.0
+        entries.append(ManifestEntry(f"s{k}", f"id{iid}", "real",
+                                     tuple(labels.tolist()), f"s{k}"))
+    manifest = DatasetManifest("m", g, entries)
+    by_id = manifest.identities()
+    want = [score_identity(identity_soft_label(by_id[iid]), iid, "real")
+            for iid in sorted(by_id)]
+    got = score_manifest(manifest)
+    assert [(s.identity_id, s.group, s.score.hex()) for s in got] == \
+        [(s.identity_id, s.group, s.score.hex()) for s in want]
+
+
+def test_text_labels_are_not_numbers():
+    # numpy would read "0.5" as a number if asked for floats
+    with pytest.raises(TypeError):
+        DatasetManifest("m", 2, [ManifestEntry("s", "i", "real", ("0.5", "0.5"), "s")])
