@@ -179,7 +179,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
         reports.extend(loaded)
     table = render_table(reports, fmt=args.format)
     if args.out:
-        atomic_write_text(_prepare(args.out), table + "\n")
+        atomic_write_text(_prepare(args.out), (table, "\n"))
         print(f"wrote {args.out}")
     else:
         print(table)

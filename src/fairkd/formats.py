@@ -3,12 +3,16 @@ checkpoints and training traces. No compute module imports this one.
 
 Every artifact is UTF-8 JSON with a schema tag, written atomically (temp file
 + rename) and canonically (sorted keys, fixed separators, repr-exact floats),
-so identical inputs give byte-identical files. Manifests and protocols are a
-header line, then one record per line; manifest records come from a template
-that encodes each label tuple once. write_doc refuses a header clash, NaN,
-Infinity or an unencodable value before the file is touched. read_doc takes
-each non-blank line as exactly one JSON value, scanned once by the finite
-decoder, checks the schema and runs the artifact's decoder, so a malformed
+so identical inputs give byte-identical files, as a stream of pieces (header
+keys, base64 pieces of a feature matrix, record lines): no document is ever
+one string. Manifests and protocols are a header line, then one record per
+line; manifest records come from a template that encodes each label tuple
+once, and a read shares equal label rows. write_doc refuses a header clash,
+NaN, Infinity or an unencodable value; the destination is then not touched.
+read_doc parses a whole document in place or splits it into lines, then
+drops the text, so a read peaks at the text plus its values or lines. Each
+non-blank line is exactly one JSON value, scanned once by the finite decoder;
+read_doc checks the schema and runs the artifact's decoder, so a malformed
 file raises FormatVersionMismatch. Decoders take a value only as its JSON
 type (_typed), by column for manifest records and feature ids. A report is
 rebuilt from its groups. Float arrays that must round-trip bitwise are base64
@@ -17,10 +21,11 @@ of their little-endian bytes; a non-finite one is refused on write and read.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import asdict
 from itertools import chain
@@ -44,7 +49,12 @@ TRACE_SCHEMA = "fairkd/trace/1"
 
 _ARRAY_DTYPES = ("float64", "int64")
 # What a decoder raises on a document of the wrong shape or type.
-_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+                  RecursionError)
+# Raw bytes per base64 piece: a multiple of 3, so the pieces join unpadded.
+_PIECE = 3 << 16
+# Whether str.strip would leave anything of a text, found without a copy.
+_filled = re.compile(r"\S").search
 
 
 # Deterministic single-line JSON, NaN/Inf refused, from one prebuilt encoder.
@@ -52,8 +62,8 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                   allow_nan=False).encode
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename."""
+def atomic_write_text(path, pieces) -> None:
+    """Write str pieces in turn to path via a same-directory temp file + rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:
@@ -61,7 +71,7 @@ def atomic_write_text(path, text: str) -> None:
                                    suffix=os.path.basename(path))
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -79,15 +89,43 @@ def read_text(path) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def encode_array(arr: np.ndarray) -> dict:
-    """Bit-exact array snapshot: dtype, shape, base64 little-endian bytes."""
+def _array_record(arr) -> dict:
+    """encode_array's record with its data an iterator of str pieces, the
+    base64 of _PIECE raw bytes each, made as it is read."""
     arr = np.asarray(arr)
     if arr.dtype.name not in _ARRAY_DTYPES:
         raise InvalidArgument(f"unsupported array dtype {arr.dtype.name}")
-    little = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-    return {"dtype": arr.dtype.name,
-            "shape": list(arr.shape),
-            "data": base64.b64encode(little.tobytes()).decode("ascii")}
+    raw = np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).ravel().view(np.uint8)
+    return {"dtype": arr.dtype.name, "shape": list(arr.shape),
+            "data": (binascii.b2a_base64(raw[i:i + _PIECE], newline=False).decode()
+                     for i in range(0, raw.size, _PIECE))}
+
+
+def encode_array(arr: np.ndarray) -> dict:
+    """Bit-exact array snapshot: dtype, shape, base64 little-endian bytes."""
+    record = _array_record(arr)
+    return {**record, "data": "".join(record["data"])}
+
+
+def _array_pieces(arr: np.ndarray):
+    """canonical_json(encode_array(arr)) as an iterator of pieces; "data"
+    sorts first, so the pieces of its value come before the other keys."""
+    record = _array_record(arr)
+    data = record.pop("data")
+    return chain(['{"data":"'], data, ['",', canonical_json(record)[1:]])
+
+
+def _doc_pieces(doc: dict):
+    """canonical_json(doc) as an iterator of pieces, key by key in sorted
+    order; values are encoded now, so json refuses one before a byte is
+    written, but a top-level ndarray's encode_array record is streamed."""
+    parts = [["{"]]
+    for i, key in enumerate(sorted(doc)):
+        value = doc[key]
+        parts += [[f'{"," if i else ""}{canonical_json(key)}:'],
+                  _array_pieces(value) if isinstance(value, np.ndarray)
+                  else [canonical_json(value)]]
+    return chain.from_iterable([*parts, ["}"]])
 
 
 def _encode_finite(arr: np.ndarray) -> dict:
@@ -106,7 +144,7 @@ def decode_array(obj) -> np.ndarray:
         if dtype not in _ARRAY_DTYPES:
             raise ValueError(f"unsupported array dtype {dtype!r}")
         shape = tuple(obj["shape"])
-        raw = base64.b64decode(obj["data"], validate=True)
+        raw = binascii.a2b_base64(obj["data"], strict_mode=True)
         arr = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
         arr = arr.reshape(shape).astype(dtype, copy=True)
         if not np.isfinite(arr).all():
@@ -141,10 +179,11 @@ JSON_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
               records=()) -> None:
     """Write {"schema": schema, **body, **extra_header} as one canonical JSON
-    line, then records, each already one encoded line, atomically.
+    line (an ndarray value as its encode_array record), then records, each
+    already one encoded line, atomically, as a stream of pieces.
 
     extra_header may not shadow a structural key, and no value may be NaN,
-    Inf or of a type json refuses (InvalidArgument, before the file is touched).
+    Inf or of a type json refuses (InvalidArgument, and path is not touched).
     """
     header = {"schema": schema, **body}
     extra = dict(extra_header or {})
@@ -152,11 +191,12 @@ def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
     if clash:
         raise InvalidArgument(
             f"extra header keys collide with structural keys: {clash}")
+    lines = ("\n" + record for record in records)  # one write call per line
     try:
-        text = "\n".join([canonical_json({**header, **extra}), *records])
+        atomic_write_text(path, chain(_doc_pieces({**header, **extra}),
+                                      lines, "\n"))
     except (TypeError, ValueError) as exc:  # json refuses NaN, Infinity or the type
         raise InvalidArgument(f"cannot write {path}: {exc}") from exc
-    atomic_write_text(path, text + "\n")
 
 
 def read_doc(path, schema: str, decode, lines: bool = False):
@@ -170,8 +210,12 @@ def read_doc(path, schema: str, decode, lines: bool = False):
     """
     try:
         text = read_text(path)
-        chunks = text.splitlines() if lines else [text]
-        docs = map(_value, filter(str.strip, chunks))
+        # JSON_DECODER.decode skips JSON whitespace by index, never copying
+        # the text, and one value must fill it: one per line, or per file
+        docs = (map(JSON_DECODER.decode, filter(str.strip, text.splitlines()))
+                if lines else
+                iter([JSON_DECODER.decode(text)] if _filled(text) else []))
+        del text  # split or parsed: decode runs without the file text
         header = next(docs, None)
         if header is None:
             raise ValueError("empty file")
@@ -184,15 +228,6 @@ def read_doc(path, schema: str, decode, lines: bool = False):
         return decode(header, docs), header
     except (*_DECODE_ERRORS, FormatVersionMismatch) as exc:
         raise FormatVersionMismatch(f"{path}: {exc}") from exc
-
-
-def _value(chunk: str):
-    """The one JSON value of chunk: one scan that must end where it does."""
-    line = chunk.strip(" \t\n\r")
-    value, end = JSON_DECODER.raw_decode(line)
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +266,11 @@ def _manifest_from_doc(header: dict, records) -> DatasetManifest:
     ids, identities, sources, labels, refs = list(zip(*map(itemgetter(
         "sample_id", "identity_id", "source", "soft_labels", "payload_ref"),
         records))) or [()] * 5
-    labels = (map(tuple, labels)
-              if set(map(type, chain.from_iterable(labels))) <= {float}
-              else [tuple(_typed(p, float) for p in row) for row in labels])
+    rows = (map(tuple, labels)
+            if set(map(type, chain.from_iterable(labels))) <= {float}
+            else [tuple(_typed(p, float) for p in row) for row in labels])
+    shared = {}  # one tuple per row value; not with a zero: -0.0 == 0.0
+    labels = (r if 0.0 in r else shared.setdefault(r, r) for r in rows)
     return DatasetManifest(
         name=_typed(header.get("name", ""), str),
         group_count=_typed(header.get("group_count", 0), int),
@@ -334,7 +371,7 @@ def write_features(features: dict, path,
     write_doc(path, FEATURES_SCHEMA, {
         "ids": ids,
         "dim": matrix.shape[1],
-        "matrix": encode_array(matrix),
+        "matrix": matrix,
     }, extra_header)
 
 

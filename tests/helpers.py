@@ -3,9 +3,11 @@ bitwise reference implementations of the margin head and training loop, the
 per-pair scorer, tie loop and fold-dealing loop that evaluation's batch paths
 replaced, the per-image noise loop that the one-draw pool generator
 replaced, the per-pool merges that the one quota-filling routine
-replaced, and the entry-by-entry manifest check and per-record manifest
-writer that the column checks and the template writer replaced."""
+replaced, the entry-by-entry manifest check and per-record manifest
+writer that the column checks and the template writer replaced, and the
+one-string document writer that the streamed writer replaced."""
 
+import base64
 import math
 
 import numpy as np
@@ -25,7 +27,7 @@ from fairkd.errors import (
     ZeroVector,
 )
 from fairkd.evaluation import _scores_labels
-from fairkd.formats import MANIFEST_SCHEMA, canonical_json
+from fairkd.formats import FEATURES_SCHEMA, MANIFEST_SCHEMA, canonical_json
 from fairkd.losses import (
     HeadGradients,
     MarginConfig,
@@ -597,3 +599,27 @@ def ref_manifest_text(manifest, extra_header=None):
                 "source": e.source, "soft_labels": list(e.soft_labels),
                 "payload_ref": e.payload_ref} for e in manifest.entries]
     return "\n".join(map(canonical_json, [header, *records])) + "\n"
+
+
+def ref_array_record(arr):
+    """encode_array's record, its data one base64 string of the whole buffer."""
+    little = arr.astype(arr.dtype.newbyteorder("<"))
+    return {"dtype": arr.dtype.name, "shape": list(arr.shape),
+            "data": base64.b64encode(little.tobytes()).decode("ascii")}
+
+
+def ref_doc_text(schema, body, extra_header=None, records=()):
+    """The text write_doc writes, built as one string: the header through one
+    canonical_json call, joined with the record lines, plus a newline."""
+    header = {"schema": schema, **body, **(extra_header or {})}
+    return "\n".join([canonical_json(header), *records]) + "\n"
+
+
+def ref_features_text(features, extra_header=None):
+    """The text write_features writes, with the matrix one base64 string."""
+    ids = sorted(features)
+    matrix = (np.array([features[sid] for sid in ids], dtype=np.float64)
+              if ids else np.zeros((0, 0)))
+    return ref_doc_text(FEATURES_SCHEMA, {
+        "ids": ids, "dim": matrix.shape[1],
+        "matrix": ref_array_record(matrix)}, extra_header)

@@ -417,6 +417,17 @@ def test_eval_on_malformed_checkpoint_exits_1(ws, tmp_path, capsys, corrupt):
     assert not out.exists()
 
 
+def test_eval_on_deeply_nested_features_exits_1(ws, tmp_path, capsys):
+    bad = tmp_path / "features.json"
+    bad.write_text('{"schema":"fairkd/features/2","ids":' + "[" * 100_000)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--config", cfg_of(ws), "--checkpoint",
+                 str(ws / "c" / "teacher-scratch.ckpt"), "--features", str(bad),
+                 "--out", str(out)]) == 1
+    assert f"error: {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- report
 
 

@@ -1,15 +1,17 @@
 """Round-trip and failure-path coverage for the on-disk formats."""
 
 import ast
+import binascii
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import ref_manifest_text
+from helpers import ref_array_record, ref_features_text, ref_manifest_text
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +25,10 @@ from fairkd.errors import (
 )
 from fairkd.evaluation import GroupProtocol, PairProtocol, VerificationPair, build_report
 from fairkd.formats import (
+    _PIECE,
     FEATURES_SCHEMA,
     MANIFEST_SCHEMA,
+    _doc_pieces,
     canonical_json,
     checkpoint_load,
     checkpoint_save,
@@ -583,3 +587,162 @@ def test_feature_ids_out_of_order_or_repeated_are_refused(tmp_path, ids):
     path.write_text(canonical_json({**doc, "ids": ids}))
     with pytest.raises(FormatVersionMismatch, match="unique and sorted"):
         read_features(path)
+
+
+# ---------------------------------------------------------------------------
+# The streamed codec: writes in pieces, reads of the text where it lies
+
+
+# ids and header values equal to the pieces written around the matrix data
+MARKERS = ['{"data":"', '","dtype":"float64","shape":', "}", '"', "matrix"]
+# (rows, dim): empty, under one piece, exactly one piece, and two pieces
+# plus 16 bytes, a remainder that is not a multiple of 3
+STORE_SHAPES = {"empty": (0, 0), "under_one_piece": (5, 3),
+                "one_piece": (_PIECE // 24, 3),
+                "pieces_and_a_remainder": (2 * _PIECE // 16 + 1, 2)}
+
+
+@pytest.mark.parametrize("case", list(STORE_SHAPES))
+def test_streamed_features_are_the_one_string_bytes(tmp_path, case):
+    rows, dim = STORE_SHAPES[case]
+    assert _PIECE % 3 == 0
+    if case == "pieces_and_a_remainder":
+        assert rows * dim * 8 % _PIECE % 3 != 0
+    ids = [*MARKERS, *(f"s{i:06d}" for i in range(rows))][:rows]
+    rng = np.random.default_rng(rows)
+    features = {sid: rng.standard_normal(dim) for sid in ids}
+    # extra keys that sort before and after "matrix", with marker values
+    extra = {"aa": MARKERS[0], "matrix_": MARKERS[1], "zz": [MARKERS[2], 0.5]}
+    path = tmp_path / "f.json"
+    write_features(features, path, extra)
+    assert path.read_bytes() == ref_features_text(features, extra).encode()
+    store, _ = read_features(path)
+    assert store.keys() == features.keys()
+    assert all(np.array_equal(store[k], v) for k, v in features.items())
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
+ARRAYS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=7)
+    .map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=6)
+    .map(lambda v: np.array(v, dtype=np.int64).reshape(-1, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(st.text(max_size=8), JSON_VALUES | ARRAYS,
+                           max_size=6))
+def test_doc_pieces_join_to_the_canonical_json(doc):
+    expected = canonical_json({k: ref_array_record(v) if isinstance(v, np.ndarray)
+                               else v for k, v in doc.items()})
+    pieces = list(_doc_pieces(doc))
+    assert all(type(piece) is str for piece in pieces)
+    assert "".join(pieces) == expected
+
+
+def test_feature_codec_holds_the_matrix_about_once(tmp_path):
+    # 20 000 x 16: the write peaks at most 3.5x the matrix bytes, the read
+    # at most 0.5x of them above the store (and header) it returns
+    rng = np.random.default_rng(0)
+    features = {f"synthetic/id{i // 10:05d}/img{i % 10:02d}":
+                rng.standard_normal(16) for i in range(20_000)}
+    matrix_bytes = 20_000 * 16 * 8
+    path = tmp_path / "f.json"
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_features(features, path)
+        write_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        store, header = read_features(path)
+        held, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert write_peak <= 3.5 * matrix_bytes
+    assert read_peak - held <= 0.5 * matrix_bytes
+    assert len(store) == 20_000 and header["dim"] == 16
+
+
+# the base64 of one float64 1.0 -> malformed base64 for it
+BASE64_CASES = {
+    "outside_the_alphabet": "AAAA*AAA8D8=",
+    "padding_in_the_middle": "AAAA=AAA8D8=",
+    "data_after_the_padding": "AAAAAAAA8D8=AAAA",
+    "non_ascii": "AAAAAAAA8D8\u00e9",
+    "missing_padding": "AAAAAAAA8D8",
+}
+
+
+@pytest.mark.parametrize("case", list(BASE64_CASES))
+def test_malformed_base64_names_the_file(tmp_path, case):
+    path = tmp_path / "f.json"
+    write_features({"a": np.ones(1)}, path)
+    doc = json.loads(path.read_text())
+    assert doc["matrix"]["data"] == "AAAAAAAA8D8="
+    path.write_text(canonical_json({**doc, "matrix": {
+        **doc["matrix"], "data": BASE64_CASES[case]}}))
+    with pytest.raises(FormatVersionMismatch, match=re.escape(str(path))) as err:
+        read_features(path)
+    # refused by the base64 decoder, not by a later shape check
+    assert type(err.value.__cause__.__cause__) in (binascii.Error, ValueError)
+    assert "malformed array record" in str(err.value)
+
+
+DEEP = "[" * 100_000
+
+
+@pytest.mark.parametrize("kind", ["manifest", "features"])
+def test_deeply_nested_document_is_a_format_error(tmp_path, kind):
+    path = tmp_path / kind
+    if kind == "manifest":
+        write_manifest(sample_manifest(), path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(DEEP + "\n")
+        read = read_manifest
+    else:
+        path.write_text(f'{{"schema":"{FEATURES_SCHEMA}","ids":{DEEP}')
+        read = read_features
+    with pytest.raises(FormatVersionMismatch, match=re.escape(str(path))):
+        read(path)
+
+
+def test_equal_label_rows_share_one_tuple_on_read(tmp_path):
+    # equal rows read as one tuple, so a rewrite encodes each once; a row
+    # holding a zero keeps its own, as -0.0 == 0.0 but the two encode apart
+    rows = [(0.25, 0.75), (0.5, 0.5), (1.0, 0.0), (-0.0, 1.0)]
+    entries = [ManifestEntry(f"s{i:03d}", f"id{i % 7}", "real",
+                             tuple(list(rows[i % 4])), f"p{i}")
+               for i in range(40)]
+    path = tmp_path / "m.jsonl"
+    write_manifest(DatasetManifest("toy", 2, entries), path)
+    manifest, _ = read_manifest(path)
+    labels = [e.soft_labels for e in manifest.entries]
+    assert labels == [e.soft_labels for e in entries]
+    assert len({id(t) for t in labels[0::4]}) == 1
+    assert len({id(t) for t in labels[1::4]}) == 1
+    assert len({id(t) for t in labels[2::4]}) == 10
+    assert len({id(t) for t in labels[3::4]}) == 10
+    assert [math.copysign(1, t[0]) for t in labels[3::4]] == [-1.0] * 10
+    again = tmp_path / "again.jsonl"
+    write_manifest(manifest, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_record_that_fails_mid_stream_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_manifest(sample_manifest(), path)
+    before = path.read_bytes()
+    entries = [ManifestEntry(f"s{i:05d}", f"id{i}", "real", (0.5, 0.5), "p")
+               for i in range(5000)]
+    entries.append(replace(entries[-1], sample_id=7))
+    with pytest.raises(InvalidArgument):
+        write_manifest(DatasetManifest("toy", 2, entries), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]
