@@ -11,6 +11,8 @@ Modules:
     synthdata   toy identity/image/protocol generator
     formats     every artifact codec, checkpoints and traces included
     config      one RunConfig document wiring every stage together
+    experiment  the paper experiment defined once: its RunConfig (PAPER)
+                and run_seed, which trains and scores its arms on a seed
     cli         command-line pipeline driver
 
 The public names imported below are the package's API.

@@ -49,8 +49,12 @@ from .training import distill, train_from_scratch
 
 
 def _prepare(path) -> Path:
+    """path, once its directory exists; every command's output comes here."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory for {path}: {exc}") from exc
     return path
 
 
@@ -196,6 +200,8 @@ def _read_fixture(path) -> list[tuple[str, EvalReport, str, str, str]]:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoError(f"cannot read fixture {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FixtureFormatError(f"{path}: {exc}") from exc
     if not rows:
         raise FixtureFormatError(f"{path}: empty fixture")
     header = rows[0]

@@ -2,8 +2,9 @@
 
 Every test also asserts its wall-clock budget, so a runtime regression
 trips the same gate as a behavioral one. The distillation experiment is
-shared by the two directional tests through a module fixture; everything
-else builds its own inputs from scratch.
+fairkd.experiment's: the two directional tests share its seeds 0-4 through
+a module fixture, and the divergence test runs its universe 2002.
+Everything else builds its own inputs from scratch.
 """
 
 import csv
@@ -23,9 +24,9 @@ from fairkd.evaluation import (
     fairness_std,
     kfold_verification_accuracy,
     round2,
-    score_pairs,
     ser,
 )
+from fairkd.experiment import run_seed
 from fairkd.losses import (
     LossConfig,
     MarginConfig,
@@ -44,13 +45,7 @@ from fairkd.sampling import (
     score_manifest,
 )
 from fairkd.synthdata import UniverseConfig, gen_pair_protocol, generate_universe
-from fairkd.training import (
-    EncoderSpec,
-    TrainConfig,
-    distill,
-    lr_at_epoch,
-    train_from_scratch,
-)
+from fairkd.training import EncoderSpec, TrainConfig, lr_at_epoch, train_from_scratch
 from helpers import fd_grad, rel_grad_err
 
 
@@ -153,55 +148,15 @@ def test_loss_gradients_match_central_differences():
 
 # --------------------------------------- 3/4. distillation and synthetic gap
 
-KD_TEACHER = EncoderSpec(16, (96,), 12, init_seed=1)
-KD_STUDENT = EncoderSpec(16, (24,), 12, init_seed=2)
-KD_LOSS = LossConfig(margin=MarginConfig.arcface(s=16.0, m=0.3))
-KD_TRAIN = TrainConfig(epochs=60, batch_size=64, base_lr=0.02,
-                       lr_milestones=(40, 52), momentum=0.9, hflip_prob=0.0,
-                       weight_decay=1e-3, seed=0)
-KD_UNIVERSE = dict(identities_per_source=200, eval_identities=32,
-                   images_per_identity=10, noise_scales=(0.8, 1.0, 1.2, 1.5),
-                   synth_mean_shift=2.0, synth_cov_inflation=4.0)
-
-
-def _protocol_average(encoder, protocol, store):
-    accs = []
-    for group in protocol.groups:
-        scored = score_pairs(encoder.forward, group, store)
-        accs.append(kfold_verification_accuracy(
-            [s for s, _ in scored], [same for _, same in scored], k=5, seed=0))
-    return float(np.mean(accs))
-
-
 @pytest.fixture(scope="module")
 def distillation_outcomes():
-    """Teacher fit on the real pool; students on synthetic; scored on holdout.
-
-    The universe is noisy enough that raw features sit well below ceiling,
-    so encoders must learn the denoising projection onto the latent
-    subspace. The synthetic corruption is mostly covariance inflation:
-    that misleads a scratch-trained classifier while still covering the
-    real cloud, which is exactly where matching the teacher's embeddings
-    pays off.
-    """
+    """The paper experiment (fairkd.experiment) on universes 0-4: per seed,
+    the holdout average of the real and synthetic scratch students and of
+    the student distilled on synthetic from a teacher fit on real."""
     t0 = time.perf_counter()
-    rows = []
-    for seed in range(5):
-        bundle = generate_universe(UniverseConfig(**KD_UNIVERSE, seed=seed))
-        protocol = gen_pair_protocol(bundle.holdout, 160, seed=seed + 1000)
-        teacher = train_from_scratch(KD_TEACHER, bundle.real, bundle.features,
-                                     KD_LOSS, KD_TRAIN)
-        scratch_real = train_from_scratch(KD_STUDENT, bundle.real,
-                                          bundle.features, KD_LOSS, KD_TRAIN)
-        scratch_synth = train_from_scratch(KD_STUDENT, bundle.synthetic,
-                                           bundle.features, KD_LOSS, KD_TRAIN)
-        distilled = distill(teacher.encoder, KD_STUDENT, bundle.synthetic,
-                            bundle.features, KD_LOSS, KD_TRAIN)
-        rows.append({
-            "real": _protocol_average(scratch_real.encoder, protocol, bundle.features),
-            "synthetic": _protocol_average(scratch_synth.encoder, protocol, bundle.features),
-            "distilled": _protocol_average(distilled.encoder, protocol, bundle.features),
-        })
+    rows = [{arm: float(np.mean(accs)) for arm, (_, accs)
+             in run_seed(seed, ("real", "synthetic", "distilled")).items()}
+            for seed in range(5)]
     return {"rows": rows, "elapsed": time.perf_counter() - t0}
 
 
@@ -225,13 +180,9 @@ def test_distillation_blow_up_is_reported_once_as_a_divergence():
     the step where the embeddings lost their direction, and prints no numpy
     warning on the way (tier-1 would fail on one)."""
     t0 = time.perf_counter()
-    bundle = generate_universe(UniverseConfig(**KD_UNIVERSE, seed=2002))
-    teacher = train_from_scratch(KD_TEACHER, bundle.real, bundle.features,
-                                 KD_LOSS, KD_TRAIN)
     with pytest.raises(DivergenceDetected,
                        match="training diverged at epoch 0, batch starting"):
-        distill(teacher.encoder, KD_STUDENT, bundle.synthetic,
-                bundle.features, KD_LOSS, KD_TRAIN)
+        run_seed(2002, ("distilled",))
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -181,6 +181,26 @@ def test_missing_input_manifest_exits_1(ws, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, args, blocked", [
+    ("synth-gen", ["--set", "paths.manifests={afile}/sub"], "{afile}/sub"),
+    ("merge", ["{m}/real-train.manifest", "--total", "8",
+               "--out", "{afile}/x.manifest"], "{afile}/x.manifest"),
+    ("report", ["{report}", "--out", "{afile}/x.md"], "{afile}/x.md"),
+], ids=["synth_gen", "merge_out", "report_out"])
+def test_output_directory_that_cannot_be_made_exits_1(ws, tmp_path, capsys,
+                                                      command, args, blocked):
+    afile = tmp_path / "afile"
+    afile.touch()
+    report = tmp_path / "report.json"
+    write_report(build_report((91.0, 92.5)), report)
+    names = {"afile": afile, "m": ws / "m", "report": report}
+    argv = [a.format(**names) for a in args]
+    assert main([command, "--config", cfg_of(ws), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and blocked.format(**names) in err
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------- train / distill
 
 
@@ -523,6 +543,17 @@ def test_verify_tables_rejects_non_numeric_cell(tmp_path, capsys):
         "label,acc_g1,acc_g2,acc_g3,acc_g4,average,std,ser\n"
         "row,97.40,oops,95.52,95.95,96.24,0.81,1.72\n")
     assert main(["verify-tables", "--fixture", str(fixture)]) == 1
+
+
+@pytest.mark.parametrize("cell", [b"\xff", b"9" * 131_073],
+                         ids=["not_utf8", "over_csv_field_limit"])
+def test_verify_tables_rejects_undecodable_cell(tmp_path, capsys, cell):
+    fixture = tmp_path / "rows.csv"
+    fixture.write_bytes(b"label,acc_g1,acc_g2,acc_g3,acc_g4,average,std,ser\n"
+                        b"row,97.40," + cell + b",95.52,95.95,96.24,0.81,1.72\n")
+    assert main(["verify-tables", "--fixture", str(fixture)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rows.csv" in err
 
 
 @pytest.mark.parametrize("cell", ["100.5", "-1", "nan", "inf"])
