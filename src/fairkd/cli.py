@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -130,7 +129,7 @@ def _write_training_outputs(cfg: RunConfig, args, result, stem: str) -> int:
     ckpt = args.out or Path(cfg.paths.checkpoints) / f"{stem}.ckpt"
     trace = args.trace or Path(cfg.paths.reports) / f"{stem}-trace.json"
     _write(cfg, checkpoint_save, result, ckpt)
-    _write(cfg, write_trace, [asdict(e) for e in result.trace], trace)
+    _write(cfg, write_trace, result.trace, trace)
     final = (f"final epoch loss {result.trace[-1].total_loss:.4f}"
              if result.trace else "no epochs")
     print(f"wrote {ckpt}")
@@ -168,10 +167,10 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             k=cfg.eval.k, seed=cfg.seed))
     metadata = {"model": args.model, "data": args.data,
                 "distilled": args.distilled, "loss": args.loss_label}
-    report = build_report(accuracies, metadata)
+    reports = [build_report(accuracies, metadata)]
     out = args.out or Path(cfg.paths.reports) / "report.json"
-    _write(cfg, write_report, report, out)
-    print(render_table([report]))
+    _write(cfg, write_report, reports, out)
+    print(render_table(reports))
     print(f"wrote {out}")
     return 0
 

@@ -28,7 +28,7 @@ from .training import EncoderSpec, TrainConfig
 CONFIG_DIR_ENV = "FAIRKD_CONFIG_DIR"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
     """Verification protocol size and cross-validation depth; each group's
     pairs must fill the k folds, so pairs_per_group >= k."""
@@ -43,7 +43,7 @@ class EvalConfig:
                               f"fill k={self.k} folds")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathsConfig:
     """Output directories; commands create them on demand."""
 
@@ -54,7 +54,7 @@ class PathsConfig:
     __post_init__ = check_fields
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     universe: UniverseConfig = rule(UniverseConfig, UniverseConfig)
     train: TrainConfig = rule(TrainConfig, TrainConfig)

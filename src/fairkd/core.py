@@ -6,7 +6,7 @@ place that clamps cosine values, so every consumer (the margin heads, the
 normalized KD term, verification scoring) inherits one convention. Likewise
 feature_rows is the one rule for a feature vector: training, pair scoring and
 the feature-store writer resolve samples through it. And rule/check_fields is
-the one rule for a config field: its type and bounds, declared beside it.
+the one rule for a record field (config, trace epoch): its type and bounds.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def rule(kind, default=MISSING, *, finite=True, **checks):
 
 
 def check_fields(record) -> None:
-    """Hold every field of a config record to its rule, or raise ConfigError;
+    """Hold every field of a frozen record to its rule, or raise ConfigError;
     a value of the wrong type is a ConfigTypeError. bool is not int, None
     passes only where the default is None, a float field stores float(x) of
     an int or float, and a tuple field a tuple of a list."""
@@ -75,7 +75,7 @@ def check_fields(record) -> None:
                 if not holds(v, bound):
                     raise ConfigError(f"{f.name} must be {text.format(bound)}, "
                                       f"got {value!r}")
-        setattr(record, f.name, items if many else items[0])
+        object.__setattr__(record, f.name, items if many else items[0])
 
 
 def feature_rows(store, ids) -> np.ndarray:

@@ -24,10 +24,6 @@ class IndexOutOfRange(FairkdError):
     """A class/label index falls outside the valid range."""
 
 
-class UninitializedStats(FairkdError):
-    """AdaFace norm statistics were used before being initialized."""
-
-
 class EmptyIdentity(FairkdError):
     """An identity with zero samples was passed to an aggregation."""
 

@@ -15,8 +15,9 @@ non-blank line is exactly one JSON value, scanned once by the finite decoder;
 read_doc checks the schema and runs the artifact's decoder, so a malformed
 file raises FormatVersionMismatch. Decoders take a value only as its JSON
 type (_typed), by column for manifest records and feature ids. A report is
-rebuilt from its groups. Float arrays that must round-trip bitwise are base64
-of their little-endian bytes; a non-finite one is refused on write and read.
+rebuilt from its groups, a trace epoch is an EpochStats. Float arrays that
+must round-trip bitwise are base64 of their little-endian bytes; a non-finite
+one is refused on write and read.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import feature_rows
-from .errors import FormatVersionMismatch, InvalidArgument, IoError
+from .errors import FairkdError, FormatVersionMismatch, InvalidArgument, IoError
 from .evaluation import EvalReport, GroupProtocol, PairProtocol, VerificationPair
 from .losses import NormStats
 from .sampling import DatasetManifest, ManifestEntry
@@ -155,9 +156,9 @@ def decode_array(obj) -> np.ndarray:
 
 
 def _typed(value, kind):
-    """A decoded JSON value whose type is kind (str, bool, int or float), or
-    an integer as a float where a float is due; anything else, such as a
-    numeric string or a bool for a number, is a TypeError."""
+    """A decoded JSON value whose type is kind (str, bool, int, float, list
+    or dict), or an integer as a float where a float is due; anything else,
+    such as a numeric string or a bool for a number, is a TypeError."""
     if type(value) is kind:
         return value
     if kind is float and type(value) is int:
@@ -206,7 +207,8 @@ def read_doc(path, schema: str, decode, lines: bool = False):
     one a record; otherwise the whole file is the header and records is
     empty. records is an iterator, parsed as decode consumes it. A missing
     file raises IoError; anything undecodable, non-finite, of the wrong
-    schema or rejected by decode raises FormatVersionMismatch naming path.
+    schema or rejected by decode raises FormatVersionMismatch naming path;
+    a record's own FairkdError (InvalidManifest) is prefixed with path.
     """
     try:
         text = read_text(path)
@@ -226,8 +228,12 @@ def read_doc(path, schema: str, decode, lines: bool = False):
             raise ValueError(f"expected schema {schema!r}, "
                              f"found {header.get('schema')!r}")
         return decode(header, docs), header
-    except (*_DECODE_ERRORS, FormatVersionMismatch) as exc:
+    except _DECODE_ERRORS as exc:
         raise FormatVersionMismatch(f"{path}: {exc}") from exc
+    except IoError:
+        raise  # read_text names the file
+    except FairkdError as exc:  # FormatVersionMismatch from decode_array too
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +350,22 @@ def _report_from_obj(obj: dict) -> EvalReport:
     return report
 
 
+def _list_of(values, cls, path) -> list:
+    """values if it is a list of cls, as a reader returns; else InvalidArgument."""
+    if type(values) is not list or not all(isinstance(v, cls) for v in values):
+        raise InvalidArgument(f"cannot write {path}: expected a list of "
+                              f"{cls.__name__}, got {values!r:.80}")
+    return values
+
+
 def write_report(reports, path, extra_header: dict | None = None) -> None:
-    if isinstance(reports, EvalReport):
-        reports = [reports]
-    write_doc(path, REPORT_SCHEMA,
-              {"reports": [_report_to_obj(r) for r in reports]}, extra_header)
+    reports = [_report_to_obj(r) for r in _list_of(reports, EvalReport, path)]
+    write_doc(path, REPORT_SCHEMA, {"reports": reports}, extra_header)
 
 
 def read_report(path) -> tuple[list[EvalReport], dict]:
     return read_doc(path, REPORT_SCHEMA, lambda doc, _: [
-        _report_from_obj(o) for o in doc.get("reports", [])])
+        _report_from_obj(o) for o in _typed(doc["reports"], list)])
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +409,9 @@ def read_features(path) -> tuple[dict, dict]:
 def checkpoint_save(result: TrainResult, path,
                     extra_header: dict | None = None) -> None:
     """Bit-exact snapshot of a trained model, written atomically."""
+    if not isinstance(result.rng_state, dict | None):
+        raise InvalidArgument(f"cannot write {path}: rng_state must be None "
+                              f"or a dict, got {result.rng_state!r:.80}")
     write_doc(path, CHECKPOINT_SCHEMA, {
         "spec": asdict(result.encoder.spec),
         "weights": [_encode_finite(w) for w in result.encoder.weights],
@@ -414,10 +429,11 @@ def _checkpoint_from_doc(doc: dict, _) -> TrainResult:
     biases = [decode_array(b) for b in doc["biases"]]
     raw_stats = doc.get("norm_stats")
     stats = None if raw_stats is None else NormStats(
-        mean_norm=_typed(raw_stats["mean_norm"], float),
-        std_norm=_typed(raw_stats["std_norm"], float))
+        **{k: _typed(v, float) for k, v in raw_stats.items()})
     raw_protos = doc.get("prototypes")
     prototypes = None if raw_protos is None else decode_array(raw_protos)
+    raw_rng = doc.get("rng_state")
+    rng_state = None if raw_rng is None else _typed(raw_rng, dict)
 
     # Shapes come from the spec, so a forged spec cannot make the encoder
     # allocate anything before the mismatch is found.
@@ -430,7 +446,7 @@ def _checkpoint_from_doc(doc: dict, _) -> TrainResult:
     encoder.weights = weights
     encoder.biases = biases
     # The trace is its own artifact (write_trace), so a loaded model has none.
-    return TrainResult(encoder, prototypes, stats, [], doc.get("rng_state"))
+    return TrainResult(encoder, prototypes, stats, [], rng_state)
 
 
 def checkpoint_load(path) -> tuple[TrainResult, dict]:
@@ -447,21 +463,11 @@ def checkpoint_load(path) -> tuple[TrainResult, dict]:
 
 
 def write_trace(epochs, path, extra_header: dict | None = None) -> None:
-    """epochs is a list of dicts of EpochStats' five fields, each checked by
-    the reader's rule (_epoch_from_obj); a refused one is InvalidArgument."""
-    try:
-        epochs = [_epoch_from_obj(e) for e in epochs]
-    except TypeError as exc:
-        raise InvalidArgument(f"cannot write {path}: {exc}") from exc
+    """epochs is a TrainResult's trace: a list of EpochStats."""
+    epochs = [asdict(e) for e in _list_of(epochs, EpochStats, path)]
     write_doc(path, TRACE_SCHEMA, {"epochs": epochs}, extra_header)
 
 
-def _epoch_from_obj(obj: dict) -> dict:
-    EpochStats(**obj)  # a TypeError unless obj holds exactly its five fields
-    return {k: _typed(v, int if k == "epoch" else float)
-            for k, v in obj.items()}
-
-
-def read_trace(path) -> tuple[list[dict], dict]:
+def read_trace(path) -> tuple[list[EpochStats], dict]:
     return read_doc(path, TRACE_SCHEMA, lambda doc, _: [
-        _epoch_from_obj(e) for e in doc.get("epochs", [])])
+        EpochStats(**e) for e in _typed(doc["epochs"], list)])

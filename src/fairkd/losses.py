@@ -37,7 +37,6 @@ from .errors import (
     EmptyInput,
     IndexOutOfRange,
     InvalidArgument,
-    UninitializedStats,
     ZeroVector,
 )
 
@@ -56,7 +55,7 @@ _GRAD_COS_CLAMP = 1e-7
 _STD_FLOOR = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarginConfig:
     """Head selection plus its scalar parameters.
 
@@ -87,7 +86,7 @@ class MarginConfig:
         return cls(kind="adaface", s=s, m=m, h=h, ema_momentum=ema_momentum)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     """Combined objective: classification head plus weighted distillation."""
 
@@ -101,28 +100,18 @@ class LossConfig:
 
 @dataclass
 class NormStats:
-    """Running EMA of feature norms for the adaface head.
+    """Running EMA of feature norms, which the adaface head updates in place."""
 
-    Construct with explicit values (or via .default()) before first use;
-    passing an unset instance to the head raises UninitializedStats.
-    """
-
-    mean_norm: float | None = None
-    std_norm: float | None = None
+    mean_norm: float
+    std_norm: float
 
     @classmethod
     def default(cls) -> "NormStats":
         # Wide prior so early batches get a near-neutral margin.
         return cls(mean_norm=20.0, std_norm=100.0)
 
-    @property
-    def initialized(self) -> bool:
-        return self.mean_norm is not None and self.std_norm is not None
-
     def update(self, norms: np.ndarray, momentum: float) -> None:
         """Fold a batch of clipped feature norms into the running stats."""
-        if not self.initialized:
-            raise UninitializedStats("NormStats used before initialization")
         if norms.size == 0:
             raise InvalidArgument("NormStats cannot fold in an empty batch")
         batch_mean = float(np.mean(norms))
@@ -280,8 +269,8 @@ def adaface_margin_terms(raw_norms: np.ndarray, cfg: MarginConfig,
     norm_hat = clip((|z| - mean) / (std / h), -1, 1); high-norm samples get
     the full angular penalty, low-norm samples a mostly additive one.
     """
-    if stats is None or not stats.initialized:
-        raise UninitializedStats("adaface requires initialized NormStats")
+    if stats is None:
+        raise InvalidArgument("adaface requires NormStats")
     safe = np.minimum(np.maximum(raw_norms, ADAFACE_NORM_MIN), ADAFACE_NORM_MAX)
     norm_hat = np.minimum(np.maximum(
         (safe - stats.mean_norm) / (stats.std_norm / cfg.h), -1.0), 1.0)

@@ -50,7 +50,7 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag])))
 
 
-@dataclass
+@dataclass(frozen=True)
 class UniverseConfig:
     """Shape and hardness knobs of the generated universe."""
 
@@ -73,7 +73,8 @@ class UniverseConfig:
             raise ConfigError("identities_per_source and eval_identities must "
                               f"be >= n_groups = {self.n_groups}")
         if self.noise_scales is None:
-            self.noise_scales = tuple(np.linspace(0.25, 0.55, self.n_groups).tolist())
+            object.__setattr__(self, "noise_scales", tuple(
+                np.linspace(0.25, 0.55, self.n_groups).tolist()))
         if len(self.noise_scales) != self.n_groups:
             raise ConfigError(f"{len(self.noise_scales)} noise scales for "
                               f"{self.n_groups} groups")

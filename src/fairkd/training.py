@@ -49,7 +49,7 @@ _ACTIVATIONS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderSpec:
     """Shape and initialization of a fully-connected embedding encoder."""
 
@@ -138,7 +138,7 @@ class Encoder:
         return h.hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimizer schedule and loop controls.
 
@@ -202,11 +202,15 @@ def sgd_step(params, grads, lr: float, momentum: float, velocity) -> None:
 
 @dataclass(frozen=True)
 class EpochStats:
-    epoch: int
-    lr: float
-    cls_loss: float
-    kd_loss: float
-    total_loss: float
+    """One epoch of a loss trace, checked when built like a config record."""
+
+    epoch: int = rule(int, ge=0)
+    lr: float = rule(float)
+    cls_loss: float = rule(float)
+    kd_loss: float = rule(float)
+    total_loss: float = rule(float)
+
+    __post_init__ = check_fields
 
 
 @dataclass

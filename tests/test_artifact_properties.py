@@ -31,7 +31,7 @@ from fairkd.formats import (
     write_trace,
 )
 from fairkd.sampling import DatasetManifest, ManifestEntry
-from fairkd.training import Encoder, EncoderSpec, TrainResult
+from fairkd.training import Encoder, EncoderSpec, EpochStats, TrainResult
 
 IDS = [f"s{i}" for i in range(8)]
 
@@ -65,12 +65,12 @@ ARTIFACTS = {
     "protocol": ("protocol.json",
                  lambda p: write_protocol(_protocol(), p), read_protocol),
     "report": ("report.json", lambda p: write_report(
-        build_report((91.0, 92.5), {"model": "m"}), p), read_report),
+        [build_report((91.0, 92.5), {"model": "m"})], p), read_report),
     "features": ("features.json",
                  lambda p: write_features(_features(), p), read_features),
     "trace": ("trace.json", lambda p: write_trace(
-        [{"epoch": 0, "lr": 0.1, "cls_loss": 2.5, "kd_loss": 0.5,
-          "total_loss": 3.0}], p), read_trace),
+        [EpochStats(epoch=0, lr=0.1, cls_loss=2.5, kd_loss=0.5,
+                    total_loss=3.0)], p), read_trace),
     "checkpoint": ("model.ckpt", lambda p: checkpoint_save(TrainResult(
         Encoder(EncoderSpec(4, (3,), 2, "tanh", init_seed=1)), np.ones((2, 2)),
         None, [], None), p, {"config_digest": "abc"}), checkpoint_load),

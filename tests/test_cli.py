@@ -192,7 +192,7 @@ def test_output_directory_that_cannot_be_made_exits_1(ws, tmp_path, capsys,
     afile = tmp_path / "afile"
     afile.touch()
     report = tmp_path / "report.json"
-    write_report(build_report((91.0, 92.5)), report)
+    write_report([build_report((91.0, 92.5))], report)
     names = {"afile": afile, "m": ws / "m", "report": report}
     argv = [a.format(**names) for a in args]
     assert main([command, "--config", cfg_of(ws), *argv]) == 1
@@ -249,7 +249,7 @@ def test_trace_lr_column_follows_schedule(ws):
                  "--out", str(ckpt), "--trace", str(trace)]) == 0
     epochs, header = read_trace(trace)
     assert len(epochs) == 26
-    lr = {e["epoch"]: e["lr"] for e in epochs}
+    lr = {e.epoch: e.lr for e in epochs}
     assert lr[0] == 0.1
     assert lr[8] == 0.01
     assert lr[14] == 0.001
@@ -480,7 +480,7 @@ def test_report_with_nan_exits_1(tmp_path, capsys):
 
 def test_report_with_edited_summary_exits_1(tmp_path, capsys):
     path = tmp_path / "edited.json"
-    write_report(build_report((91.0, 92.5)), path)
+    write_report([build_report((91.0, 92.5))], path)
     doc = json.loads(path.read_text())
     doc["reports"][0]["average"] = 50.0
     path.write_text(json.dumps(doc))

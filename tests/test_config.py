@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import asdict, fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -358,7 +358,8 @@ def test_nested_margin_override_builds_a_margin_config():
 
 def test_every_config_field_declares_its_rule_and_is_checked():
     # a field added without a rule, or a record whose __post_init__ skips
-    # core.check_fields, would let an ill-typed value build
+    # core.check_fields, would let an ill-typed value build; an assignment
+    # after it is built would skip the rule, so every record is frozen
     pending, seen = [RunConfig()], set()
     while pending:
         record = pending.pop()
@@ -369,5 +370,7 @@ def test_every_config_field_declares_its_rule_and_is_checked():
                 pending.append(getattr(record, f.name))
             with pytest.raises(ConfigTypeError, match=f"^{f.name}: expected"):
                 replace(record, **{f.name: object()})
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
     assert seen == {"RunConfig", "UniverseConfig", "TrainConfig", "LossConfig",
                     "MarginConfig", "EncoderSpec", "EvalConfig", "PathsConfig"}

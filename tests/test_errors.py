@@ -122,6 +122,8 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
     (lambda: head_loss_and_grads(np.ones((2, 4)), np.eye(3, 4), [0, 1],
                                  MarginConfig(kind="elastic_arcface")),
      InvalidArgument),
+    (lambda: head_loss_and_grads(np.ones((2, 4)), np.eye(3, 4), [0, 1],
+                                 MarginConfig.adaface()), InvalidArgument),
     (lambda: fairness_std([101.0, 50.0]), InvalidArgument),
     (lambda: write_features({"a": np.array([np.nan, 1.0])}, UNWRITABLE),
      InvalidArgument),
@@ -194,7 +196,7 @@ BAD_VECTORS = {"ragged": np.ones(5), "text": ["x"] * 4, "scalar": 1.5,
        STORE_CALLERS[caller](store_with(value)), InvalidArgument)
       for caller in STORE_CALLERS for value in BAD_VECTORS.values()],
 ], ids=["pool", "kfold-k", "prototypes", "table-format", "remainder",
-        "elastic-rng", "accuracy-range", "features-nan", "array-dtype",
+        "elastic-rng", "adaface-stats", "accuracy-range", "features-nan", "array-dtype",
         "header-collision", "checkpoint-nan-weight",
         "checkpoint-inf-prototypes", "checkpoint-nan-norm-stat",
         "trace-nan-value", "header-inf-value", "trace-three-fields",

@@ -5,7 +5,7 @@ field."""
 
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +33,17 @@ def test_cli_runs_the_paper_experiment(tmp_path):
                       ("distilled", "student-distilled")):
         cli, _ = checkpoint_load(tmp_path / "c" / f"{stem}.ckpt")
         assert cli.encoder.param_digest() == api[arm][0].encoder.param_digest(), arm
+
+
+def test_paper_cannot_be_changed_in_place():
+    # every arm of every seed runs on the one PAPER, so it is frozen to the
+    # last section; a variant is a new record (dataclasses.replace)
+    before = asdict(PAPER)
+    with pytest.raises(FrozenInstanceError):
+        PAPER.train.base_lr = float("nan")
+    with pytest.raises(FrozenInstanceError):
+        PAPER.eval = replace(PAPER.eval, k=2)
+    assert asdict(PAPER) == before
 
 
 @pytest.mark.parametrize("arms", [("mix",), "teacher"])

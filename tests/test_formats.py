@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fairkd
 from fairkd.errors import (
+    ConfigError,
     FormatVersionMismatch,
     InvalidArgument,
     InvalidManifest,
@@ -45,9 +46,16 @@ from fairkd.formats import (
     write_report,
     write_trace,
 )
-from fairkd.losses import NormStats
+from fairkd.losses import LossConfig, NormStats
 from fairkd.sampling import DatasetManifest, ManifestEntry
-from fairkd.training import Encoder, EncoderSpec, TrainResult
+from fairkd.training import (
+    Encoder,
+    EncoderSpec,
+    EpochStats,
+    TrainConfig,
+    TrainResult,
+    train_from_scratch,
+)
 
 
 def sample_manifest():
@@ -103,8 +111,9 @@ class TestManifestIo:
                               "source": "real", "soft_labels": [0.9, 0.9],
                               "payload_ref": "s1"})
         path.write_text(header + "\n" + bad + "\n")
-        with pytest.raises(InvalidManifest):
+        with pytest.raises(InvalidManifest, match=re.escape(f"{path}: ")) as exc:
             read_manifest(path)
+        assert str(exc.value).count(str(path)) == 1
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -137,6 +146,17 @@ class TestProtocolIo:
                 "g", [VerificationPair("a", "b", True)])]), tmp_path / "p.jsonl")
         assert not (tmp_path / "p.jsonl").exists()
 
+    def test_unbalanced_protocol_rejected_on_read_naming_the_file(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        lines = [canonical_json({"schema": "fairkd/protocol/1",
+                                 "group_names": ["g"]}),
+                 canonical_json({"group": "g", "sample_a": "a",
+                                 "sample_b": "b", "same": True})]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(UnbalancedProtocol, match=re.escape(f"{path}: ")) as exc:
+            read_protocol(path)
+        assert str(exc.value).count(str(path)) == 1
+
     def test_unknown_group_in_record_rejected(self, tmp_path):
         path = tmp_path / "p.jsonl"
         lines = [canonical_json({"schema": "fairkd/protocol/1",
@@ -161,16 +181,17 @@ class TestReportIo:
     def test_degenerate_ser_survives_round_trip(self, tmp_path):
         path = tmp_path / "r.json"
         rep = build_report((90.0, 100.0))
-        write_report(rep, path)
+        write_report([rep], path)
         (loaded,), _ = read_report(path)
         assert loaded.ser_degenerate
         assert math.isinf(loaded.ser)
 
-    def test_single_report_accepted(self, tmp_path):
+    def test_single_report_refused(self, tmp_path):
+        # the writer takes the list that read_report returns, nothing else
         path = tmp_path / "r.json"
-        write_report(build_report((91.0, 92.0)), path)
-        loaded, _ = read_report(path)
-        assert len(loaded) == 1
+        with pytest.raises(InvalidArgument, match="list of EvalReport"):
+            write_report(build_report((91.0, 92.0)), path)
+        assert not path.exists()
 
 
 class TestFeatureIo:
@@ -266,8 +287,8 @@ def test_canonical_json_rejects_non_finite():
 
 class TestTrace:
     EPOCHS = [
-        {"epoch": 0, "lr": 0.1, "cls_loss": 2.5, "kd_loss": 0.7, "total_loss": 3.2},
-        {"epoch": 1, "lr": 0.1, "cls_loss": 1.25, "kd_loss": 0.5, "total_loss": 1.75},
+        EpochStats(epoch=0, lr=0.1, cls_loss=2.5, kd_loss=0.7, total_loss=3.2),
+        EpochStats(epoch=1, lr=0.1, cls_loss=1.25, kd_loss=0.5, total_loss=1.75),
     ]
 
     def test_round_trip_with_header(self, tmp_path):
@@ -283,6 +304,39 @@ class TestTrace:
         write_trace(self.EPOCHS, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_training_trace_round_trips(self, tmp_path):
+        # read_trace returns TrainResult.trace as it was written
+        rng = np.random.Generator(np.random.PCG64(5))
+        store = {s: rng.standard_normal(4) for s in "abcd"}
+        manifest = DatasetManifest("m", 2, [
+            ManifestEntry(s, f"id-{s}", "real", (1.0, 0.0), s) for s in store])
+        result = train_from_scratch(EncoderSpec(4, (3,), 2), manifest, store,
+                                    LossConfig(),
+                                    TrainConfig(epochs=3, lr_milestones=(2,)))
+        path = tmp_path / "trace.json"
+        write_trace(result.trace, path)
+        epochs, _ = read_trace(path)
+        assert len(epochs) == 3 and epochs == result.trace
+        assert all(type(e) is EpochStats for e in epochs)
+
+    @pytest.mark.parametrize("epochs", [
+        [{"epoch": 0, "lr": 0.1, "cls_loss": 2.5, "kd_loss": 0.7,
+          "total_loss": 3.2}], (), None], ids=["dicts", "tuple", "none"])
+    def test_anything_but_a_list_of_epoch_stats_refused(self, tmp_path, epochs):
+        path = tmp_path / "trace.json"
+        with pytest.raises(InvalidArgument, match="list of EpochStats"):
+            write_trace(epochs, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"epoch": -1}, {"epoch": 1.0}, {"lr": float("nan")},
+        {"cls_loss": float("inf")}, {"kd_loss": "0.5"}, {"total_loss": True}])
+    def test_epoch_stats_holds_its_fields_to_their_rule(self, change):
+        values = {"epoch": 0, "lr": 0.1, "cls_loss": 2.5, "kd_loss": 0.7,
+                  "total_loss": 3.2, **change}
+        with pytest.raises(ConfigError, match=f"^{next(iter(change))}"):
+            EpochStats(**values)
+
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "trace.json"
         path.write_text('{"schema": "fairkd/report/1", "epochs": []}')
@@ -291,7 +345,7 @@ class TestTrace:
 
 
 def sample_report(path):
-    write_report(build_report((91.0, 92.5), {"model": "m"}), path)
+    write_report([build_report((91.0, 92.5), {"model": "m"})], path)
 
 
 def sample_features(path):
@@ -404,6 +458,18 @@ MALFORMED = {
                          lambda d: first_report(d, per_group=[91.0])),
     "report_degenerate_flag_on_finite_ser": ("report", lambda d: first_report(
         d, ser=None, ser_degenerate=True)),
+    # a trace or report document holds its list; none or an object is not
+    # an empty one
+    "trace_epochs_object": ("trace", lambda d: [{**d[0], "epochs": {}}]),
+    "trace_epochs_missing": ("trace", lambda d: [
+        {k: v for k, v in d[0].items() if k != "epochs"}]),
+    "reports_object": ("report", lambda d: [{**d[0], "reports": {}}]),
+    "reports_missing": ("report", lambda d: [
+        {k: v for k, v in d[0].items() if k != "reports"}]),
+    # a checkpoint's rng_state is null or an object
+    "rng_state_int": ("checkpoint", lambda d: [{**d[0], "rng_state": 5}]),
+    "rng_state_text": ("checkpoint", lambda d: [{**d[0], "rng_state": "x"}]),
+    "rng_state_list": ("checkpoint", lambda d: [{**d[0], "rng_state": [1]}]),
     # a group is named once; a second "g0" would fold into the first
     "group_names_repeated": ("protocol", lambda d: [
         {**d[0], "group_names": ["g0", "g0"]}, *d[1:]]),
@@ -419,8 +485,17 @@ def test_malformed_artifact_raises_format_error(tmp_path, case):
     docs = [json.loads(line) for line in path.read_text().splitlines()]
     # json.dumps, not canonical_json: some cases need a NaN literal
     path.write_text("\n".join(json.dumps(d) for d in corrupt(docs)) + "\n")
-    with pytest.raises(FormatVersionMismatch):
+    with pytest.raises(FormatVersionMismatch, match=re.escape(str(path))):
         read(path)
+
+
+@pytest.mark.parametrize("rng_state", [5, "x", [1]])
+def test_checkpoint_refuses_an_rng_state_that_is_not_an_object(tmp_path,
+                                                               rng_state):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(InvalidArgument, match="rng_state"):
+        checkpoint_save(replace(sample_model(), rng_state=rng_state), path)
+    assert not path.exists()
 
 
 def sample_model():

@@ -7,7 +7,6 @@ from fairkd.core import cosine_similarity
 from fairkd.errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    UninitializedStats,
     ZeroVector,
 )
 from fairkd.losses import (
@@ -164,11 +163,6 @@ class TestAdaface:
         # single sample: batch mean 3.0, batch std 0 -> EMA with momentum 0.5
         assert stats.mean_norm == pytest.approx(2.0)
         assert stats.std_norm == pytest.approx(0.5)
-
-    def test_uninitialized_stats_raise(self):
-        cfg = MarginConfig.adaface()
-        with pytest.raises(UninitializedStats):
-            head_loss_and_grads([1.0, 0.0], AXES, 0, cfg, stats=NormStats())
 
 
 class TestCrossEntropy:
