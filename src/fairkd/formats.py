@@ -2,22 +2,17 @@
 checkpoints and training traces. No compute module imports this one.
 
 Every artifact is UTF-8 JSON with a schema tag, written atomically (temp file
-+ rename) and canonically (sorted keys, fixed separators, repr-exact floats),
-so identical inputs give byte-identical files, as a stream of pieces (header
-keys, base64 pieces of a feature matrix, record lines): no document is ever
-one string. Manifests and protocols are a header line, then one record per
-line; manifest records come from a template that encodes each label tuple
-once, and a read shares equal label rows. write_doc refuses a header clash,
-NaN, Infinity or an unencodable value; the destination is then not touched.
-read_doc parses a whole document in place or splits it into lines, then
-drops the text, so a read peaks at the text plus its values or lines. Each
-non-blank line is exactly one JSON value, scanned once by the finite decoder;
-read_doc checks the schema and runs the artifact's decoder, so a malformed
-file raises FormatVersionMismatch. Decoders take a value only as its JSON
-type (_typed), by column for manifest records and feature ids. A report is
-rebuilt from its groups, a trace epoch is an EpochStats. Float arrays that
-must round-trip bitwise are base64 of their little-endian bytes; a non-finite
-one is refused on write and read.
++ rename) and canonically (sorted keys, fixed separators, repr-exact floats)
+as a stream of pieces; manifests and protocols are a header line, then one
+record per line. write_doc refuses a header clash, NaN, Infinity or an
+unencodable value before the destination is touched; read_doc parses the text
+in place or by line, then drops it. Each decoded object holds exactly the keys
+its writer writes (_fields): a header is open to stamps (config_digest), all
+below it (records, arrays, spec, norm stats, reports, epochs) is closed, and
+nothing has a default. Values are taken only as their JSON type (_typed), by
+column for line records, null only where None is written; anything else is
+FormatVersionMismatch naming the file. Float arrays round-trip bitwise as
+base64 of little-endian bytes; a non-finite one is refused both ways.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import chain
 from operator import itemgetter
 
@@ -141,13 +136,12 @@ def decode_array(obj) -> np.ndarray:
     """Inverse of encode_array; any malformed record, or a float array that
     holds NaN or Inf, is FormatVersionMismatch."""
     try:
-        dtype = obj["dtype"]
+        dtype, shape, data = _fields(obj, ("dtype", "shape", "data"))
         if dtype not in _ARRAY_DTYPES:
             raise ValueError(f"unsupported array dtype {dtype!r}")
-        shape = tuple(obj["shape"])
-        raw = binascii.a2b_base64(obj["data"], strict_mode=True)
+        raw = binascii.a2b_base64(data, strict_mode=True)
         arr = np.frombuffer(raw, dtype=np.dtype(dtype).newbyteorder("<"))
-        arr = arr.reshape(shape).astype(dtype, copy=True)
+        arr = arr.reshape(tuple(shape)).astype(dtype, copy=True)
         if not np.isfinite(arr).all():
             raise ValueError("array holds non-finite values")
         return arr
@@ -156,14 +150,30 @@ def decode_array(obj) -> np.ndarray:
 
 
 def _typed(value, kind):
-    """A decoded JSON value whose type is kind (str, bool, int, float, list
-    or dict), or an integer as a float where a float is due; anything else,
-    such as a numeric string or a bool for a number, is a TypeError."""
+    """A decoded JSON value of type kind, or an int as a float where a float
+    is due; anything else (a numeric string, a bool for a number) is a TypeError."""
     if type(value) is kind:
         return value
     if kind is float and type(value) is int:
         return float(value)
     raise TypeError(f"expected a JSON {kind.__name__}, found {value!r}")
+
+
+def _fields(obj, keys, closed=True) -> list:
+    """[obj[k] for k in keys] of a decoded JSON object that holds every key
+    and, if closed, no other; anything else is a TypeError or ValueError."""
+    if type(obj) is not dict:
+        raise TypeError(f"expected a JSON object, found {obj!r:.80}")
+    missing, unknown = set(keys) - obj.keys(), obj.keys() - set(keys)
+    if missing or closed and unknown:
+        raise ValueError(f"missing keys {sorted(missing)}" if missing
+                         else f"unknown keys {sorted(unknown)}")
+    return [obj[k] for k in keys]
+
+
+def _record(cls, obj):
+    """cls built from a closed JSON object that holds exactly its fields."""
+    return cls(*_fields(obj, [f.name for f in fields(cls)]))
 
 
 def _finite(value) -> float:
@@ -200,34 +210,28 @@ def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
         raise InvalidArgument(f"cannot write {path}: {exc}") from exc
 
 
-def read_doc(path, schema: str, decode, lines: bool = False):
-    """(decode(header, records), header) of an artifact written by write_doc.
-
-    With lines=True the first non-blank line is the header and each later
-    one a record; otherwise the whole file is the header and records is
-    empty. records is an iterator, parsed as decode consumes it. A missing
-    file raises IoError; anything undecodable, non-finite, of the wrong
-    schema or rejected by decode raises FormatVersionMismatch naming path;
-    a record's own FairkdError (InvalidManifest) is prefixed with path.
+def read_doc(path, schema: str, keys, decode, lines: bool = False):
+    """(decode(*values), header) of an artifact written by write_doc: values
+    are the header's at keys (it is open: other keys pass through), then, with
+    lines=True, an iterator over the records on the later non-blank lines,
+    parsed as decode consumes it. A missing file raises IoError; anything
+    undecodable, non-finite, of the wrong schema or rejected by decode raises
+    FormatVersionMismatch naming path; a record's own FairkdError
+    (InvalidManifest) is prefixed with path.
     """
     try:
         text = read_text(path)
-        # JSON_DECODER.decode skips JSON whitespace by index, never copying
-        # the text, and one value must fill it: one per line, or per file
+        # decode skips whitespace by index, never copying; one value per line or file
         docs = (map(JSON_DECODER.decode, filter(str.strip, text.splitlines()))
                 if lines else
                 iter([JSON_DECODER.decode(text)] if _filled(text) else []))
         del text  # split or parsed: decode runs without the file text
-        header = next(docs, None)
-        if header is None:
+        if (header := next(docs, None)) is None:
             raise ValueError("empty file")
-        if not isinstance(header, dict):
-            raise TypeError(f"header must be an object, found "
-                            f"{type(header).__name__}")
-        if header.get("schema") != schema:
-            raise ValueError(f"expected schema {schema!r}, "
-                             f"found {header.get('schema')!r}")
-        return decode(header, docs), header
+        if _fields(header, ("schema",), closed=False) != [schema]:
+            raise ValueError(f"expected schema {schema!r}, found {header['schema']!r}")
+        values = _fields(header, keys, closed=False)
+        return decode(*values, docs) if lines else decode(*values), header
     except _DECODE_ERRORS as exc:
         raise FormatVersionMismatch(f"{path}: {exc}") from exc
     except IoError:
@@ -268,27 +272,34 @@ def _column(values, kind):
     return [_typed(v, kind) for v in values]
 
 
-def _manifest_from_doc(header: dict, records) -> DatasetManifest:
-    ids, identities, sources, labels, refs = list(zip(*map(itemgetter(
-        "sample_id", "identity_id", "source", "soft_labels", "payload_ref"),
-        records))) or [()] * 5
+def _columns(records, kinds: dict) -> list:
+    """The records' columns, _column-typed; each record holds exactly kinds' keys."""
+    get = itemgetter(*kinds)
+    rows = ((len(r), *get(r)) for r in records)  # sizes ride along: no record is kept
+    sizes, *columns = list(zip(*rows)) or [()] * (1 + len(kinds))
+    if set(sizes) - {len(kinds)}:
+        raise ValueError(f"a record holds keys other than {list(kinds)}")
+    return list(map(_column, columns, kinds.values()))
+
+
+def _manifest_from_doc(name, group_count, shortfalls, records) -> DatasetManifest:
+    ids, identities, sources, labels, refs = _columns(records, {
+        "sample_id": str, "identity_id": str, "source": str,
+        "soft_labels": list, "payload_ref": str})
     rows = (map(tuple, labels)
             if set(map(type, chain.from_iterable(labels))) <= {float}
             else [tuple(_typed(p, float) for p in row) for row in labels])
     shared = {}  # one tuple per row value; not with a zero: -0.0 == 0.0
     labels = (r if 0.0 in r else shared.setdefault(r, r) for r in rows)
     return DatasetManifest(
-        name=_typed(header.get("name", ""), str),
-        group_count=_typed(header.get("group_count", 0), int),
-        entries=map(ManifestEntry, _column(ids, str), _column(identities, str),
-                    _column(sources, str), labels, _column(refs, str)),
-        shortfalls={k: _typed(v, int)
-                    for k, v in header.get("shortfalls", {}).items()},
-    )
+        name=_typed(name, str), group_count=_typed(group_count, int),
+        entries=map(ManifestEntry, ids, identities, sources, labels, refs),
+        shortfalls={k: _typed(v, int) for k, v in shortfalls.items()})
 
 
 def read_manifest(path) -> tuple[DatasetManifest, dict]:
-    return read_doc(path, MANIFEST_SCHEMA, _manifest_from_doc, lines=True)
+    return read_doc(path, MANIFEST_SCHEMA, ("name", "group_count", "shortfalls"),
+                    _manifest_from_doc, lines=True)
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +318,20 @@ def write_protocol(protocol: PairProtocol, path,
     } for g in protocol.groups for p in g.pairs)))
 
 
-def _protocol_from_doc(header: dict, records) -> PairProtocol:
+def _protocol_from_doc(group_names, records) -> PairProtocol:
     """Groups in group_names order, so a name given twice is refused."""
-    names = [_typed(name, str) for name in header["group_names"]]
+    names = _column(_typed(group_names, list), str)
     pairs = {name: [] for name in names}
-    for rec in records:
-        pairs[_typed(rec["group"], str)].append(VerificationPair(
-            _typed(rec["sample_a"], str), _typed(rec["sample_b"], str),
-            _typed(rec["same"], bool)))
+    groups, *pair_fields = _columns(records, {"group": str, "sample_a": str,
+                                              "sample_b": str, "same": bool})
+    for group, pair in zip(groups, map(VerificationPair, *pair_fields)):
+        pairs[group].append(pair)
     return PairProtocol([GroupProtocol(name, pairs[name]) for name in names])
 
 
 def read_protocol(path) -> tuple[PairProtocol, dict]:
-    return read_doc(path, PROTOCOL_SCHEMA, _protocol_from_doc, lines=True)
+    return read_doc(path, PROTOCOL_SCHEMA, ("group_names",), _protocol_from_doc,
+                    lines=True)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +350,15 @@ def _report_to_obj(report: EvalReport) -> dict:
     }
 
 
-def _report_from_obj(obj: dict) -> EvalReport:
-    # the stored summary must be exactly, JSON type included, what is written
-    report = EvalReport(
-        tuple(_typed(a, float) for a in obj["per_group"]),
-        {k: _typed(v, str) for k, v in obj.get("metadata", {}).items()})
-    summary = _report_to_obj(report)
-    for key in ("average", "std", "ser", "ser_degenerate"):
-        if (type(obj[key]), obj[key]) != (type(summary[key]), summary[key]):
-            raise ValueError(f"stored {key} {obj[key]!r} is not {summary[key]!r}")
+def _report_from_obj(obj) -> EvalReport:
+    # the stored object must be exactly, JSON types included, what is written
+    per_group, metadata = _fields(obj, ("per_group", "metadata"), closed=False)
+    report = EvalReport(tuple(_typed(a, float) for a in per_group),
+                        {k: _typed(v, str) for k, v in metadata.items()})
+    written = _report_to_obj(report)
+    for key, value in zip(written, _fields(obj, tuple(written))):
+        if (type(value), value) != (type(written[key]), written[key]):
+            raise ValueError(f"stored {key} {value!r} is not {written[key]!r}")
     return report
 
 
@@ -364,8 +376,8 @@ def write_report(reports, path, extra_header: dict | None = None) -> None:
 
 
 def read_report(path) -> tuple[list[EvalReport], dict]:
-    return read_doc(path, REPORT_SCHEMA, lambda doc, _: [
-        _report_from_obj(o) for o in _typed(doc["reports"], list)])
+    return read_doc(path, REPORT_SCHEMA, ("reports",), lambda reports: [
+        _report_from_obj(o) for o in _typed(reports, list)])
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +399,19 @@ def write_features(features: dict, path,
     }, extra_header)
 
 
-def _features_from_doc(doc: dict, _) -> dict:
-    ids = _column(list(doc["ids"]), str)
-    matrix = decode_array(doc["matrix"])
-    if matrix.shape != (len(ids), _typed(doc["dim"], int)):
+def _features_from_doc(ids, dim, matrix) -> dict:
+    ids = _column(_typed(ids, list), str)
+    matrix = decode_array(matrix)
+    if matrix.shape != (len(ids), _typed(dim, int)):
         raise ValueError(f"matrix of shape {matrix.shape} does not hold "
-                         f"{len(ids)} vectors of dim {doc['dim']!r}")
+                         f"{len(ids)} vectors of dim {dim!r}")
     if not all(map(str.__lt__, ids, ids[1:])):
         raise ValueError("feature ids must be unique and sorted")
     return dict(zip(ids, matrix))
 
 
 def read_features(path) -> tuple[dict, dict]:
-    return read_doc(path, FEATURES_SCHEMA, _features_from_doc)
+    return read_doc(path, FEATURES_SCHEMA, ("ids", "dim", "matrix"), _features_from_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -423,39 +435,31 @@ def checkpoint_save(result: TrainResult, path,
     }, extra_header)
 
 
-def _checkpoint_from_doc(doc: dict, _) -> TrainResult:
-    spec = EncoderSpec(**doc["spec"])
-    weights = [decode_array(w) for w in doc["weights"]]
-    biases = [decode_array(b) for b in doc["biases"]]
-    raw_stats = doc.get("norm_stats")
-    stats = None if raw_stats is None else NormStats(
-        **{k: _typed(v, float) for k, v in raw_stats.items()})
-    raw_protos = doc.get("prototypes")
-    prototypes = None if raw_protos is None else decode_array(raw_protos)
-    raw_rng = doc.get("rng_state")
-    rng_state = None if raw_rng is None else _typed(raw_rng, dict)
+def _checkpoint_from_doc(spec, weights, biases, prototypes, norm_stats,
+                         rng_state) -> TrainResult:
+    spec = _record(EncoderSpec, spec)
+    weights, biases = [list(map(decode_array, a)) for a in (weights, biases)]
+    stats = None if norm_stats is None else NormStats(*(
+        _typed(v, float) for v in _fields(norm_stats, ("mean_norm", "std_norm"))))
+    prototypes = None if prototypes is None else decode_array(prototypes)
+    rng_state = None if rng_state is None else _typed(rng_state, dict)
 
-    # Shapes come from the spec, so a forged spec cannot make the encoder
-    # allocate anything before the mismatch is found.
+    # Shapes come from the spec: a forged one allocates nothing before the mismatch.
     dims = spec.layer_dims
     expected = list(zip(dims, dims[1:])) + [(d,) for d in dims[1:]]
     loaded = [w.shape for w in weights] + [b.shape for b in biases]
     if expected != loaded:
         raise ValueError(f"parameter shapes {loaded} do not match spec {expected}")
     encoder = Encoder(spec)
-    encoder.weights = weights
-    encoder.biases = biases
+    encoder.weights, encoder.biases = weights, biases
     # The trace is its own artifact (write_trace), so a loaded model has none.
     return TrainResult(encoder, prototypes, stats, [], rng_state)
 
 
 def checkpoint_load(path) -> tuple[TrainResult, dict]:
-    """(model, header) of a checkpoint written by checkpoint_save.
-
-    Every malformed document, including non-finite parameters or norm
-    statistics, raises FormatVersionMismatch.
-    """
-    return read_doc(path, CHECKPOINT_SCHEMA, _checkpoint_from_doc)
+    """(model, header) of a checkpoint written by checkpoint_save."""
+    return read_doc(path, CHECKPOINT_SCHEMA, ("spec", "weights", "biases",
+                    "prototypes", "norm_stats", "rng_state"), _checkpoint_from_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -469,5 +473,5 @@ def write_trace(epochs, path, extra_header: dict | None = None) -> None:
 
 
 def read_trace(path) -> tuple[list[EpochStats], dict]:
-    return read_doc(path, TRACE_SCHEMA, lambda doc, _: [
-        EpochStats(**e) for e in _typed(doc["epochs"], list)])
+    return read_doc(path, TRACE_SCHEMA, ("epochs",), lambda epochs: [
+        _record(EpochStats, e) for e in _typed(epochs, list)])

@@ -298,8 +298,11 @@ def _train(spec: EncoderSpec, manifest: DatasetManifest, store,
             kd_sum += kd_val * idx.size
         cls_mean = cls_sum / n
         kd_mean = kd_sum / n
-        trace.append(EpochStats(epoch, lr, cls_mean, kd_mean,
-                                cls_mean + loss_cfg.kd_weight * kd_mean))
+        total = cls_mean + loss_cfg.kd_weight * kd_mean
+        if not all(map(math.isfinite, (cls_mean, kd_mean, total))):
+            raise DivergenceDetected(f"training diverged at epoch {epoch}: loss cls "
+                                     f"{cls_mean!r}, kd {kd_mean!r}, total {total!r}")
+        trace.append(EpochStats(epoch, lr, cls_mean, kd_mean, total))
     return TrainResult(encoder, prototypes, stats, trace,
                        rng_state=rng.bit_generator.state)
 

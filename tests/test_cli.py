@@ -181,6 +181,19 @@ def test_missing_input_manifest_exits_1(ws, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_merge_on_a_manifest_header_without_name_exits_1(ws, tmp_path, capsys):
+    # such a header once read as a manifest named ""
+    header, *records = (ws / "m" / "real-train.manifest").read_text().splitlines()
+    bad = tmp_path / "no-name.manifest"
+    bad.write_text("\n".join([json.dumps({k: v for k, v in json.loads(header).items()
+                                          if k != "name"}), *records]) + "\n")
+    out = tmp_path / "out.manifest"
+    assert main(["merge", "--config", cfg_of(ws), str(bad), "--total", "8",
+                 "--out", str(out)]) == 1
+    assert f"error: {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, args, blocked", [
     ("synth-gen", ["--set", "paths.manifests={afile}/sub"], "{afile}/sub"),
     ("merge", ["{m}/real-train.manifest", "--total", "8",
@@ -424,8 +437,11 @@ def _with_first_weight(doc, **changes):
     lambda doc: {**doc, "norm_stats": {"mean_norm": "abc", "std_norm": 1.0}},
     lambda doc: _with_first_weight(doc, data="not base64!"),
     lambda doc: _with_first_weight(doc, shape=[3]),
+    # a spec without its activation once loaded as a relu model
+    lambda doc: {**doc, "spec": {k: v for k, v in doc["spec"].items()
+                                 if k != "activation"}},
 ], ids=["nan_weight", "top_level_list", "string_norm_stat", "bad_base64",
-        "shape_payload_mismatch"])
+        "shape_payload_mismatch", "spec_without_activation"])
 def test_eval_on_malformed_checkpoint_exits_1(ws, tmp_path, capsys, corrupt):
     doc = json.loads((ws / "c" / "teacher-scratch.ckpt").read_text())
     bad = tmp_path / "bad.ckpt"

@@ -2,6 +2,7 @@
 
 import ast
 import binascii
+import copy
 import json
 import math
 import re
@@ -443,8 +444,6 @@ MALFORMED = {
     # an epoch holds exactly EpochStats' five fields, each a JSON number
     "trace_epoch_foreign_keys": ("trace",
                                  lambda d: [{**d[0], "epochs": [{"foo": "bar"}]}]),
-    "trace_epoch_missing_key": ("trace", lambda d: [{**d[0], "epochs": [
-        {k: v for k, v in d[0]["epochs"][0].items() if k != "kd_loss"}]}]),
     "trace_lr_text": ("trace", lambda d: [{**d[0], "epochs": [
         {**d[0]["epochs"][0], "lr": "0.1"}]}]),
     "trace_epoch_float": ("trace", lambda d: [{**d[0], "epochs": [
@@ -461,11 +460,7 @@ MALFORMED = {
     # a trace or report document holds its list; none or an object is not
     # an empty one
     "trace_epochs_object": ("trace", lambda d: [{**d[0], "epochs": {}}]),
-    "trace_epochs_missing": ("trace", lambda d: [
-        {k: v for k, v in d[0].items() if k != "epochs"}]),
     "reports_object": ("report", lambda d: [{**d[0], "reports": {}}]),
-    "reports_missing": ("report", lambda d: [
-        {k: v for k, v in d[0].items() if k != "reports"}]),
     # a checkpoint's rng_state is null or an object
     "rng_state_int": ("checkpoint", lambda d: [{**d[0], "rng_state": 5}]),
     "rng_state_text": ("checkpoint", lambda d: [{**d[0], "rng_state": "x"}]),
@@ -474,6 +469,76 @@ MALFORMED = {
     "group_names_repeated": ("protocol", lambda d: [
         {**d[0], "group_names": ["g0", "g0"]}, *d[1:]]),
 }
+
+
+ARRAY_KEYS = ("data", "dtype", "shape")
+# kind -> {where in a valid file's documents (header first, then one per
+# record line): the keys its writer writes there}; the header, at (0,), is
+# open to stamps, and every other part is closed
+DECLARED = {
+    "manifest": {(0,): ("group_count", "name", "shortfalls"),
+                 (1,): ("identity_id", "payload_ref", "sample_id", "soft_labels",
+                        "source")},
+    "protocol": {(0,): ("group_names",),
+                 (1,): ("group", "sample_a", "sample_b", "same")},
+    "report": {(0,): ("reports",),
+               (0, "reports", 0): ("average", "metadata", "per_group", "ser",
+                                   "ser_degenerate", "std")},
+    "features": {(0,): ("dim", "ids", "matrix"), (0, "matrix"): ARRAY_KEYS},
+    "trace": {(0,): ("epochs",),
+              (0, "epochs", 0): ("cls_loss", "epoch", "kd_loss", "lr",
+                                 "total_loss")},
+    "checkpoint": {(0,): ("biases", "norm_stats", "prototypes", "rng_state",
+                          "spec", "weights"),
+                   (0, "spec"): ("activation", "embedding_dim", "hidden_widths",
+                                 "init_seed", "input_dim"),
+                   (0, "norm_stats"): ("mean_norm", "std_norm"),
+                   (0, "prototypes"): ARRAY_KEYS,
+                   (0, "weights", 0): ARRAY_KEYS,
+                   (0, "biases", 0): ARRAY_KEYS},
+}
+
+
+def part(docs, where):
+    for step in where:
+        docs = docs[step]
+    return docs
+
+
+def edited(where, change):
+    def corrupt(docs):
+        docs = copy.deepcopy(docs)
+        change(part(docs, where))
+        return docs
+    return corrupt
+
+
+def declared_cases():
+    """Every declared key is required, and a closed part takes no other:
+    e.g. checkpoint_spec_without_activation, manifest_record_with_zz."""
+    for kind, parts in DECLARED.items():
+        for where, keys in parts.items():
+            name = {(0,): "header", (1,): "record"}.get(where) or "_".join(
+                map(str, where[1:]))
+            for key in keys:
+                yield f"{kind}_{name}_without_{key}", (
+                    kind, edited(where, lambda obj, key=key: obj.pop(key)))
+            if where != (0,):
+                yield f"{kind}_{name}_with_zz", (
+                    kind, edited(where, lambda obj: obj.update(zz=0)))
+
+
+MALFORMED.update(declared_cases())
+
+
+@pytest.mark.parametrize("kind", list(DECLARED))
+def test_declared_keys_are_the_keys_written(tmp_path, kind):
+    path = tmp_path / kind
+    WRITE_AND_READ[kind][0](path)
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    for where, keys in DECLARED[kind].items():
+        stamps = {"schema"} if where == (0,) else set()
+        assert set(part(docs, where)) - stamps == set(keys), where
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))

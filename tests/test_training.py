@@ -1,5 +1,7 @@
 """Training loops: schedule, augmentation, SGD, determinism, distillation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,11 @@ from fairkd.errors import (
     MissingSample,
     ShapeMismatch,
 )
+from fairkd.experiment import PAPER
 from fairkd.formats import checkpoint_load, checkpoint_save
 from fairkd.losses import LossConfig, MarginConfig, NormStats
 from fairkd.sampling import DatasetManifest, ManifestEntry
+from fairkd.synthdata import generate_universe
 from fairkd.training import (
     Encoder,
     EncoderSpec,
@@ -258,6 +262,26 @@ class TestDistill:
             distill(self.teacher, SPEC, manifest, store,
                     LossConfig(margin=LOSS.margin, kd_weight=1.0),
                     small_cfg())
+
+    def test_an_epoch_loss_that_overflows_is_a_divergence(self):
+        # each batch's KD term is finite, but kd_weight times the epoch's
+        # mean overflows the total: a blow-up (exit 1), not a bad config
+        universe = generate_universe(PAPER.universe)
+        manifest = replace(universe.synthetic,
+                           entries=universe.synthetic.entries[:4])
+        cfg = replace(PAPER.train, epochs=1, lr_milestones=())
+        teacher = train_from_scratch(PAPER.teacher, manifest, universe.features,
+                                     PAPER.loss, cfg).encoder
+
+        def run(kd_weight):
+            return distill(teacher, PAPER.student, manifest, universe.features,
+                           replace(PAPER.loss, kd_weight=kd_weight), cfg)
+
+        with pytest.raises(DivergenceDetected,
+                           match="training diverged at epoch 0: .* total inf"):
+            run(1.7e308)
+        (epoch,) = run(1e300).trace
+        assert np.isfinite([epoch.kd_loss, epoch.total_loss]).all()
 
     def test_digest_sensitive_to_parameter_change(self):
         before = self.teacher.param_digest()
