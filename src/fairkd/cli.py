@@ -57,18 +57,17 @@ def _prepare(path) -> Path:
     return path
 
 
-def _write(cfg: RunConfig, write, value, path, **extra) -> Path:
+def _write(args, write, value, path, **extra) -> Path:
     """write(value, path, header) into a made directory; the one place that
-    stamps an artifact's header: config digest, tool version and extra."""
+    stamps an artifact's header: args.stamp (config digest, tool version), extra."""
     path = _prepare(path)
-    write(value, path, {"config_digest": config_digest(cfg),
-                        "tool_version": __version__, **extra})
+    write(value, path, {**args.stamp, **extra})
     return path
 
 
-def _write_manifest(cfg: RunConfig, manifest, path) -> dict:
+def _write_manifest(args, manifest, path) -> dict:
     stats = manifest_stats(manifest)
-    _write(cfg, write_manifest, manifest, path, stats=stats)
+    _write(args, write_manifest, manifest, path, stats=stats)
     return stats
 
 
@@ -86,10 +85,10 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
     out = []
     for manifest in (bundle.real, bundle.synthetic, bundle.holdout):
         out.append(_manifest_path(cfg, f"{manifest.name}.manifest"))
-        _write_manifest(cfg, manifest, out[-1])
-    out.append(_write(cfg, write_features, bundle.features,
+        _write_manifest(args, manifest, out[-1])
+    out.append(_write(args, write_features, bundle.features,
                       _manifest_path(cfg, "features.json")))
-    out.append(_write(cfg, write_protocol, protocol,
+    out.append(_write(args, write_protocol, protocol,
                       _manifest_path(cfg, "protocol.json")))
     for path in out:
         print(f"wrote {path}")
@@ -99,7 +98,7 @@ def cmd_synth_gen(cfg: RunConfig, args) -> int:
 def cmd_merge(cfg: RunConfig, args) -> int:
     manifests = [read_manifest(p)[0] for p in args.inputs]
     merged = balanced_merge(manifests, args.total, name=args.name)
-    stats = _write_manifest(cfg, merged, args.out)
+    stats = _write_manifest(args, merged, args.out)
     print(f"wrote {args.out}: {stats['total_identities']} identities, "
           f"{stats['total_images']} images")
     return 0
@@ -110,7 +109,7 @@ def cmd_mix(cfg: RunConfig, args) -> int:
     synthetic = [read_manifest(p)[0] for p in args.synthetic]
     mixed = mix_merge(real, synthetic, args.fraction, args.total,
                       name=args.name)
-    stats = _write_manifest(cfg, mixed, args.out)
+    stats = _write_manifest(args, mixed, args.out)
     print(f"wrote {args.out}: {stats['total_identities']} identities, "
           f"real fraction {stats['real_identity_fraction']:.4f}")
     return 0
@@ -128,8 +127,8 @@ def _write_training_outputs(cfg: RunConfig, args, result, stem: str) -> int:
     """Checkpoint and loss trace at --out/--trace, else named after stem."""
     ckpt = args.out or Path(cfg.paths.checkpoints) / f"{stem}.ckpt"
     trace = args.trace or Path(cfg.paths.reports) / f"{stem}-trace.json"
-    _write(cfg, checkpoint_save, result, ckpt)
-    _write(cfg, write_trace, result.trace, trace)
+    _write(args, checkpoint_save, result, ckpt)
+    _write(args, write_trace, result.trace, trace)
     final = (f"final epoch loss {result.trace[-1].total_loss:.4f}"
              if result.trace else "no epochs")
     print(f"wrote {ckpt}")
@@ -169,7 +168,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                 "distilled": args.distilled, "loss": args.loss_label}
     reports = [build_report(accuracies, metadata)]
     out = args.out or Path(cfg.paths.reports) / "report.json"
-    _write(cfg, write_report, reports, out)
+    _write(args, write_report, reports, out)
     print(render_table(reports))
     print(f"wrote {out}")
     return 0
@@ -344,6 +343,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
+        args.stamp = {"config_digest": config_digest(cfg), "tool_version": __version__}
         return args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

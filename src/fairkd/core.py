@@ -5,14 +5,17 @@ decides which rows have no usable direction, and cosine_similarity the only
 place that clamps cosine values, so every consumer (the margin heads, the
 normalized KD term, verification scoring) inherits one convention. Likewise
 feature_rows is the one rule for a feature vector: training, pair scoring and
-the feature-store writer resolve samples through it. And rule/check_fields is
-the one rule for a record field (config, trace epoch): its type and bounds.
+the feature-store writer resolve samples through it, in any mapping, and the
+pipeline's is a FeatureStore: sample ids over the rows of one matrix, as made
+or read. And rule/check_fields is the one rule for a record field (config,
+trace epoch): its type and bounds.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import MISSING, field, fields
 from types import GenericAlias
 
@@ -29,6 +32,7 @@ from .errors import (
 
 # Below this norm a vector carries no usable direction at float64 precision.
 ZERO_NORM_EPS = 1e-12
+_BLOCK = 4096  # ids that feature_rows resolves per np.array call
 
 # check -> (what a value must be, given the bound; whether the value is)
 _CHECKS = {"ge": (">= {}", operator.ge), "gt": ("> {}", operator.gt),
@@ -78,23 +82,54 @@ def check_fields(record) -> None:
         object.__setattr__(record, f.name, items if many else items[0])
 
 
+class FeatureStore(Mapping):
+    """A read-only map from sample id to a row view of one float64 (N, D)
+    matrix, row i for ids[i], iterated in ids order; ids must be unique."""
+
+    __slots__ = ("matrix", "_row")
+
+    def __init__(self, ids, matrix: np.ndarray):
+        self._row = {sid: i for i, sid in enumerate(ids)}
+        self.matrix = matrix.view()
+        self.matrix.flags.writeable = False
+        if not (matrix.dtype == np.float64 and matrix.shape[:1] == (len(ids),)
+                == (len(self._row),) and matrix.ndim == 2):
+            raise InvalidArgument(f"{len(ids)} ids for a matrix of {matrix.shape}")
+
+    def __getitem__(self, sid) -> np.ndarray:
+        return self.matrix[self._row[sid]]
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+
 def feature_rows(store, ids) -> np.ndarray:
     """store[sid] for each sid in the sequence ids, in order, as one float64
-    (N, D) matrix. An id the store cannot resolve raises MissingSample; values
-    that are not real numbers of one length, or a vector holding NaN or inf
-    (naming its sample id), raise InvalidArgument."""
-    try:
-        rows = np.array([store[sid] for sid in ids])
-    except KeyError as exc:
-        raise MissingSample(f"feature store cannot resolve sample {exc}") from None
-    except ValueError:  # numpy's refusal of vectors of different lengths
-        rows = None
-    if rows is None or rows.ndim != 2 or rows.dtype.kind not in "biuf":
-        raise InvalidArgument("feature vectors must be real numbers of one length")
+    (N, D) matrix, filled by one np.array call per _BLOCK ids, so that no more
+    row objects than that are alive at once. An id the store cannot resolve
+    raises MissingSample; values that are not real numbers of one length, or a
+    vector holding NaN or inf (naming its sample id), raise InvalidArgument."""
+    rows = None
+    for at in range(0, max(len(ids), 1), _BLOCK):
+        try:
+            block = np.array([store[sid] for sid in ids[at:at + _BLOCK]])
+        except KeyError as exc:
+            raise MissingSample(f"feature store cannot resolve sample {exc}") from None
+        except ValueError:  # numpy's refusal of vectors of different lengths
+            block = None
+        if block is None or block.ndim != 2 or block.dtype.kind not in "biuf" or (
+                rows is not None and block.shape[1] != rows.shape[1]):
+            raise InvalidArgument("feature vectors must be real numbers of one length")
+        if rows is None:
+            rows = np.empty((len(ids), block.shape[1]))
+        rows[at:at + _BLOCK] = block
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise InvalidArgument(f"feature vector {ids[bad[0]]!r} is not finite")
-    return rows.astype(np.float64, copy=False)
+    return rows
 
 
 def row_norms(m: np.ndarray, what: str) -> np.ndarray:

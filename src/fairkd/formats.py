@@ -4,9 +4,13 @@ checkpoints and training traces. No compute module imports this one.
 Every artifact is UTF-8 JSON with a schema tag, written atomically (temp file
 + rename) and canonically (sorted keys, fixed separators, repr-exact floats)
 as a stream of pieces; manifests and protocols are a header line, then one
-record per line. write_doc refuses a header clash, NaN, Infinity or an
-unencodable value before the destination is touched; read_doc parses the text
-in place or by line, then drops it. Each decoded object holds exactly the keys
+record per line, and a feature store (features/3) a header of sorted ids and
+dim, then its matrix's little-endian bytes, _PIECE a line, as base64 strings.
+write_doc refuses a header clash, NaN, Infinity or an unencodable value before
+the destination is touched; read_doc parses a whole document in place, or
+streams a line artifact from the open file, and read_features decodes each
+piece into one preallocated matrix, a core.FeatureStore (features/2 is not
+read: synth-gen rebuilds it). Each decoded object holds exactly the keys
 its writer writes (_fields): a header is open to stamps (config_digest), all
 below it (records, arrays, spec, norm stats, reports, epochs) is closed, and
 nothing has a default. Values are taken only as their JSON type (_typed), by
@@ -21,7 +25,6 @@ import binascii
 import json
 import math
 import os
-import re
 import tempfile
 from dataclasses import asdict, fields
 from itertools import chain
@@ -29,7 +32,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import feature_rows
+from .core import FeatureStore, feature_rows
 from .errors import FairkdError, FormatVersionMismatch, InvalidArgument, IoError
 from .evaluation import EvalReport, GroupProtocol, PairProtocol, VerificationPair
 from .losses import NormStats
@@ -39,18 +42,16 @@ from .training import Encoder, EncoderSpec, EpochStats, TrainResult
 MANIFEST_SCHEMA = "fairkd/manifest/1"
 PROTOCOL_SCHEMA = "fairkd/protocol/1"
 REPORT_SCHEMA = "fairkd/report/1"
-FEATURES_SCHEMA = "fairkd/features/2"
+FEATURES_SCHEMA = "fairkd/features/3"
 CHECKPOINT_SCHEMA = "fairkd/checkpoint/1"
 TRACE_SCHEMA = "fairkd/trace/1"
 
 _ARRAY_DTYPES = ("float64", "int64")
 # What a decoder raises on a document of the wrong shape or type.
 _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError,
-                  RecursionError)
+                  RecursionError, MemoryError)
 # Raw bytes per base64 piece: a multiple of 3, so the pieces join unpadded.
 _PIECE = 3 << 16
-# Whether str.strip would leave anything of a text, found without a copy.
-_filled = re.compile(r"\S").search
 
 
 # Deterministic single-line JSON, NaN/Inf refused, from one prebuilt encoder.
@@ -85,43 +86,21 @@ def read_text(path) -> str:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
-def _array_record(arr) -> dict:
-    """encode_array's record with its data an iterator of str pieces, the
-    base64 of _PIECE raw bytes each, made as it is read."""
-    arr = np.asarray(arr)
-    if arr.dtype.name not in _ARRAY_DTYPES:
-        raise InvalidArgument(f"unsupported array dtype {arr.dtype.name}")
+def _base64_pieces(arr: np.ndarray):
+    """The base64 of arr's little-endian bytes, _PIECE raw bytes a piece,
+    each made as it is read."""
     raw = np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).ravel().view(np.uint8)
-    return {"dtype": arr.dtype.name, "shape": list(arr.shape),
-            "data": (binascii.b2a_base64(raw[i:i + _PIECE], newline=False).decode()
-                     for i in range(0, raw.size, _PIECE))}
+    return (binascii.b2a_base64(raw[i:i + _PIECE], newline=False).decode()
+            for i in range(0, raw.size, _PIECE))
 
 
 def encode_array(arr: np.ndarray) -> dict:
     """Bit-exact array snapshot: dtype, shape, base64 little-endian bytes."""
-    record = _array_record(arr)
-    return {**record, "data": "".join(record["data"])}
-
-
-def _array_pieces(arr: np.ndarray):
-    """canonical_json(encode_array(arr)) as an iterator of pieces; "data"
-    sorts first, so the pieces of its value come before the other keys."""
-    record = _array_record(arr)
-    data = record.pop("data")
-    return chain(['{"data":"'], data, ['",', canonical_json(record)[1:]])
-
-
-def _doc_pieces(doc: dict):
-    """canonical_json(doc) as an iterator of pieces, key by key in sorted
-    order; values are encoded now, so json refuses one before a byte is
-    written, but a top-level ndarray's encode_array record is streamed."""
-    parts = [["{"]]
-    for i, key in enumerate(sorted(doc)):
-        value = doc[key]
-        parts += [[f'{"," if i else ""}{canonical_json(key)}:'],
-                  _array_pieces(value) if isinstance(value, np.ndarray)
-                  else [canonical_json(value)]]
-    return chain.from_iterable([*parts, ["}"]])
+    arr = np.asarray(arr)
+    if arr.dtype.name not in _ARRAY_DTYPES:
+        raise InvalidArgument(f"unsupported array dtype {arr.dtype.name}")
+    return {"dtype": arr.dtype.name, "shape": list(arr.shape),
+            "data": "".join(_base64_pieces(arr))}
 
 
 def _encode_finite(arr: np.ndarray) -> dict:
@@ -190,8 +169,8 @@ JSON_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
               records=()) -> None:
     """Write {"schema": schema, **body, **extra_header} as one canonical JSON
-    line (an ndarray value as its encode_array record), then records, each
-    already one encoded line, atomically, as a stream of pieces.
+    line, then records, each already one encoded line, atomically, as a
+    stream of pieces.
 
     extra_header may not shadow a structural key, and no value may be NaN,
     Inf or of a type json refuses (InvalidArgument, and path is not touched).
@@ -204,7 +183,7 @@ def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
             f"extra header keys collide with structural keys: {clash}")
     lines = ("\n" + record for record in records)  # one write call per line
     try:
-        atomic_write_text(path, chain(_doc_pieces({**header, **extra}),
+        atomic_write_text(path, chain([canonical_json({**header, **extra})],
                                       lines, "\n"))
     except (TypeError, ValueError) as exc:  # json refuses NaN, Infinity or the type
         raise InvalidArgument(f"cannot write {path}: {exc}") from exc
@@ -214,28 +193,28 @@ def read_doc(path, schema: str, keys, decode, lines: bool = False):
     """(decode(*values), header) of an artifact written by write_doc: values
     are the header's at keys (it is open: other keys pass through), then, with
     lines=True, an iterator over the records on the later non-blank lines,
-    parsed as decode consumes it. A missing file raises IoError; anything
+    read from the open file and parsed as decode consumes it; a line is what
+    universal newlines make it. A missing file raises IoError; anything
     undecodable, non-finite, of the wrong schema or rejected by decode raises
     FormatVersionMismatch naming path; a record's own FairkdError
     (InvalidManifest) is prefixed with path.
     """
     try:
-        text = read_text(path)
-        # decode skips whitespace by index, never copying; one value per line or file
-        docs = (map(JSON_DECODER.decode, filter(str.strip, text.splitlines()))
-                if lines else
-                iter([JSON_DECODER.decode(text)] if _filled(text) else []))
-        del text  # split or parsed: decode runs without the file text
-        if (header := next(docs, None)) is None:
-            raise ValueError("empty file")
-        if _fields(header, ("schema",), closed=False) != [schema]:
-            raise ValueError(f"expected schema {schema!r}, found {header['schema']!r}")
-        values = _fields(header, keys, closed=False)
-        return decode(*values, docs) if lines else decode(*values), header
+        with open(path, encoding="utf-8") as fh:
+            # a line artifact is parsed line by line as decode consumes it; a
+            # whole document in place, its text dropped once it is parsed
+            docs = (map(JSON_DECODER.decode, filter(str.strip, fh)) if lines
+                    else iter([JSON_DECODER.decode(fh.read())]))
+            if (header := next(docs, None)) is None:
+                raise ValueError("empty file")
+            if _fields(header, ("schema",), closed=False) != [schema]:
+                raise ValueError(f"expected schema {schema!r}, found {header['schema']!r}")
+            values = _fields(header, keys, closed=False)
+            return decode(*values, docs) if lines else decode(*values), header
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
     except _DECODE_ERRORS as exc:
         raise FormatVersionMismatch(f"{path}: {exc}") from exc
-    except IoError:
-        raise  # read_text names the file
     except FairkdError as exc:  # FormatVersionMismatch from decode_array too
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -381,37 +360,44 @@ def read_report(path) -> tuple[list[EvalReport], dict]:
 
 
 # ---------------------------------------------------------------------------
-# feature stores: sample_id -> float64 vector, bit-exact, as sorted ids plus
-# one (N, dim) matrix
+# feature stores: sample_id -> float64 vector, bit-exact, as sorted ids, then
+# the (N, dim) matrix's bytes as base64, one _PIECE-byte piece a line
 
 
-def write_features(features: dict, path,
-                   extra_header: dict | None = None) -> None:
+def write_features(features, path, extra_header: dict | None = None) -> None:
     for k in features:
         if not isinstance(k, str):
             raise InvalidArgument(f"feature ids must be strings, got {k!r}")
     ids = sorted(features)
     matrix = feature_rows(features, ids) if ids else np.zeros((0, 0))
-    write_doc(path, FEATURES_SCHEMA, {
-        "ids": ids,
-        "dim": matrix.shape[1],
-        "matrix": matrix,
-    }, extra_header)
+    write_doc(path, FEATURES_SCHEMA, {"ids": ids, "dim": matrix.shape[1]},
+              extra_header, records=(f'"{p}"' for p in _base64_pieces(matrix)))
 
 
-def _features_from_doc(ids, dim, matrix) -> dict:
+def _features_from_doc(ids, dim, pieces) -> FeatureStore:
+    """A preallocated matrix, filled piece by piece: each is a JSON string
+    of strict base64, and all but the last hold exactly _PIECE bytes."""
     ids = _column(_typed(ids, list), str)
-    matrix = decode_array(matrix)
-    if matrix.shape != (len(ids), _typed(dim, int)):
-        raise ValueError(f"matrix of shape {matrix.shape} does not hold "
-                         f"{len(ids)} vectors of dim {dim!r}")
     if not all(map(str.__lt__, ids, ids[1:])):
         raise ValueError("feature ids must be unique and sorted")
-    return dict(zip(ids, matrix))
+    matrix = np.empty((len(ids), _typed(dim, int)), "<f8")
+    flat, at = matrix.reshape(-1).view(np.uint8), 0
+    for piece in pieces:
+        raw = binascii.a2b_base64(_typed(piece, str), strict_mode=True)
+        if at % _PIECE or not 0 < len(raw) <= min(_PIECE, flat.size - at):
+            raise ValueError(f"a piece of {len(raw)} bytes at byte {at} of {flat.size}")
+        flat[at:at + len(raw)] = np.frombuffer(raw, np.uint8)
+        at += len(raw)
+    if at != flat.size:
+        raise ValueError(f"{at} bytes for {len(ids)} vectors of dim {dim}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("feature matrix holds non-finite values")
+    return FeatureStore(ids, matrix.astype(np.float64, copy=False))
 
 
-def read_features(path) -> tuple[dict, dict]:
-    return read_doc(path, FEATURES_SCHEMA, ("ids", "dim", "matrix"), _features_from_doc)
+def read_features(path) -> tuple[FeatureStore, dict]:
+    return read_doc(path, FEATURES_SCHEMA, ("ids", "dim"), _features_from_doc,
+                    lines=True)
 
 
 # ---------------------------------------------------------------------------

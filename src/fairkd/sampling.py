@@ -16,6 +16,7 @@ than silently rebalancing other groups.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -33,6 +34,7 @@ from .errors import (
 
 SOURCES = ("real", "synthetic")
 SOFT_LABEL_SUM_TOL = 1e-6
+_CELL = re.compile(rf"group(0|[1-9][0-9]*)(/{'|/'.join(SOURCES)})?")
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,8 +58,9 @@ class DatasetManifest:
 
     Checked when built and frozen, with its entries in a tuple and its
     shortfalls in a read-only mapping, so a manifest that exists is valid.
-    shortfalls maps quota cells (e.g. "group1" or "group1/real") to the
-    number of identities the cell was short at merge time.
+    shortfalls maps quota cells (e.g. "group1" or "group1/real", of a group
+    below group_count) to the number of identities the cell was short at
+    merge time, a positive int.
     """
 
     name: str
@@ -77,12 +80,17 @@ class DatasetManifest:
                                   dict(self.shortfalls)))
 
     def validate(self) -> None:
-        """Raise InvalidManifest on any malformed entry or duplicate sample:
-        by column, each check only before the first failure so far, so the
-        message is that of the first bad entry's first failed check."""
+        """Raise InvalidManifest on a bad shortfall, malformed entry or duplicate
+        sample: by column, each check only before the first failure so far, so
+        the message is that of the first bad entry's first failed check."""
         g, entries = self.group_count, self.entries
         if g < 1:
             raise InvalidManifest(f"group_count must be >= 1, got {g}")
+        for key, count in self.shortfalls.items():
+            cell = isinstance(key, str) and _CELL.fullmatch(key)
+            if not (cell and int(cell[1]) < g and type(count) is int and count > 0):
+                raise InvalidManifest(f"shortfall {key!r}: {count!r} is not a "
+                                      f"positive count of a quota cell of {g} groups")
         end, error = len(entries), None
         sources = [e.source for e in entries]
         if sources.count("real") + sources.count("synthetic") < end:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import check_fields, rule
+from .core import FeatureStore, check_fields, rule
 from .errors import (
     ConfigError,
     InsufficientIdentities,
@@ -163,14 +163,15 @@ class UniverseBundle:
     real: DatasetManifest
     synthetic: DatasetManifest
     holdout: DatasetManifest
-    features: dict[str, np.ndarray] = field(default_factory=dict)
+    features: FeatureStore
     identities: dict[str, list[ToyIdentity]] = field(default_factory=dict)
 
 
-def _pool_manifest(cfg: UniverseConfig, pool: str, name: str,
-                   features: dict) -> tuple[DatasetManifest, list[ToyIdentity]]:
+def _pool_manifest(cfg: UniverseConfig, pool: str, name: str, ids: list,
+                   matrix: np.ndarray) -> tuple[DatasetManifest, list[ToyIdentity]]:
     """Each identity's images are x = M_g z + noise_scale_g * eps, with the
-    pool's noise drawn in one call, identity by identity, image by image."""
+    pool's noise drawn in one call, identity by identity, image by image; they
+    fill the next rows of matrix, and their sample ids extend ids."""
     identities = gen_identities(cfg, pool)
     structure = group_structure(cfg)
     eps = _stream(cfg.seed, _STREAM_IMAGES[pool]).standard_normal(
@@ -178,11 +179,11 @@ def _pool_manifest(cfg: UniverseConfig, pool: str, name: str,
     source = "synthetic" if pool == "synthetic" else "real"
     entries = []
     for ident, noise in zip(identities, eps):
-        images = (structure.maps[ident.group] @ ident.latent
-                  + cfg.noise_scales[ident.group] * noise)
-        for j, feature in enumerate(images):
-            sample_id = f"{ident.identity_id}_im{j:02d}"
-            features[sample_id] = feature
+        matrix[len(ids):len(ids) + len(noise)] = (
+            structure.maps[ident.group] @ ident.latent
+            + cfg.noise_scales[ident.group] * noise)
+        for j in range(len(noise)):
+            ids.append(sample_id := f"{ident.identity_id}_im{j:02d}")
             entries.append(ManifestEntry(sample_id, ident.identity_id, source,
                                          ident.soft_labels, sample_id))
     return (DatasetManifest(name=name, group_count=cfg.n_groups,
@@ -191,16 +192,14 @@ def _pool_manifest(cfg: UniverseConfig, pool: str, name: str,
 
 def generate_universe(cfg: UniverseConfig) -> UniverseBundle:
     """All three pools of one universe, with a shared feature store."""
-    features: dict[str, np.ndarray] = {}
-    real, real_ids = _pool_manifest(cfg, "real", "real-train", features)
-    synth, synth_ids = _pool_manifest(cfg, "synthetic", "synthetic-train",
-                                      features)
-    holdout, holdout_ids = _pool_manifest(cfg, "holdout", "holdout-eval",
-                                          features)
-    return UniverseBundle(
-        real=real, synthetic=synth, holdout=holdout, features=features,
-        identities={"real": real_ids, "synthetic": synth_ids,
-                    "holdout": holdout_ids})
+    ids: list[str] = []
+    matrix = np.empty(((2 * cfg.identities_per_source + cfg.eval_identities)
+                       * cfg.images_per_identity, cfg.feature_dim))
+    pools = {pool: _pool_manifest(cfg, pool, name, ids, matrix) for pool, name in
+             (("real", "real-train"), ("synthetic", "synthetic-train"),
+              ("holdout", "holdout-eval"))}
+    return UniverseBundle(*(pools[p][0] for p in POOLS), FeatureStore(ids, matrix),
+                          {p: pools[p][1] for p in POOLS})
 
 
 def _pair_capacity(images_by_identity: dict[str, list[str]]):

@@ -601,13 +601,6 @@ def ref_manifest_text(manifest, extra_header=None):
     return "\n".join(map(canonical_json, [header, *records])) + "\n"
 
 
-def ref_array_record(arr):
-    """encode_array's record, its data one base64 string of the whole buffer."""
-    little = arr.astype(arr.dtype.newbyteorder("<"))
-    return {"dtype": arr.dtype.name, "shape": list(arr.shape),
-            "data": base64.b64encode(little.tobytes()).decode("ascii")}
-
-
 def ref_doc_text(schema, body, extra_header=None, records=()):
     """The text write_doc writes, built as one string: the header through one
     canonical_json call, joined with the record lines, plus a newline."""
@@ -616,10 +609,13 @@ def ref_doc_text(schema, body, extra_header=None, records=()):
 
 
 def ref_features_text(features, extra_header=None):
-    """The text write_features writes, with the matrix one base64 string."""
+    """The text write_features writes, built from one base64 string of the
+    whole matrix, cut into lines of the base64 of 192 KiB each."""
     ids = sorted(features)
     matrix = (np.array([features[sid] for sid in ids], dtype=np.float64)
               if ids else np.zeros((0, 0)))
-    return ref_doc_text(FEATURES_SCHEMA, {
-        "ids": ids, "dim": matrix.shape[1],
-        "matrix": ref_array_record(matrix)}, extra_header)
+    data = base64.b64encode(matrix.astype("<f8").tobytes()).decode("ascii")
+    size = 192 * 1024 // 3 * 4
+    return ref_doc_text(FEATURES_SCHEMA, {"ids": ids, "dim": matrix.shape[1]},
+                        extra_header, [canonical_json(data[i:i + size])
+                                       for i in range(0, len(data), size)])

@@ -230,10 +230,9 @@ def test_train_on_int_identity_id_exits_1(ws, tmp_path, capsys):
 
 
 def test_train_on_corrupt_feature_matrix_exits_1(ws, tmp_path, capsys):
-    doc = json.loads((ws / "m" / "features.json").read_text())
+    header, *pieces = (ws / "m" / "features.json").read_text().splitlines()
     bad = tmp_path / "features.json"
-    bad.write_text(json.dumps({**doc, "matrix": {**doc["matrix"],
-                                                 "data": "not base64!"}}))
+    bad.write_text("\n".join([header, '"not base64!"', *pieces[1:]]) + "\n")
     assert main(["train", "--config", cfg_of(ws), "--features", str(bad),
                  "--out", str(tmp_path / "x.ckpt")]) == 1
     assert f"error: {bad}" in capsys.readouterr().err
@@ -361,6 +360,14 @@ READERS = {".manifest": read_manifest, "features.json": read_features,
            "-trace.json": read_trace, "report.json": read_report}
 
 
+def test_synth_gen_computes_the_config_digest_once(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fairkd.cli, "config_digest",
+                        lambda cfg: calls.append(cfg) or config_digest(cfg))
+    assert main(["synth-gen", "--config", str(write_config(tmp_path))]) == 0
+    assert len(calls) == 1
+
+
 def test_every_artifact_header_names_its_config_and_version(tmp_path):
     cfg = write_config(tmp_path)
     m = tmp_path / "m"
@@ -455,7 +462,7 @@ def test_eval_on_malformed_checkpoint_exits_1(ws, tmp_path, capsys, corrupt):
 
 def test_eval_on_deeply_nested_features_exits_1(ws, tmp_path, capsys):
     bad = tmp_path / "features.json"
-    bad.write_text('{"schema":"fairkd/features/2","ids":' + "[" * 100_000)
+    bad.write_text('{"schema":"fairkd/features/3","ids":' + "[" * 100_000)
     out = tmp_path / "report.json"
     assert main(["eval", "--config", cfg_of(ws), "--checkpoint",
                  str(ws / "c" / "teacher-scratch.ckpt"), "--features", str(bad),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairkd.core import cosine_similarity, feature_rows, row_norms
+from fairkd.core import FeatureStore, cosine_similarity, feature_rows, row_norms
 from fairkd.errors import (
     DimensionMismatch,
     InvalidArgument,
@@ -146,3 +146,63 @@ def test_feature_rows_refuse_values_that_are_not_real_vectors(value):
 def test_feature_rows_name_a_non_finite_vector(value):
     with pytest.raises(InvalidArgument, match="'b' is not finite"):
         feature_rows({**STORE, "b": [1.0, value]}, ["a", "b", "c"])
+
+
+# Stores larger than one block of feature_rows: its result and refusals are
+# those of a single np.array call over every id.
+BLOCKS = 2 * 4096 + 5
+
+
+def big_store(last=None):
+    rng = np.random.default_rng(0)
+    store = {f"s{i:05d}": rng.standard_normal(3) for i in range(BLOCKS)}
+    store["s00000"] = [1, 2, 3]  # ints in the first block, floats after
+    if last is not None:
+        store[f"s{BLOCKS - 1:05d}"] = last
+    return store
+
+
+def test_feature_rows_across_blocks_are_one_np_array_call():
+    store = big_store()
+    ids = sorted(store, reverse=True)
+    rows = feature_rows(store, ids)
+    assert rows.tobytes() == np.array([store[s] for s in ids], np.float64).tobytes()
+
+
+@pytest.mark.parametrize("value", [[1.0, 2.0], ["1", "2", "3"], 4.0],
+                         ids=["ragged", "text", "scalar"])
+def test_feature_rows_refuse_a_bad_vector_in_a_later_block(value):
+    with pytest.raises(InvalidArgument, match="of one length"):
+        feature_rows(big_store(value), sorted(big_store()))
+
+
+def test_feature_rows_name_a_non_finite_vector_in_a_later_block():
+    with pytest.raises(InvalidArgument, match=f"'s{BLOCKS - 1:05d}' is not finite"):
+        feature_rows(big_store([1.0, np.inf, 0.0]), sorted(big_store()))
+
+
+def test_feature_store_maps_ids_to_rows_of_one_read_only_matrix():
+    matrix = np.arange(6.0).reshape(3, 2)
+    store = FeatureStore(["b", "c", "a"], matrix)
+    assert list(store) == ["b", "c", "a"] and len(store) == 3
+    assert "a" in store and "z" not in store
+    np.testing.assert_array_equal(store["a"], [4.0, 5.0])
+    assert np.shares_memory(store["a"], matrix)
+    with pytest.raises(ValueError):
+        store["a"][0] = 9.0
+    with pytest.raises(TypeError):
+        store["d"] = np.zeros(2)
+    with pytest.raises(MissingSample):
+        feature_rows(store, ["a", "d"])
+    assert feature_rows(store, ["a", "b"]).tobytes() == matrix[[2, 0]].tobytes()
+
+
+@pytest.mark.parametrize("ids, matrix", [
+    (["a", "a"], np.zeros((2, 2))),
+    (["a", "b"], np.zeros((3, 2))),
+    (["a"], np.zeros(1)),
+    (["a"], np.zeros((1, 2), np.float32)),
+], ids=["repeated-id", "rows-for-other-ids", "one-dimensional", "float32"])
+def test_feature_store_refuses_ids_that_do_not_name_its_rows(ids, matrix):
+    with pytest.raises(InvalidArgument):
+        FeatureStore(ids, matrix)

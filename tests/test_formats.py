@@ -12,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import ref_array_record, ref_features_text, ref_manifest_text
+from helpers import ref_features_text, ref_manifest_text
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fairkd
+from fairkd.core import FeatureStore
 from fairkd.errors import (
     ConfigError,
     FormatVersionMismatch,
@@ -30,7 +31,6 @@ from fairkd.formats import (
     _PIECE,
     FEATURES_SCHEMA,
     MANIFEST_SCHEMA,
-    _doc_pieces,
     canonical_json,
     checkpoint_load,
     checkpoint_save,
@@ -115,6 +115,19 @@ class TestManifestIo:
         with pytest.raises(InvalidManifest, match=re.escape(f"{path}: ")) as exc:
             read_manifest(path)
         assert str(exc.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("shortfalls", [
+        {"group0": -3, "zzz": 2}, {"group0": 0}, {"group2": 1},
+        {"group0/fake": 1}, {"": 1},
+    ])
+    def test_read_refuses_impossible_shortfalls(self, tmp_path, shortfalls):
+        path = tmp_path / "m.jsonl"
+        write_manifest(sample_manifest(), path)
+        header, *records = path.read_text().splitlines()
+        header = canonical_json({**json.loads(header), "shortfalls": shortfalls})
+        path.write_text("\n".join([header, *records]) + "\n")
+        with pytest.raises(InvalidManifest, match=re.escape(f"{path}: shortfall")):
+            read_manifest(path)
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -226,10 +239,19 @@ class TestFeatureIo:
     def test_stored_as_sorted_ids_and_one_matrix(self, tmp_path):
         path = tmp_path / "f.json"
         write_features({"b": np.ones(3), "a": np.zeros(3)}, path)
-        doc = json.loads(path.read_text())
-        assert doc["ids"] == ["a", "b"] and doc["dim"] == 3
-        np.testing.assert_array_equal(decode_array(doc["matrix"]),
+        header, *pieces = map(json.loads, path.read_text().splitlines())
+        assert header["ids"] == ["a", "b"] and header["dim"] == 3
+        matrix = np.frombuffer(binascii.a2b_base64("".join(pieces)), "<f8")
+        np.testing.assert_array_equal(matrix.reshape(2, 3),
                                       [np.zeros(3), np.ones(3)])
+
+    def test_read_store_is_rows_of_one_matrix(self, tmp_path):
+        path = tmp_path / "f.json"
+        write_features({"b": np.ones(3), "a": np.zeros(3)}, path)
+        store, _ = read_features(path)
+        assert isinstance(store, FeatureStore) and list(store) == ["a", "b"]
+        assert store["b"].base is store.matrix.base
+        np.testing.assert_array_equal(store.matrix, [np.zeros(3), np.ones(3)])
 
     def test_empty_store_round_trips(self, tmp_path):
         path = tmp_path / "f.json"
@@ -242,6 +264,15 @@ class TestFeatureIo:
             "schema": "fairkd/features/1", "dim": 4,
             "features": {"a": encode_array(np.zeros(4))}}))
         with pytest.raises(FormatVersionMismatch):
+            read_features(path)
+
+    def test_version_2_store_rejected(self, tmp_path):
+        # one document with the matrix as an array record: synth-gen rebuilds it
+        path = tmp_path / "f.json"
+        path.write_text(canonical_json({
+            "schema": "fairkd/features/2", "ids": ["a"], "dim": 4,
+            "matrix": encode_array(np.zeros((1, 4)))}) + "\n")
+        with pytest.raises(FormatVersionMismatch, match=re.escape(str(path))):
             read_features(path)
 
     def test_non_finite_vector_rejected_on_write(self, tmp_path):
@@ -364,10 +395,11 @@ WRITE_AND_READ = {
 }
 
 
-def with_nan_row(record):
-    matrix = decode_array(record)
-    matrix[1] = np.nan
-    return encode_array(matrix)
+def with_nan_row(piece):
+    """A features piece of 2 x 4 values, its second row NaN."""
+    matrix = np.frombuffer(binascii.a2b_base64(piece), "<f8").copy()
+    matrix[4:] = np.nan
+    return binascii.b2a_base64(matrix.tobytes(), newline=False).decode()
 
 
 def first_report(docs, **changes):
@@ -379,7 +411,7 @@ def first_report(docs, **changes):
 MALFORMED = {
     "report_top_level_list": ("report", lambda d: [[d[0]]]),
     "trace_top_level_list": ("trace", lambda d: [[d[0]]]),
-    "features_top_level_list": ("features", lambda d: [[d[0]]]),
+    "features_top_level_list": ("features", lambda d: [[d[0]], *d[1:]]),
     "reports_not_a_list": ("report", lambda d: [{**d[0], "reports": 5}]),
     "report_metadata_list": ("report",
                              lambda d: first_report(d, metadata=["m"])),
@@ -395,12 +427,12 @@ MALFORMED = {
     "soft_label_text": ("manifest", lambda d: [
         d[0], {**d[1], "soft_labels": ["abc", 0.2]}, *d[2:]]),
     "manifest_header_list": ("manifest", lambda d: [[d[0]], *d[1:]]),
-    "array_shape_text": ("features", lambda d: [
-        {**d[0], "matrix": {**d[0]["matrix"], "shape": ["x"]}}]),
+    "array_shape_text": ("checkpoint", lambda d: [
+        {**d[0], "prototypes": {**d[0]["prototypes"], "shape": ["x"]}}]),
+    "feature_dim_text": ("features", lambda d: [{**d[0], "dim": "x"}, *d[1:]]),
     "report_nan": ("report", lambda d: first_report(d, average=float("nan"))),
-    "features_nan_row": ("features", lambda d: [
-        {**d[0], "matrix": with_nan_row(d[0]["matrix"])}]),
-    "features_dim_mismatch": ("features", lambda d: [{**d[0], "dim": 5}]),
+    "features_nan_row": ("features", lambda d: [d[0], with_nan_row(d[1])]),
+    "features_dim_mismatch": ("features", lambda d: [{**d[0], "dim": 5}, *d[1:]]),
     # swapped labels that keep the group balanced: "no" is truthy
     "same_text_and_int": ("protocol", lambda d: [
         d[0], {**d[1], "same": 0}, {**d[2], "same": "no"}]),
@@ -435,8 +467,16 @@ MALFORMED = {
     "soft_labels_numeric_text": ("manifest", lambda d: [
         d[0], {**d[1], "soft_labels": ["0.8", "0.2"]}, *d[2:]]),
     "manifest_name_int": ("manifest", lambda d: [{**d[0], "name": 7}, *d[1:]]),
-    "feature_ids_int": ("features", lambda d: [{**d[0], "ids": [0, 1]}]),
-    "feature_dim_float": ("features", lambda d: [{**d[0], "dim": 4.0}]),
+    "feature_ids_int": ("features", lambda d: [{**d[0], "ids": [0, 1]}, *d[1:]]),
+    "feature_dim_float": ("features", lambda d: [{**d[0], "dim": 4.0}, *d[1:]]),
+    # the cases of features/2's matrix record, on features/3's piece lines:
+    # no piece, a foreign value among them, an empty piece, values that are
+    # not base64 bytes, and more bytes than the header's shape
+    "features_header_without_matrix": ("features", lambda d: d[:1]),
+    "features_matrix_with_zz": ("features", lambda d: [*d, {"zz": 0}]),
+    "features_matrix_without_data": ("features", lambda d: [*d, ""]),
+    "features_matrix_without_dtype": ("features", lambda d: [d[0], [0.0] * 8]),
+    "features_matrix_without_shape": ("features", lambda d: [*d, d[1]]),
     "norm_stat_numeric_text": ("checkpoint", lambda d: [{
         **d[0], "norm_stats": {**d[0]["norm_stats"], "mean_norm": "20.0"}}]),
     "norm_stat_bool": ("checkpoint", lambda d: [{
@@ -484,7 +524,7 @@ DECLARED = {
     "report": {(0,): ("reports",),
                (0, "reports", 0): ("average", "metadata", "per_group", "ser",
                                    "ser_degenerate", "std")},
-    "features": {(0,): ("dim", "ids", "matrix"), (0, "matrix"): ARRAY_KEYS},
+    "features": {(0,): ("dim", "ids")},
     "trace": {(0,): ("epochs",),
               (0, "epochs", 0): ("cls_loss", "epoch", "kd_loss", "lr",
                                  "total_loss")},
@@ -654,8 +694,10 @@ def manifests(draw):
         iid = draw(st.sampled_from(sorted(sources)))
         entries.append(ManifestEntry(sid, iid, sources[iid],
                                      draw(st.sampled_from(pool)), draw(ID_TEXT)))
+    cells = [f"group{k}{source}" for k in range(g)
+             for source in ("", "/real", "/synthetic")]
     return DatasetManifest(draw(ID_TEXT), g, entries, draw(st.dictionaries(
-        ID_TEXT, st.integers(0, 5), max_size=2)))
+        st.sampled_from(cells), st.integers(1, 5), max_size=2)))
 
 
 @settings(max_examples=200, deadline=None,
@@ -723,17 +765,19 @@ def test_manifest_with_a_non_string_id_is_not_written(tmp_path, field):
 def test_feature_ids_out_of_order_or_repeated_are_refused(tmp_path, ids):
     path = tmp_path / "f.json"
     sample_features(path)
-    doc = json.loads(path.read_text())
-    path.write_text(canonical_json({**doc, "ids": ids}))
-    with pytest.raises(FormatVersionMismatch, match="unique and sorted"):
+    header, *pieces = path.read_text().splitlines()
+    path.write_text("\n".join([canonical_json({**json.loads(header), "ids": ids}),
+                               *pieces]) + "\n")
+    with pytest.raises(FormatVersionMismatch, match="unique and sorted") as err:
         read_features(path)
+    assert str(path) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
-# The streamed codec: writes in pieces, reads of the text where it lies
+# The streamed codec: writes in pieces, reads line by line from the file
 
 
-# ids and header values equal to the pieces written around the matrix data
+# ids and header values that look like the pieces of a features/2 file
 MARKERS = ['{"data":"', '","dtype":"float64","shape":', "}", '"', "matrix"]
 # (rows, dim): empty, under one piece, exactly one piece, and two pieces
 # plus 16 bytes, a remainder that is not a multiple of 3
@@ -751,7 +795,7 @@ def test_streamed_features_are_the_one_string_bytes(tmp_path, case):
     ids = [*MARKERS, *(f"s{i:06d}" for i in range(rows))][:rows]
     rng = np.random.default_rng(rows)
     features = {sid: rng.standard_normal(dim) for sid in ids}
-    # extra keys that sort before and after "matrix", with marker values
+    # extra keys that sort before and after the body's, with marker values
     extra = {"aa": MARKERS[0], "matrix_": MARKERS[1], "zz": [MARKERS[2], 0.5]}
     path = tmp_path / "f.json"
     write_features(features, path, extra)
@@ -761,32 +805,10 @@ def test_streamed_features_are_the_one_string_bytes(tmp_path, case):
     assert all(np.array_equal(store[k], v) for k, v in features.items())
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
-    | st.floats(allow_nan=False, allow_infinity=False),
-    lambda kids: st.lists(kids, max_size=3)
-    | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
-ARRAYS = st.one_of(
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=7)
-    .map(lambda v: np.array(v, dtype=np.float64)),
-    st.lists(st.integers(-2**63, 2**63 - 1), max_size=6)
-    .map(lambda v: np.array(v, dtype=np.int64).reshape(-1, 1)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(doc=st.dictionaries(st.text(max_size=8), JSON_VALUES | ARRAYS,
-                           max_size=6))
-def test_doc_pieces_join_to_the_canonical_json(doc):
-    expected = canonical_json({k: ref_array_record(v) if isinstance(v, np.ndarray)
-                               else v for k, v in doc.items()})
-    pieces = list(_doc_pieces(doc))
-    assert all(type(piece) is str for piece in pieces)
-    assert "".join(pieces) == expected
-
-
 def test_feature_codec_holds_the_matrix_about_once(tmp_path):
-    # 20 000 x 16: the write peaks at most 3.5x the matrix bytes, the read
-    # at most 0.5x of them above the store (and header) it returns
+    # 20 000 x 16: the write peaks at most 3.5x the matrix bytes; the read
+    # at most 0.5x of them above the store and header it returns, and at
+    # most 2.5x above what was held before it, the store included
     rng = np.random.default_rng(0)
     features = {f"synthetic/id{i // 10:05d}/img{i % 10:02d}":
                 rng.standard_normal(16) for i in range(20_000)}
@@ -799,6 +821,7 @@ def test_feature_codec_holds_the_matrix_about_once(tmp_path):
         before = tracemalloc.get_traced_memory()[0]
         write_features(features, path)
         write_peak = tracemalloc.get_traced_memory()[1] - before
+        before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         store, header = read_features(path)
         held, read_peak = tracemalloc.get_traced_memory()
@@ -807,6 +830,7 @@ def test_feature_codec_holds_the_matrix_about_once(tmp_path):
             tracemalloc.stop()
     assert write_peak <= 3.5 * matrix_bytes
     assert read_peak - held <= 0.5 * matrix_bytes
+    assert read_peak - before <= 2.5 * matrix_bytes
     assert len(store) == 20_000 and header["dim"] == 16
 
 
@@ -824,15 +848,96 @@ BASE64_CASES = {
 def test_malformed_base64_names_the_file(tmp_path, case):
     path = tmp_path / "f.json"
     write_features({"a": np.ones(1)}, path)
-    doc = json.loads(path.read_text())
-    assert doc["matrix"]["data"] == "AAAAAAAA8D8="
-    path.write_text(canonical_json({**doc, "matrix": {
-        **doc["matrix"], "data": BASE64_CASES[case]}}))
+    header, piece = path.read_text().splitlines()
+    assert piece == '"AAAAAAAA8D8="'
+    path.write_text(f"{header}\n{json.dumps(BASE64_CASES[case])}\n")
     with pytest.raises(FormatVersionMismatch, match=re.escape(str(path))) as err:
         read_features(path)
-    # refused by the base64 decoder, not by a later shape check
-    assert type(err.value.__cause__.__cause__) in (binascii.Error, ValueError)
-    assert "malformed array record" in str(err.value)
+    # refused by the base64 decoder, not by a later size check
+    cause = err.value.__cause__
+    assert type(cause) is binascii.Error or "ASCII" in str(cause)
+
+
+def feature_lines(rows=2 * _PIECE // 16 + 1, dim=2):
+    """The lines of a valid store of rows x dim values: two full pieces and
+    a last one of 16 bytes."""
+    rng = np.random.default_rng(1)
+    return ref_features_text({f"s{i:06d}": rng.standard_normal(dim)
+                              for i in range(rows)}).splitlines()
+
+
+def pieces_of(data: bytes, *sizes):
+    """data cut at sizes, each cut base64-encoded as one JSON string line."""
+    cuts = np.cumsum([0, *sizes, len(data)])
+    return [canonical_json(binascii.b2a_base64(data[a:b], newline=False).decode())
+            for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def raw_of(lines) -> bytes:
+    return binascii.a2b_base64("".join(map(json.loads, lines[1:])))
+
+
+def with_value(lines, value):
+    raw = bytearray(raw_of(lines))
+    raw[-8:] = np.array([value], "<f8").tobytes()
+    return [lines[0], *pieces_of(bytes(raw), _PIECE, _PIECE)]
+
+
+# the lines of a valid three-piece store -> the lines of a malformed one
+FEATURE_PIECES = {
+    "object_line": lambda ls: [ls[0], '{"data":' + ls[1] + "}", *ls[2:]],
+    "number_line": lambda ls: [*ls[:2], "5", *ls[3:]],
+    "list_line": lambda ls: [ls[0], "[" + ls[1] + "]", *ls[2:]],
+    "short_first_piece": lambda ls: [ls[0], *pieces_of(raw_of(ls), _PIECE - 3)],
+    "padded_first_piece": lambda ls: [ls[0], *pieces_of(raw_of(ls), _PIECE - 1,
+                                                         _PIECE + 1)],
+    "long_first_piece": lambda ls: [ls[0], *pieces_of(raw_of(ls), _PIECE + 3)],
+    "one_string": lambda ls: [ls[0], *pieces_of(raw_of(ls))],
+    "extra_bytes": lambda ls: [*ls[:3], *pieces_of(raw_of(ls)[-16:] + b"\0" * 8)],
+    "missing_last_piece": lambda ls: ls[:3],
+    "bytes_short": lambda ls: [*ls[:3], *pieces_of(raw_of(ls)[-16:-8])],
+    "empty_last_piece": lambda ls: [*ls, '""'],
+    "nan_value": lambda ls: with_value(ls, np.nan),
+    "inf_value": lambda ls: with_value(ls, -np.inf),
+    "ids_unsorted": lambda ls: [canonical_json(
+        {**json.loads(ls[0]), "ids": json.loads(ls[0])["ids"][::-1]}), *ls[1:]],
+    "dim_negative": lambda ls: [canonical_json(
+        {**json.loads(ls[0]), "dim": -2}), *ls[1:]],
+    # more than the address space: refused as the matrix is allocated
+    "dim_beyond_memory": lambda ls: [canonical_json(
+        {**json.loads(ls[0]), "dim": 2**30}), *ls[1:]],
+}
+
+
+def test_feature_pieces_round_trip_through_the_helpers(tmp_path):
+    lines = feature_lines()
+    assert len(lines) == 4 and len(json.loads(lines[3])) < len(json.loads(lines[1]))
+    assert [lines[0], *pieces_of(raw_of(lines), _PIECE, _PIECE)] == lines
+    path = tmp_path / "f.json"
+    path.write_text("\n".join(lines) + "\n")
+    assert len(read_features(path)[0]) == 2 * _PIECE // 16 + 1
+
+
+@pytest.mark.parametrize("case", list(FEATURE_PIECES))
+def test_malformed_feature_pieces_name_the_file(tmp_path, case):
+    path = tmp_path / "f.json"
+    path.write_text("\n".join(FEATURE_PIECES[case](feature_lines())) + "\n")
+    with pytest.raises(FormatVersionMismatch, match=re.escape(str(path))):
+        read_features(path)
+
+
+def test_a_raw_line_separator_inside_a_string_splits_no_record(tmp_path):
+    # the writer escapes U+2028 and U+0085; raw, they stay inside the
+    # string, since a line ends only where universal newlines end it
+    path = tmp_path / "m.jsonl"
+    first, *rest = sample_manifest().entries
+    manifest = DatasetManifest("toy", 2, [
+        replace(first, sample_id="s1\u2028\x85"), *rest])
+    write_manifest(manifest, path)
+    text = path.read_text()
+    assert "\\u2028\\u0085" in text
+    path.write_text(text.replace("\\u2028\\u0085", "\u2028\x85"))
+    assert read_manifest(path)[0] == manifest
 
 
 DEEP = "[" * 100_000

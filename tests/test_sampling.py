@@ -119,6 +119,23 @@ class TestManifestValidation:
             assert copied == m
             assert copied.shortfalls == {"group0": 2}
 
+    @pytest.mark.parametrize("shortfalls", [
+        {"g": -3}, {"group0": -3}, {"group0": 0}, {"group0": True},
+        {"group0": 2.0}, {"group0": "2"}, {"zzz": 2, "group1": 1},
+        {"group2": 1}, {"group01": 1}, {"group-1": 1}, {"group0/fake": 1},
+        {"group0/": 1}, {"group0/real/x": 1}, {"Group0": 1}, {1: 2},
+    ])
+    def test_impossible_shortfalls_rejected(self, shortfalls):
+        # a shortfall is a positive int, for a quota cell that a merge
+        # over group_count groups can name
+        with pytest.raises(InvalidManifest, match="shortfall"):
+            DatasetManifest("m", 2, [], shortfalls)
+
+    def test_every_quota_cell_a_merge_names_is_a_shortfall_key(self):
+        cells = {"group0": 1, "group1": 2, "group0/real": 3,
+                 "group1/synthetic": 4}
+        assert DatasetManifest("m", 2, [], cells).shortfalls == cells
+
     def test_dense_labels_are_lexicographic(self):
         m = man("m", [("b", "real", [[1.0, 0.0]]),
                       ("a", "real", [[1.0, 0.0]]),

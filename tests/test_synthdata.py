@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairkd.core import cosine_similarity
+from fairkd.core import FeatureStore, cosine_similarity
 from fairkd.errors import InsufficientIdentities, OddPairCount
 from fairkd.evaluation import kfold_verification_accuracy, score_pairs
 from fairkd.formats import write_protocol
@@ -212,6 +212,14 @@ def test_pool_features_match_per_image_reference(n_groups, per_group, images,
     assert list(bundle.features) == list(expected)
     for sample_id, feature in expected.items():
         assert_bitwise(bundle.features[sample_id], feature)
+
+
+def test_universe_features_are_rows_of_one_matrix():
+    bundle = generate_universe(small_cfg())
+    store = bundle.features
+    assert isinstance(store, FeatureStore)
+    assert store.matrix.shape == (len(store), small_cfg().feature_dim)
+    assert all(store[sid].base is store.matrix.base for sid in store)
 
 
 def unit(x):
