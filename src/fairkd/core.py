@@ -109,11 +109,12 @@ class FeatureStore(Mapping):
 def feature_rows(store, ids) -> np.ndarray:
     """store[sid] for each sid in the sequence ids, in order, as one float64
     (N, D) matrix, filled by one np.array call per _BLOCK ids, so that no more
-    row objects than that are alive at once. An id the store cannot resolve
-    raises MissingSample; values that are not real numbers of one length, or a
-    vector holding NaN or inf (naming its sample id), raise InvalidArgument."""
-    rows = None
-    for at in range(0, max(len(ids), 1), _BLOCK):
+    row objects than that are alive at once; no ids give a (0, 0) matrix. An
+    id the store cannot resolve raises MissingSample; values that are not real
+    numbers of one length, or a vector holding NaN or inf (naming its sample
+    id), raise InvalidArgument."""
+    rows = np.zeros((0, 0))
+    for at in range(0, len(ids), _BLOCK):
         try:
             block = np.array([store[sid] for sid in ids[at:at + _BLOCK]])
         except KeyError as exc:
@@ -121,9 +122,9 @@ def feature_rows(store, ids) -> np.ndarray:
         except ValueError:  # numpy's refusal of vectors of different lengths
             block = None
         if block is None or block.ndim != 2 or block.dtype.kind not in "biuf" or (
-                rows is not None and block.shape[1] != rows.shape[1]):
+                at and block.shape[1] != rows.shape[1]):
             raise InvalidArgument("feature vectors must be real numbers of one length")
-        if rows is None:
+        if not at:
             rows = np.empty((len(ids), block.shape[1]))
         rows[at:at + _BLOCK] = block
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))

@@ -3,20 +3,17 @@ checkpoints and training traces. No compute module imports this one.
 
 Every artifact is UTF-8 JSON with a schema tag, written atomically (temp file
 + rename) and canonically (sorted keys, fixed separators, repr-exact floats)
-as a stream of pieces; manifests and protocols are a header line, then one
-record per line, and a feature store (features/3) a header of sorted ids and
-dim, then its matrix's little-endian bytes, _PIECE a line, as base64 strings.
-write_doc refuses a header clash, NaN, Infinity or an unencodable value before
-the destination is touched; read_doc parses a whole document in place, or
-streams a line artifact from the open file, and read_features decodes each
-piece into one preallocated matrix, a core.FeatureStore (features/2 is not
-read: synth-gen rebuilds it). Each decoded object holds exactly the keys
-its writer writes (_fields): a header is open to stamps (config_digest), all
-below it (records, arrays, spec, norm stats, reports, epochs) is closed, and
-nothing has a default. Values are taken only as their JSON type (_typed), by
-column for line records, null only where None is written; anything else is
-FormatVersionMismatch naming the file. Float arrays round-trip bitwise as
-base64 of little-endian bytes; a non-finite one is refused both ways.
+as a stream of pieces, a header list _BLOCK items a piece. A line artifact
+is a header line, then a protocol's pair records, a manifest's (manifest/2)
+soft labels, one array a line, or a feature store's (features/3) matrix, as
+base64 of _PIECE little-endian bytes a line; the ids are header columns. A
+manifest/1 or features/2 file is not read: synth-gen rebuilds it. read_doc
+streams a line artifact from the open file and parses a document in place.
+Each decoded object holds exactly the keys its writer writes (_fields): a
+header is open to stamps (config_digest), all below it is closed, and nothing
+has a default. Values are taken only as their JSON type (_typed), null only
+where None is written; anything else, NaN and Infinity included, is
+FormatVersionMismatch naming the file, and write_doc refuses them first.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, fields
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -36,10 +33,10 @@ from .core import FeatureStore, feature_rows
 from .errors import FairkdError, FormatVersionMismatch, InvalidArgument, IoError
 from .evaluation import EvalReport, GroupProtocol, PairProtocol, VerificationPair
 from .losses import NormStats
-from .sampling import DatasetManifest, ManifestEntry
+from .sampling import DatasetManifest
 from .training import Encoder, EncoderSpec, EpochStats, TrainResult
 
-MANIFEST_SCHEMA = "fairkd/manifest/1"
+MANIFEST_SCHEMA = "fairkd/manifest/2"
 PROTOCOL_SCHEMA = "fairkd/protocol/1"
 REPORT_SCHEMA = "fairkd/report/1"
 FEATURES_SCHEMA = "fairkd/features/3"
@@ -52,6 +49,10 @@ _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError
                   RecursionError, MemoryError)
 # Raw bytes per base64 piece: a multiple of 3, so the pieces join unpadded.
 _PIECE = 3 << 16
+# Header list items, or manifest label lines, encoded or decoded per call.
+_BLOCK = 4096
+_MANIFEST_KEYS = ("name", "group_count", "shortfalls", "sample_ids",
+                  "identity_ids", "sources", "payload_refs")
 
 
 # Deterministic single-line JSON, NaN/Inf refused, from one prebuilt encoder.
@@ -164,6 +165,8 @@ def _finite(value) -> float:
 
 # One decoder for every read: json.loads with hooks would build one per call.
 JSON_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
+# Without hooks, floats are parsed in C; its callers refuse non-finite values.
+_PLAIN_DECODER = json.JSONDecoder()
 
 
 def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
@@ -183,34 +186,46 @@ def write_doc(path, schema: str, body: dict, extra_header: dict | None = None,
             f"extra header keys collide with structural keys: {clash}")
     lines = ("\n" + record for record in records)  # one write call per line
     try:
-        atomic_write_text(path, chain([canonical_json({**header, **extra})],
-                                      lines, "\n"))
+        header = list(_header_pieces({**header, **extra}))  # before path is touched
+        atomic_write_text(path, chain(header, lines, "\n"))
     except (TypeError, ValueError) as exc:  # json refuses NaN, Infinity or the type
         raise InvalidArgument(f"cannot write {path}: {exc}") from exc
+
+
+def _header_pieces(header: dict):
+    """canonical_json(header), key by key, a list or tuple value _BLOCK items
+    a piece: no piece holds the encoding of a whole id column."""
+    for k, key in enumerate(sorted(header)):
+        value = header[key]
+        yield ("," if k else "{") + canonical_json(key) + ":"
+        if not isinstance(value, list | tuple):
+            yield canonical_json(value)
+            continue
+        for at in range(0, len(value), _BLOCK):
+            yield ("," if at else "[") + canonical_json(value[at:at + _BLOCK])[1:-1]
+        yield "]" if value else "[]"
+    yield "}"
 
 
 def read_doc(path, schema: str, keys, decode, lines: bool = False):
     """(decode(*values), header) of an artifact written by write_doc: values
     are the header's at keys (it is open: other keys pass through), then, with
-    lines=True, an iterator over the records on the later non-blank lines,
-    read from the open file and parsed as decode consumes it; a line is what
-    universal newlines make it. A missing file raises IoError; anything
-    undecodable, non-finite, of the wrong schema or rejected by decode raises
+    lines=True, an iterator over the later non-blank lines, stripped, read
+    from the open file as decode consumes it; a line is what universal
+    newlines make it. A missing file raises IoError; anything undecodable,
+    non-finite, of the wrong schema or rejected by decode raises
     FormatVersionMismatch naming path; a record's own FairkdError
     (InvalidManifest) is prefixed with path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            # a line artifact is parsed line by line as decode consumes it; a
-            # whole document in place, its text dropped once it is parsed
-            docs = (map(JSON_DECODER.decode, filter(str.strip, fh)) if lines
-                    else iter([JSON_DECODER.decode(fh.read())]))
-            if (header := next(docs, None)) is None:
-                raise ValueError("empty file")
+            # a whole document is parsed in place, its text dropped once parsed
+            rest = filter(None, map(str.strip, fh))
+            header = JSON_DECODER.decode(next(rest, "") if lines else fh.read())
             if _fields(header, ("schema",), closed=False) != [schema]:
                 raise ValueError(f"expected schema {schema!r}, found {header['schema']!r}")
             values = _fields(header, keys, closed=False)
-            return decode(*values, docs) if lines else decode(*values), header
+            return decode(*values, rest) if lines else decode(*values), header
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except _DECODE_ERRORS as exc:
@@ -220,28 +235,54 @@ def read_doc(path, schema: str, keys, decode, lines: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# manifests: one header line, then one JSON object per image entry
+# manifests: one header line with the id columns, then each entry's soft
+# labels, one JSON array a line
 
 
 def write_manifest(manifest: DatasetManifest, path,
                    extra_header: dict | None = None) -> None:
-    write_doc(path, MANIFEST_SCHEMA, {
-        "name": manifest.name,
-        "group_count": manifest.group_count,
-        "shortfalls": dict(manifest.shortfalls),
-    }, extra_header, records=_entry_lines(manifest.entries))
+    columns = (manifest.sample_ids, manifest.identity_ids, manifest.sources,
+               manifest.payload_refs)
+    if any(set(map(type, column)) - {str} for column in columns):
+        raise InvalidArgument(f"cannot write {path}: manifest ids must be strings")
+    write_doc(path, MANIFEST_SCHEMA, dict(zip(_MANIFEST_KEYS, (
+        manifest.name, manifest.group_count, dict(manifest.shortfalls), *columns))),
+        extra_header, _label_lines(manifest.soft_labels))
 
 
-def _entry_lines(entries):
-    """Each entry's canonical_json line, from a template; each label sequence
-    is encoded once, keyed by object: (1, 0.0) == (1.0, 0.0) encode apart."""
-    text, labels = json.encoder.encode_basestring_ascii, {}
-    for e in entries:
-        if (key := id(e.soft_labels)) not in labels:
-            labels[key] = canonical_json(list(e.soft_labels))
-        yield (f'{{"identity_id":{text(e.identity_id)},"payload_ref":'
-               f'{text(e.payload_ref)},"sample_id":{text(e.sample_id)},'
-               f'"soft_labels":{labels[key]},"source":{text(e.source)}}}')
+def _label_lines(labels: np.ndarray):
+    """Each row of labels as a JSON array of repr-exact floats, encoded once
+    per bit pattern: -0.0 == 0.0, but the two encode apart."""
+    texts = {}
+    for row in labels:
+        if (key := row.tobytes()) not in texts:
+            texts[key] = f"[{','.join(map(repr, row.tolist()))}]"
+        yield texts[key]
+
+
+def _label_matrix(lines, n: int, g: int) -> np.ndarray:
+    """The (n, g) matrix of n label lines, each a flat JSON array of g
+    floats, decoded _BLOCK lines a call by the hookless C decoder: with every
+    line opening with "[" and one "[" and one "]" a line besides the block's
+    own, no line holds a nested, a second or a part of an array."""
+    labels = np.empty((n, g))
+    for at in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - at)
+        text = "[\n" + ",\n".join(islice(lines, k)) + "]"
+        if not k == text.count("\n[") == text.count("[") - 1 == text.count("]") - 1:
+            raise ValueError(f"label lines {at} to {at + k} of {n} are not "
+                             "one flat array a line")
+        rows = _PLAIN_DECODER.decode(text)
+        if len(rows) != k or set(map(len, rows)) - {g} or set(
+                map(type, chain.from_iterable(rows))) - {float}:
+            raise ValueError(f"label lines {at} to {at + k} are not arrays "
+                             f"of {g} floats")
+        labels[at:at + k] = rows
+    if next(lines, None) is not None:
+        raise ValueError(f"more label lines than the {n} entries")
+    if not np.isfinite(labels).all():
+        raise ValueError("soft labels hold non-finite values")
+    return labels
 
 
 def _column(values, kind):
@@ -261,24 +302,21 @@ def _columns(records, kinds: dict) -> list:
     return list(map(_column, columns, kinds.values()))
 
 
-def _manifest_from_doc(name, group_count, shortfalls, records) -> DatasetManifest:
-    ids, identities, sources, labels, refs = _columns(records, {
-        "sample_id": str, "identity_id": str, "source": str,
-        "soft_labels": list, "payload_ref": str})
-    rows = (map(tuple, labels)
-            if set(map(type, chain.from_iterable(labels))) <= {float}
-            else [tuple(_typed(p, float) for p in row) for row in labels])
-    shared = {}  # one tuple per row value; not with a zero: -0.0 == 0.0
-    labels = (r if 0.0 in r else shared.setdefault(r, r) for r in rows)
-    return DatasetManifest(
-        name=_typed(name, str), group_count=_typed(group_count, int),
-        entries=map(ManifestEntry, ids, identities, sources, labels, refs),
-        shortfalls={k: _typed(v, int) for k, v in shortfalls.items()})
+def _manifest_from_doc(name, group_count, shortfalls, sample_ids, identity_ids,
+                       sources, payload_refs, lines) -> DatasetManifest:
+    columns = [_column(_typed(c, list), str)
+               for c in (sample_ids, identity_ids, sources, payload_refs)]
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"id columns of {[len(c) for c in columns]} entries")
+    g = _typed(group_count, int)
+    return DatasetManifest.from_columns(
+        _typed(name, str), g, *columns, _label_matrix(lines, len(columns[0]), g),
+        {k: _typed(v, int) for k, v in shortfalls.items()})
 
 
 def read_manifest(path) -> tuple[DatasetManifest, dict]:
-    return read_doc(path, MANIFEST_SCHEMA, ("name", "group_count", "shortfalls"),
-                    _manifest_from_doc, lines=True)
+    return read_doc(path, MANIFEST_SCHEMA, _MANIFEST_KEYS, _manifest_from_doc,
+                    lines=True)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +339,8 @@ def _protocol_from_doc(group_names, records) -> PairProtocol:
     """Groups in group_names order, so a name given twice is refused."""
     names = _column(_typed(group_names, list), str)
     pairs = {name: [] for name in names}
-    groups, *pair_fields = _columns(records, {"group": str, "sample_a": str,
-                                              "sample_b": str, "same": bool})
+    groups, *pair_fields = _columns(map(JSON_DECODER.decode, records), {
+        "group": str, "sample_a": str, "sample_b": str, "same": bool})
     for group, pair in zip(groups, map(VerificationPair, *pair_fields)):
         pairs[group].append(pair)
     return PairProtocol([GroupProtocol(name, pairs[name]) for name in names])
@@ -369,7 +407,7 @@ def write_features(features, path, extra_header: dict | None = None) -> None:
         if not isinstance(k, str):
             raise InvalidArgument(f"feature ids must be strings, got {k!r}")
     ids = sorted(features)
-    matrix = feature_rows(features, ids) if ids else np.zeros((0, 0))
+    matrix = feature_rows(features, ids)
     write_doc(path, FEATURES_SCHEMA, {"ids": ids, "dim": matrix.shape[1]},
               extra_header, records=(f'"{p}"' for p in _base64_pieces(matrix)))
 
@@ -382,7 +420,7 @@ def _features_from_doc(ids, dim, pieces) -> FeatureStore:
         raise ValueError("feature ids must be unique and sorted")
     matrix = np.empty((len(ids), _typed(dim, int)), "<f8")
     flat, at = matrix.reshape(-1).view(np.uint8), 0
-    for piece in pieces:
+    for piece in map(JSON_DECODER.decode, pieces):
         raw = binascii.a2b_base64(_typed(piece, str), strict_mode=True)
         if at % _PIECE or not 0 < len(raw) <= min(_PIECE, flat.size - at):
             raise ValueError(f"a piece of {len(raw)} bytes at byte {at} of {flat.size}")

@@ -19,6 +19,8 @@ import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -52,38 +54,79 @@ class ManifestEntry:
     payload_ref: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DatasetManifest:
-    """Named image entries over a fixed number of groups.
+    """Named image entries over a fixed number of groups, held as columns:
+    entry i is row i of sample_ids, identity_ids, sources and payload_refs
+    (tuples of str) and of soft_labels, a read-only float64 (N, group_count)
+    matrix. Built from ManifestEntry records, or by from_columns; entries,
+    the records, are made from the columns when first read, then kept.
 
-    Checked when built and frozen, with its entries in a tuple and its
-    shortfalls in a read-only mapping, so a manifest that exists is valid.
-    shortfalls maps quota cells (e.g. "group1" or "group1/real", of a group
-    below group_count) to the number of identities the cell was short at
-    merge time, a positive int.
+    Checked when built and frozen, with its shortfalls in a read-only
+    mapping, so a manifest that exists is valid. shortfalls maps quota cells
+    (e.g. "group1" or "group1/real", of a group below group_count) to the
+    number of identities the cell was short at merge time, a positive int.
     """
 
     name: str
     group_count: int
-    entries: tuple[ManifestEntry, ...] = ()
-    shortfalls: Mapping[str, int] = field(default_factory=dict, hash=False)
+    entries: tuple[ManifestEntry, ...]  # the cached property below
+    shortfalls: Mapping[str, int] = field(hash=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        object.__setattr__(self, "shortfalls",
-                           MappingProxyType(dict(self.shortfalls)))
+    def __init__(self, name: str, group_count: int, entries=(), shortfalls=None):
+        entries = tuple(entries)
+        sids, iids, sources, rows, refs = zip(*((
+            e.sample_id, e.identity_id, e.source, e.soft_labels, e.payload_ref)
+            for e in entries)) if entries else [()] * 5
+        short = next((k for k, row in enumerate(rows) if len(row) != group_count), None)
+        if short is not None:  # the entries before a row of another length fail first
+            DatasetManifest(name, group_count, entries[:short], shortfalls)
+            e = entries[short]
+            raise InvalidManifest(f"entry {e.sample_id}: " + (
+                f"unknown source {e.source!r}" if e.source not in SOURCES
+                else f"{len(e.soft_labels)} soft labels, expected {group_count}"))
+        labels = np.array(rows).reshape(len(rows), max(group_count, 0))
+        if labels.dtype.kind not in "biuf":  # numpy would read "0.5" as a number
+            raise TypeError(f"soft labels must be numbers, found {labels.dtype}")
+        self.__dict__.update(vars(self.from_columns(
+            name, group_count, sids, iids, sources, refs,
+            labels.astype(np.float64), shortfalls)), entries=entries)
+
+    @classmethod
+    def from_columns(cls, name: str, group_count: int, sample_ids, identity_ids,
+                     sources, payload_refs, soft_labels,
+                     shortfalls=None) -> DatasetManifest:
+        self, labels = cls.__new__(cls), np.asarray(soft_labels).view()
+        labels.flags.writeable = False
+        self.__dict__.update(
+            name=name, group_count=group_count, sample_ids=tuple(sample_ids),
+            identity_ids=tuple(identity_ids), sources=tuple(sources),
+            payload_refs=tuple(payload_refs), soft_labels=labels,
+            shortfalls=MappingProxyType(dict(shortfalls or {})))
         self.validate()
+        return self
 
     def __reduce__(self):
         # A mappingproxy cannot be pickled or deep-copied: rebuild instead.
-        return (DatasetManifest, (self.name, self.group_count, self.entries,
-                                  dict(self.shortfalls)))
+        return DatasetManifest.from_columns, (
+            self.name, self.group_count, self.sample_ids, self.identity_ids,
+            self.sources, self.payload_refs, self.soft_labels, dict(self.shortfalls))
+
+    @cached_property
+    def entries(self) -> tuple[ManifestEntry, ...]:
+        shared = {}  # rows of equal bits share one tuple, as an identity's images do
+        labels = (shared.setdefault(row.tobytes(), tuple(row.tolist()))
+                  for row in self.soft_labels)
+        return tuple(ManifestEntry(*e) for e in zip(
+            self.sample_ids, self.identity_ids, self.sources, labels,
+            self.payload_refs))
 
     def validate(self) -> None:
-        """Raise InvalidManifest on a bad shortfall, malformed entry or duplicate
-        sample: by column, each check only before the first failure so far, so
-        the message is that of the first bad entry's first failed check."""
-        g, entries = self.group_count, self.entries
+        """Raise InvalidManifest on a bad shortfall, columns of different
+        sizes, a malformed entry or a duplicate sample: by column, each check
+        only before the first failure so far, so the message is that of the
+        first bad entry's first failed check."""
+        g, n, sources = self.group_count, len(self.sample_ids), self.sources
         if g < 1:
             raise InvalidManifest(f"group_count must be >= 1, got {g}")
         for key, count in self.shortfalls.items():
@@ -91,25 +134,24 @@ class DatasetManifest:
             if not (cell and int(cell[1]) < g and type(count) is int and count > 0):
                 raise InvalidManifest(f"shortfall {key!r}: {count!r} is not a "
                                       f"positive count of a quota cell of {g} groups")
-        end, error = len(entries), None
-        sources = [e.source for e in entries]
+        labels = self.soft_labels
+        if {len(self.identity_ids), len(sources), len(self.payload_refs)} != {n} or (
+                labels.shape != (n, g) or labels.dtype != np.float64):
+            raise InvalidManifest(f"columns of {n} entries with a {labels.dtype} "
+                                  f"{labels.shape} label matrix")
+        end, error = n, None
         if sources.count("real") + sources.count("synthetic") < end:
             end = next(i for i, s in enumerate(sources) if s not in SOURCES)
             error = f"unknown source {sources[end]!r}"
-        counts = [len(e.soft_labels) for e in entries[:end]]
-        if counts.count(g) < end:
-            end = next(i for i, n in enumerate(counts) if n != g)
-            error = f"{counts[end]} soft labels, expected {g}"
-        labels = np.array([e.soft_labels for e in entries[:end]]).reshape(end, g)
+        labels = labels[:end]
         with np.errstate(all="ignore"):  # each row summed left to right, as sum()
             bad = (~np.isfinite(labels) | (labels < 0.0)).any(axis=1)
             off = bad | (abs(sum(labels.T, np.zeros(end)) - 1.0) > SOFT_LABEL_SUM_TOL)
         if off.any():
             end = int(off.argmax())
             error = ("soft labels must be >= 0" if bad[end] else "soft "
-                     f"labels sum to {sum(entries[end].soft_labels)!r}, not 1")
-        sample_ids = [e.sample_id for e in entries[:end]]
-        ids = [e.identity_id for e in entries[:end]]
+                     f"labels sum to {sum(labels[end].tolist())!r}, not 1")
+        sample_ids, ids = self.sample_ids[:end], self.identity_ids[:end]
         if len(set(sample_ids)) < end or len(set(zip(ids, sources))) > len(set(ids)):
             seen, source_of = set(), {}
             for sid, iid, source in zip(sample_ids, ids, sources):
@@ -120,14 +162,12 @@ class DatasetManifest:
                     raise InvalidManifest(f"identity {iid!r} mixes sources "
                                           f"{prior} and {source}")
         if error is not None:
-            raise InvalidManifest(f"entry {entries[end].sample_id}: {error}")
+            raise InvalidManifest(f"entry {self.sample_ids[end]}: {error}")
 
     def identities(self) -> dict[str, list[ManifestEntry]]:
         """Entries grouped by identity, in first-appearance order."""
-        by_id: dict[str, list[ManifestEntry]] = {}
-        for e in self.entries:
-            by_id.setdefault(e.identity_id, []).append(e)
-        return by_id
+        return {iid: [self.entries[i] for i in rows]
+                for iid, rows in identity_rows(self.identity_ids).items()}
 
     def dense_labels(self) -> dict[str, int]:
         """Identity -> class index, assigned by lexicographic identity_id.
@@ -135,7 +175,15 @@ class DatasetManifest:
         Derivable from the entries alone, so a manifest loaded from disk
         yields the same class indices as the one that was saved.
         """
-        return {iid: k for k, iid in enumerate(sorted(self.identities()))}
+        return {iid: k for k, iid in enumerate(sorted(set(self.identity_ids)))}
+
+
+def identity_rows(identity_ids) -> dict[str, list[int]]:
+    """Each identity's row indices, identities in first-appearance order."""
+    rows: dict[str, list[int]] = {}
+    for i, iid in enumerate(identity_ids):
+        rows.setdefault(iid, []).append(i)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -167,26 +215,30 @@ def score_identity(mean_labels, identity_id: str = "",
     return IdentityScore(identity_id, group, float(arr[group]), source)
 
 
-def _score_identities(by_id: dict) -> list[IdentityScore]:
-    """score_identity(identity_soft_label(ents), iid, ents[0].source) for each
-    identity of by_id, bitwise: rows are added in order from 0.0 as mean(axis=0)
-    adds them; one group, whose column numpy sums pairwise, takes that path."""
-    counts = np.array([len(ents) for ents in by_id.values()])
-    labels = np.array([e.soft_labels for ents in by_id.values() for e in ents], float)
-    if labels.ndim < 2 or labels.shape[1] < 2:
-        return [score_identity(identity_soft_label(ents), iid, ents[0].source)
-                for iid, ents in by_id.items()]
+def _score_identities(rows_of: dict, labels: np.ndarray,
+                      sources) -> list[IdentityScore]:
+    """score_identity(identity_soft_label(entries), iid, source) for each
+    identity of rows_of (identity -> its rows of labels and sources), with
+    the source of its first row, bitwise: rows are added in order from 0.0 as
+    mean(axis=0) adds them; one group, whose column numpy sums pairwise,
+    takes that path."""
+    if labels.shape[1] < 2:
+        return [score_identity(labels[rows].mean(axis=0), iid, sources[rows[0]])
+                for iid, rows in rows_of.items()]
+    counts = np.array([len(rows) for rows in rows_of.values()], dtype=np.intp)
     means = np.zeros((counts.size, labels.shape[1]))
-    np.add.at(means, np.repeat(np.arange(counts.size), counts), labels)
+    np.add.at(means, np.repeat(np.arange(counts.size), counts),
+              labels[list(chain.from_iterable(rows_of.values()))])
     means /= counts[:, None]
     groups = means.argmax(axis=1).tolist()
-    return [IdentityScore(iid, g, float(mean[g]), ents[0].source)
-            for (iid, ents), g, mean in zip(by_id.items(), groups, means)]
+    return [IdentityScore(iid, g, float(mean[g]), sources[rows[0]])
+            for (iid, rows), g, mean in zip(rows_of.items(), groups, means)]
 
 
 def score_manifest(manifest: DatasetManifest) -> list[IdentityScore]:
     """Score every identity of a manifest, in lexicographic identity order."""
-    return sorted(_score_identities(manifest.identities()),
+    rows_of = identity_rows(manifest.identity_ids)
+    return sorted(_score_identities(rows_of, manifest.soft_labels, manifest.sources),
                   key=lambda sc: sc.identity_id)
 
 
@@ -237,43 +289,47 @@ def _merge(pools, total_identities: int, name: str, cells) -> DatasetManifest:
         raise EmptyManifest("no manifests given")
     pooled = [(source, man) for source, mans in pools.items() for man in mans]
     group_count = pooled[0][1].group_count
-    entries_of: dict[str, list[ManifestEntry]] = {}
     owner: dict[str, int] = {}
     for k, (source, man) in enumerate(pooled):
         if man.group_count != group_count:
             raise InvalidManifest(
                 f"manifest {man.name!r} has {man.group_count} groups, "
                 f"expected {group_count}")
-        for e in man.entries:
-            if source is not None and e.source != source:
+        for sid, iid, src in zip(man.sample_ids, man.identity_ids, man.sources):
+            if source is not None and src != source:
                 raise InvalidManifest(
-                    f"manifest {man.name!r}: entry {e.sample_id} has source "
-                    f"{e.source!r} in a {source} pool")
-            prior = owner.setdefault(e.identity_id, k)
-            if prior != k:
+                    f"manifest {man.name!r}: entry {sid} has source "
+                    f"{src!r} in a {source} pool")
+            if (prior := owner.setdefault(iid, k)) != k:
                 raise DuplicateIdentityAcrossSources(
-                    f"identity {e.identity_id!r} appears in manifests "
+                    f"identity {iid!r} appears in manifests "
                     f"{pooled[prior][1].name!r} and {man.name!r}")
-            entries_of.setdefault(e.identity_id, []).append(e)
-    if not all(any(man.entries for man in mans) for mans in pools.values()):
+    if not all(any(man.sample_ids for man in mans) for mans in pools.values()):
         raise EmptyManifest("manifests contain no entries")
     if total_identities < group_count:
         raise InvalidMergeRequest(
             f"total_identities {total_identities} < group count {group_count}")
 
+    mans = [man for _, man in pooled]
+    columns = [list(chain.from_iterable(getattr(man, c) for man in mans))
+               for c in ("sample_ids", "identity_ids", "sources", "payload_refs")]
+    labels = np.concatenate([man.soft_labels for man in mans])
+    rows_of = identity_rows(columns[1])
     by_group: list[list[IdentityScore]] = [[] for _ in range(group_count)]
-    for sc in sorted(_score_identities(entries_of),
+    for sc in sorted(_score_identities(rows_of, labels, columns[2]),
                      key=lambda sc: (-sc.score, sc.identity_id)):
         by_group[sc.group].append(sc)
 
-    entries, shortfalls = [], {}
+    take, shortfalls = [], {}
     for key, g, source, quota in cells(group_quotas(total_identities, group_count)):
         ranked = [sc for sc in by_group[g] if source is None or sc.source == source]
         if quota > len(ranked):
             shortfalls[key] = quota - len(ranked)
         for sc in ranked[:quota]:
-            entries.extend(entries_of[sc.identity_id])
-    return DatasetManifest(name, group_count, entries, shortfalls)
+            take.extend(rows_of[sc.identity_id])
+    return DatasetManifest.from_columns(
+        name, group_count, *(list(map(c.__getitem__, take)) for c in columns),
+        labels[take], shortfalls)
 
 
 def balanced_merge(manifests, total_identities: int,
@@ -324,18 +380,18 @@ def manifest_stats(manifest: DatasetManifest) -> dict:
     """
     groups = {str(g): {src: {"identities": 0, "images": 0} for src in SOURCES}
               for g in range(manifest.group_count)}
-    by_id = manifest.identities()
-    scores = _score_identities(by_id)
+    rows_of = identity_rows(manifest.identity_ids)
+    scores = _score_identities(rows_of, manifest.soft_labels, manifest.sources)
     for sc in scores:
         cell = groups[str(sc.group)][sc.source]
         cell["identities"] += 1
-        cell["images"] += len(by_id[sc.identity_id])
+        cell["images"] += len(rows_of[sc.identity_id])
     return {
         "name": manifest.name,
         "group_count": manifest.group_count,
         "groups": groups,
         "total_identities": len(scores),
-        "total_images": len(manifest.entries),
+        "total_images": len(manifest.sample_ids),
         "real_identity_fraction": (sum(sc.source == "real" for sc in scores)
                                    / len(scores) if scores else 0.0),
         "shortfalls": dict(manifest.shortfalls),

@@ -33,7 +33,7 @@ from .errors import (
     OddPairCount,
 )
 from .evaluation import GroupProtocol, PairProtocol, VerificationPair
-from .sampling import DatasetManifest, ManifestEntry, group_quotas, score_manifest
+from .sampling import DatasetManifest, group_quotas, identity_rows, score_manifest
 
 POOLS = ("real", "synthetic", "holdout")
 
@@ -177,17 +177,19 @@ def _pool_manifest(cfg: UniverseConfig, pool: str, name: str, ids: list,
     eps = _stream(cfg.seed, _STREAM_IMAGES[pool]).standard_normal(
         (len(identities), cfg.images_per_identity, cfg.feature_dim))
     source = "synthetic" if pool == "synthetic" else "real"
-    entries = []
+    start = len(ids)
     for ident, noise in zip(identities, eps):
         matrix[len(ids):len(ids) + len(noise)] = (
             structure.maps[ident.group] @ ident.latent
             + cfg.noise_scales[ident.group] * noise)
-        for j in range(len(noise)):
-            ids.append(sample_id := f"{ident.identity_id}_im{j:02d}")
-            entries.append(ManifestEntry(sample_id, ident.identity_id, source,
-                                         ident.soft_labels, sample_id))
-    return (DatasetManifest(name=name, group_count=cfg.n_groups,
-                            entries=entries), identities)
+        ids.extend(f"{ident.identity_id}_im{j:02d}" for j in range(len(noise)))
+    sample_ids, images = ids[start:], cfg.images_per_identity
+    labels = np.array([i.soft_labels for i in identities]).reshape(-1, cfg.n_groups)
+    return (DatasetManifest.from_columns(
+        name, cfg.n_groups, sample_ids,
+        [ident.identity_id for ident in identities for _ in range(images)],
+        (source,) * len(sample_ids), sample_ids,
+        np.repeat(labels, images, axis=0)), identities)
 
 
 def generate_universe(cfg: UniverseConfig) -> UniverseBundle:
@@ -226,7 +228,7 @@ def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
         raise OddPairCount(
             f"pairs_per_group must be even, got {pairs_per_group}")
     half = pairs_per_group // 2
-    by_id = manifest.identities()
+    rows_of = identity_rows(manifest.identity_ids)
 
     group_members: dict[int, list[str]] = {g: [] for g in range(manifest.group_count)}
     for sc in score_manifest(manifest):
@@ -236,7 +238,8 @@ def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
     groups = []
     for g in range(manifest.group_count):
         members = group_members[g]
-        images = {iid: [e.sample_id for e in by_id[iid]] for iid in members}
+        images = {iid: [manifest.sample_ids[i] for i in rows_of[iid]]
+                  for iid in members}
         pos_cap, neg_cap = _pair_capacity(images)
         if len(members) < 2 or pos_cap < half or neg_cap < half:
             raise InsufficientIdentities(

@@ -223,15 +223,14 @@ class TrainResult:
 
 
 def _gather_training_set(manifest: DatasetManifest, store, input_dim: int):
-    if not manifest.entries:
+    if not manifest.sample_ids:
         raise EmptyManifest(f"manifest {manifest.name!r} has no entries")
     labels_of = manifest.dense_labels()
-    x = feature_rows(store, [e.payload_ref for e in manifest.entries])
+    x = feature_rows(store, manifest.payload_refs)
     if x.shape[1] != input_dim:
         raise DimensionMismatch(
             f"features have dim {x.shape[1]}, encoder expects {input_dim}")
-    y = np.array([labels_of[e.identity_id] for e in manifest.entries],
-                 dtype=np.int64)
+    y = np.array([labels_of[iid] for iid in manifest.identity_ids], dtype=np.int64)
     return x, y, len(labels_of)
 
 

@@ -591,10 +591,24 @@ def ref_validate(group_count, entries):
 
 
 def ref_manifest_text(manifest, extra_header=None):
-    """The text write_manifest writes, one canonical_json call per line."""
-    header = {"schema": MANIFEST_SCHEMA, "name": manifest.name,
+    """The text write_manifest writes, one canonical_json call per line: the
+    id columns in the header, then each entry's labels as floats."""
+    entries = manifest.entries
+    return ref_doc_text(MANIFEST_SCHEMA, {
+        "name": manifest.name, "group_count": manifest.group_count,
+        "shortfalls": dict(manifest.shortfalls),
+        "sample_ids": [e.sample_id for e in entries],
+        "identity_ids": [e.identity_id for e in entries],
+        "sources": [e.source for e in entries],
+        "payload_refs": [e.payload_ref for e in entries]}, extra_header,
+        [canonical_json([float(p) for p in e.soft_labels]) for e in entries])
+
+
+def ref_manifest_1_text(manifest):
+    """A manifest/1 file: the header, then one JSON object per entry."""
+    header = {"schema": "fairkd/manifest/1", "name": manifest.name,
               "group_count": manifest.group_count,
-              "shortfalls": dict(manifest.shortfalls), **(extra_header or {})}
+              "shortfalls": dict(manifest.shortfalls)}
     records = [{"sample_id": e.sample_id, "identity_id": e.identity_id,
                 "source": e.source, "soft_labels": list(e.soft_labels),
                 "payload_ref": e.payload_ref} for e in manifest.entries]

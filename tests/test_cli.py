@@ -219,8 +219,8 @@ def test_output_directory_that_cannot_be_made_exits_1(ws, tmp_path, capsys,
 
 def test_train_on_int_identity_id_exits_1(ws, tmp_path, capsys):
     lines = (ws / "m" / "real-train.manifest").read_text().splitlines()
-    entry = json.loads(lines[1])
-    lines[1] = json.dumps({**entry, "identity_id": 5})
+    header = json.loads(lines[0])
+    lines[0] = json.dumps({**header, "identity_ids": [5, *header["identity_ids"][1:]]})
     bad = tmp_path / "int-id.manifest"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["train", "--config", cfg_of(ws), "--manifest", str(bad),

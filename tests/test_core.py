@@ -129,6 +129,11 @@ def test_feature_rows_are_the_store_vectors_in_id_order():
     assert rows.tobytes() == expected.tobytes()
 
 
+def test_no_ids_give_an_empty_matrix():
+    rows = feature_rows(STORE, [])
+    assert rows.shape == (0, 0) and rows.dtype == np.float64
+
+
 def test_feature_rows_name_the_missing_sample():
     with pytest.raises(MissingSample, match="'z'"):
         feature_rows(STORE, ["a", "z"])

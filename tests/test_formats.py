@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import ref_features_text, ref_manifest_text
+from helpers import ref_features_text, ref_manifest_1_text, ref_manifest_text
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -107,11 +107,10 @@ class TestManifestIo:
     def test_read_validates_entries(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         header = canonical_json({"schema": MANIFEST_SCHEMA, "name": "x",
-                                 "group_count": 2, "shortfalls": {}})
-        bad = canonical_json({"sample_id": "s1", "identity_id": "a",
-                              "source": "real", "soft_labels": [0.9, 0.9],
-                              "payload_ref": "s1"})
-        path.write_text(header + "\n" + bad + "\n")
+                                 "group_count": 2, "shortfalls": {},
+                                 "sample_ids": ["s1"], "identity_ids": ["a"],
+                                 "sources": ["real"], "payload_refs": ["s1"]})
+        path.write_text(header + "\n[0.9,0.9]\n")
         with pytest.raises(InvalidManifest, match=re.escape(f"{path}: ")) as exc:
             read_manifest(path)
         assert str(exc.value).count(str(path)) == 1
@@ -134,6 +133,22 @@ class TestManifestIo:
         path.write_text(canonical_json({"schema": "other/9"}) + "\n")
         with pytest.raises(FormatVersionMismatch):
             read_manifest(path)
+
+    def test_a_manifest_1_file_is_not_read(self, tmp_path):
+        # synth-gen rebuilds it: the same header, one JSON object per entry
+        path = tmp_path / "m.jsonl"
+        path.write_text(ref_manifest_1_text(sample_manifest()))
+        with pytest.raises(FormatVersionMismatch, match=re.escape(
+                f"{path}: expected schema {MANIFEST_SCHEMA!r}, found 'fairkd/manifest/1'")):
+            read_manifest(path)
+
+    def test_manifest_has_one_line_per_entry(self, tmp_path):
+        # the benchmark counts a manifest's entries as its non-blank lines
+        # after the header
+        path = tmp_path / "m.jsonl"
+        write_manifest(sample_manifest(), path)
+        lines = [line for line in path.read_text().splitlines() if line.strip()]
+        assert len(lines) - 1 == len(sample_manifest().entries) == 3
 
     def test_missing_file_raises_io_error(self, tmp_path):
         with pytest.raises(IoError):
@@ -406,6 +421,12 @@ def first_report(docs, **changes):
     return [{**docs[0], "reports": [{**docs[0]["reports"][0], **changes}]}]
 
 
+def first_entry(column, *value):
+    """A manifest's documents with the first item of a header column replaced
+    by value, or dropped if no value is given."""
+    return lambda d: [{**d[0], column: [*value, *d[0][column][1:]]}, *d[1:]]
+
+
 # kind, then a map from the documents of a valid file (header first, then
 # one per record line) to the malformed ones
 MALFORMED = {
@@ -424,8 +445,7 @@ MALFORMED = {
                          lambda d: [{**d[0], "group_count": "x"}, *d[1:]]),
     "shortfalls_list": ("manifest",
                         lambda d: [{**d[0], "shortfalls": [1]}, *d[1:]]),
-    "soft_label_text": ("manifest", lambda d: [
-        d[0], {**d[1], "soft_labels": ["abc", 0.2]}, *d[2:]]),
+    "soft_label_text": ("manifest", lambda d: [d[0], ["abc", 0.2], *d[2:]]),
     "manifest_header_list": ("manifest", lambda d: [[d[0]], *d[1:]]),
     "array_shape_text": ("checkpoint", lambda d: [
         {**d[0], "prototypes": {**d[0]["prototypes"], "shape": ["x"]}}]),
@@ -441,14 +461,10 @@ MALFORMED = {
     "pair_group_int": ("protocol", lambda d: [
         {**d[0], "group_names": [0, "g1"]}, {**d[1], "group": 0},
         {**d[2], "group": 0}]),
-    "identity_id_int": ("manifest",
-                        lambda d: [d[0], {**d[1], "identity_id": 5}, *d[2:]]),
-    "sample_id_int": ("manifest",
-                      lambda d: [d[0], {**d[1], "sample_id": 1}, *d[2:]]),
-    "source_list": ("manifest",
-                    lambda d: [d[0], {**d[1], "source": ["real"]}, *d[2:]]),
-    "payload_ref_null": ("manifest",
-                         lambda d: [d[0], {**d[1], "payload_ref": None}, *d[2:]]),
+    "identity_id_int": ("manifest", first_entry("identity_ids", 5)),
+    "sample_id_int": ("manifest", first_entry("sample_ids", 1)),
+    "source_list": ("manifest", first_entry("sources", ["real"])),
+    "payload_ref_null": ("manifest", first_entry("payload_refs", None)),
     # numbers are JSON numbers: no numeric strings, no bools, no floats
     # where an integer is due
     "per_group_text_and_bool": ("report",
@@ -464,8 +480,8 @@ MALFORMED = {
         {**d[0], "shortfalls": {"group1": "2"}}, *d[1:]]),
     "shortfall_bool": ("manifest", lambda d: [
         {**d[0], "shortfalls": {"group1": True}}, *d[1:]]),
-    "soft_labels_numeric_text": ("manifest", lambda d: [
-        d[0], {**d[1], "soft_labels": ["0.8", "0.2"]}, *d[2:]]),
+    "soft_labels_numeric_text": ("manifest",
+                                 lambda d: [d[0], ["0.8", "0.2"], *d[2:]]),
     "manifest_name_int": ("manifest", lambda d: [{**d[0], "name": 7}, *d[1:]]),
     "feature_ids_int": ("features", lambda d: [{**d[0], "ids": [0, 1]}, *d[1:]]),
     "feature_dim_float": ("features", lambda d: [{**d[0], "dim": 4.0}, *d[1:]]),
@@ -508,6 +524,19 @@ MALFORMED = {
     # a group is named once; a second "g0" would fold into the first
     "group_names_repeated": ("protocol", lambda d: [
         {**d[0], "group_names": ["g0", "g0"]}, *d[1:]]),
+    # a manifest entry is one item of each header column and one label line:
+    # an entry short of one of them, or with a label too many
+    **{f"manifest_record_without_{key}": ("manifest", first_entry(f"{key}s"))
+       for key in ("identity_id", "payload_ref", "sample_id", "source")},
+    "manifest_record_without_soft_labels": ("manifest", lambda d: [d[0], *d[2:]]),
+    "manifest_record_with_zz": ("manifest", lambda d: [d[0], [*d[1], 0.0], *d[2:]]),
+    "manifest_label_line_too_many": ("manifest", lambda d: [*d, d[1]]),
+    "manifest_column_too_long": ("manifest", lambda d: [
+        {**d[0], "sources": [*d[0]["sources"], "real"]}, *d[1:]]),
+    "manifest_label_nested_list": ("manifest", lambda d: [d[0], [[0.8], 0.2], *d[2:]]),
+    "manifest_label_int": ("manifest", lambda d: [d[0], [1, 0.0], *d[2:]]),
+    "manifest_label_nan": ("manifest", lambda d: [d[0], [float("nan"), 0.2], *d[2:]]),
+    "manifest_label_inf": ("manifest", lambda d: [d[0], [float("inf"), 0.2], *d[2:]]),
 }
 
 
@@ -516,9 +545,8 @@ ARRAY_KEYS = ("data", "dtype", "shape")
 # record line): the keys its writer writes there}; the header, at (0,), is
 # open to stamps, and every other part is closed
 DECLARED = {
-    "manifest": {(0,): ("group_count", "name", "shortfalls"),
-                 (1,): ("identity_id", "payload_ref", "sample_id", "soft_labels",
-                        "source")},
+    "manifest": {(0,): ("group_count", "identity_ids", "name", "payload_refs",
+                        "sample_ids", "shortfalls", "sources")},
     "protocol": {(0,): ("group_names",),
                  (1,): ("group", "sample_a", "sample_b", "same")},
     "report": {(0,): ("reports",),
@@ -714,14 +742,17 @@ def swap_line(lines, k, line):
     return [*lines[:k], line, *lines[k + 1:]]
 
 
-# a valid manifest's lines (header, then s1's record with labels [0.8,0.2],
-# then two more) -> malformed text; each line must hold one JSON value
+# a valid manifest's lines (header, then s1's labels [0.8,0.2], then two
+# more label lines) -> malformed text; each line must hold one JSON value
 RAW_MANIFESTS = {
     "two_values_on_one_line": lambda ls: [ls[0], ls[1] + ls[2], *ls[3:]],
     "two_values_with_a_comma": lambda ls: [ls[0], ls[1] + "," + ls[2], *ls[3:]],
     "header_and_record_on_one_line": lambda ls: [ls[0] + ls[1], *ls[2:]],
-    "record_split_across_lines": lambda ls: [ls[0], ls[1][:40], ls[1][40:],
+    "record_split_across_lines": lambda ls: [ls[0], ls[1][:5], ls[1][5:],
                                              *ls[2:]],
+    # a split whose halves, and the next line, still join into valid JSON
+    "record_split_into_the_next_line": lambda ls: [ls[0], "[0.8", "0.2]," + ls[2],
+                                                   *ls[3:]],
     "trailing_garbage": lambda ls: swap_line(ls, 1, ls[1] + " x"),
     "leading_garbage": lambda ls: swap_line(ls, 1, "x " + ls[1]),
     "label_1e999": lambda ls: swap_line(ls, 1, ls[1].replace("0.8,", "1e999,")),
@@ -729,6 +760,10 @@ RAW_MANIFESTS = {
     "label_null": lambda ls: swap_line(ls, 1, ls[1].replace(",0.2]", ",null]")),
     "labels_an_object": lambda ls: swap_line(
         ls, 1, ls[1].replace("[0.8,0.2]", '{"a":1}')),
+    "label_text": lambda ls: swap_line(ls, 1, '["0.8",0.2]'),
+    "label_nested_list": lambda ls: swap_line(ls, 1, "[[0.8],0.2]"),
+    "label_nan": lambda ls: swap_line(ls, 1, "[NaN,0.2]"),
+    "label_brackets_in_a_string": lambda ls: swap_line(ls, 1, '[0.8,"]["]'),
 }
 
 
@@ -737,7 +772,7 @@ def test_malformed_manifest_text_names_the_file(tmp_path, case):
     path = tmp_path / "m.jsonl"
     write_manifest(sample_manifest(), path)
     lines = path.read_text().splitlines()
-    assert '"soft_labels":[0.8,0.2]' in lines[1]
+    assert lines[1] == "[0.8,0.2]"
     path.write_text("\n".join(RAW_MANIFESTS[case](lines)) + "\n")
     with pytest.raises(FormatVersionMismatch, match=re.escape(str(path))):
         read_manifest(path)
@@ -958,9 +993,8 @@ def test_deeply_nested_document_is_a_format_error(tmp_path, kind):
         read(path)
 
 
-def test_equal_label_rows_share_one_tuple_on_read(tmp_path):
-    # equal rows read as one tuple, so a rewrite encodes each once; a row
-    # holding a zero keeps its own, as -0.0 == 0.0 but the two encode apart
+def test_label_rows_read_back_bit_for_bit(tmp_path):
+    # equal rows are encoded once, but -0.0 == 0.0 and the two encode apart
     rows = [(0.25, 0.75), (0.5, 0.5), (1.0, 0.0), (-0.0, 1.0)]
     entries = [ManifestEntry(f"s{i:03d}", f"id{i % 7}", "real",
                              tuple(list(rows[i % 4])), f"p{i}")
@@ -970,11 +1004,10 @@ def test_equal_label_rows_share_one_tuple_on_read(tmp_path):
     manifest, _ = read_manifest(path)
     labels = [e.soft_labels for e in manifest.entries]
     assert labels == [e.soft_labels for e in entries]
-    assert len({id(t) for t in labels[0::4]}) == 1
-    assert len({id(t) for t in labels[1::4]}) == 1
-    assert len({id(t) for t in labels[2::4]}) == 10
-    assert len({id(t) for t in labels[3::4]}) == 10
+    assert manifest.soft_labels.tobytes() == np.array(rows * 10).tobytes()
     assert [math.copysign(1, t[0]) for t in labels[3::4]] == [-1.0] * 10
+    assert path.read_text().splitlines()[1:5] == [
+        "[0.25,0.75]", "[0.5,0.5]", "[1.0,0.0]", "[-0.0,1.0]"]
     again = tmp_path / "again.jsonl"
     write_manifest(manifest, again)
     assert again.read_bytes() == path.read_bytes()

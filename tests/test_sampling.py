@@ -119,6 +119,36 @@ class TestManifestValidation:
             assert copied == m
             assert copied.shortfalls == {"group0": 2}
 
+    def test_a_manifest_is_its_columns(self):
+        # built from entries or from columns, the same manifest: equal,
+        # hashed alike, copied alike, with entries made once from the columns
+        m = man("m", [("a", "real", [[0.8, 0.2], [0.6, 0.4]]),
+                       ("b", "synthetic", [[-0.0, 1.0]])])
+        cols = DatasetManifest.from_columns(
+            "m", 2, ["a_0", "a_1", "b_0"], ["a", "a", "b"],
+            ["real", "real", "synthetic"], ["store/a_0", "store/a_1", "store/b_0"],
+            np.array([[0.8, 0.2], [0.6, 0.4], [-0.0, 1.0]]))
+        assert cols.entries is cols.entries
+        assert cols.entries == m.entries and cols == m and hash(cols) == hash(m)
+        assert cols.soft_labels.tobytes() == m.soft_labels.tobytes()
+        assert not cols.soft_labels.flags.writeable
+        for copied in (pickle.loads(pickle.dumps(cols)), copy.deepcopy(cols)):
+            assert copied == m
+            assert copied.soft_labels.tobytes() == m.soft_labels.tobytes()
+
+    @pytest.mark.parametrize("columns", [
+        {"sources": ["real"]}, {"payload_refs": []},
+        {"soft_labels": np.array([[1.0, 0.0]] * 3)},
+        {"soft_labels": np.array([[1.0], [1.0]])},
+        {"soft_labels": np.array([["1.0", "0.0"]] * 2)},
+    ])
+    def test_columns_of_other_sizes_or_types_are_refused(self, columns):
+        given = {"sample_ids": ["s0", "s1"], "identity_ids": ["a", "b"],
+                 "sources": ["real", "real"], "payload_refs": ["s0", "s1"],
+                 "soft_labels": np.array([[1.0, 0.0], [0.0, 1.0]]), **columns}
+        with pytest.raises(InvalidManifest, match="columns of 2 entries"):
+            DatasetManifest.from_columns("m", 2, **given)
+
     @pytest.mark.parametrize("shortfalls", [
         {"g": -3}, {"group0": -3}, {"group0": 0}, {"group0": True},
         {"group0": 2.0}, {"group0": "2"}, {"zzz": 2, "group1": 1},
