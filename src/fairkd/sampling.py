@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -54,13 +54,53 @@ class ManifestEntry:
     payload_ref: str
 
 
+class _Entries(Sequence):
+    """A manifest's entries as a read-only view of its columns: its length
+    is the row count, an index builds one ManifestEntry, a slice a tuple of
+    them, and it equals (and hashes as) the tuple of all of them. It holds
+    the columns, not the manifest, so the two make no reference cycle."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, sample_ids, identity_ids, sources, soft_labels, payload_refs):
+        self._columns = sample_ids, identity_ids, sources, soft_labels, payload_refs
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, k):
+        sids, iids, sources, labels, refs = self._columns
+        if isinstance(k, slice):
+            return tuple(map(ManifestEntry, sids[k], iids[k], sources[k],
+                             map(tuple, labels[k].tolist()), refs[k]))
+        return ManifestEntry(sids[k], iids[k], sources[k],
+                             tuple(labels[k].tolist()), refs[k])
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other):
+        if isinstance(other, _Entries):
+            a, b = self._columns, other._columns  # the id columns, then labels
+            return a[:3] + a[4:] == b[:3] + b[4:] and (
+                not len(self) or np.array_equal(a[3], b[3]))
+        return self[:] == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:])
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
 @dataclass(frozen=True, init=False)
 class DatasetManifest:
     """Named image entries over a fixed number of groups, held as columns:
     entry i is row i of sample_ids, identity_ids, sources and payload_refs
     (tuples of str) and of soft_labels, a read-only float64 (N, group_count)
-    matrix. Built from ManifestEntry records, or by from_columns; entries,
-    the records, are made from the columns when first read, then kept.
+    matrix. Built from ManifestEntry records, or by from_columns; entries is
+    a read-only Sequence view of the columns that builds a ManifestEntry
+    only for the rows it is asked for.
 
     Checked when built and frozen, with its shortfalls in a read-only
     mapping, so a manifest that exists is valid. shortfalls maps quota cells
@@ -70,7 +110,7 @@ class DatasetManifest:
 
     name: str
     group_count: int
-    entries: tuple[ManifestEntry, ...]  # the cached property below
+    entries: Sequence[ManifestEntry]  # the cached property below
     shortfalls: Mapping[str, int] = field(hash=False)
 
     def __init__(self, name: str, group_count: int, entries=(), shortfalls=None):
@@ -90,7 +130,7 @@ class DatasetManifest:
             raise TypeError(f"soft labels must be numbers, found {labels.dtype}")
         self.__dict__.update(vars(self.from_columns(
             name, group_count, sids, iids, sources, refs,
-            labels.astype(np.float64), shortfalls)), entries=entries)
+            labels.astype(np.float64), shortfalls)))
 
     @classmethod
     def from_columns(cls, name: str, group_count: int, sample_ids, identity_ids,
@@ -113,13 +153,9 @@ class DatasetManifest:
             self.sources, self.payload_refs, self.soft_labels, dict(self.shortfalls))
 
     @cached_property
-    def entries(self) -> tuple[ManifestEntry, ...]:
-        shared = {}  # rows of equal bits share one tuple, as an identity's images do
-        labels = (shared.setdefault(row.tobytes(), tuple(row.tolist()))
-                  for row in self.soft_labels)
-        return tuple(ManifestEntry(*e) for e in zip(
-            self.sample_ids, self.identity_ids, self.sources, labels,
-            self.payload_refs))
+    def entries(self) -> Sequence[ManifestEntry]:
+        return _Entries(self.sample_ids, self.identity_ids, self.sources,
+                        self.soft_labels, self.payload_refs)
 
     def validate(self) -> None:
         """Raise InvalidManifest on a bad shortfall, columns of different

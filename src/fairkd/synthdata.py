@@ -114,15 +114,6 @@ def group_structure(cfg: UniverseConfig) -> GroupStructure:
     return GroupStructure(means, shifts, maps)
 
 
-def _draw_soft_labels(group: int, cfg: UniverseConfig,
-                      rng: np.random.Generator) -> tuple[float, ...]:
-    if math.isinf(cfg.label_concentration):
-        return tuple(1.0 if g == group else 0.0 for g in range(cfg.n_groups))
-    alpha = np.ones(cfg.n_groups)
-    alpha[group] = cfg.label_concentration
-    return tuple(float(p) for p in rng.dirichlet(alpha))
-
-
 def gen_identities(cfg: UniverseConfig, pool: str = "real",
                    count: int | None = None) -> list[ToyIdentity]:
     """Identity latents, true groups, and soft labels for one pool.
@@ -133,26 +124,33 @@ def gen_identities(cfg: UniverseConfig, pool: str = "real",
     """
     if pool not in POOLS:
         raise InvalidArgument(f"unknown pool {pool!r}")
+    return _identities(cfg, pool, group_structure(cfg), count)
+
+
+def _identities(cfg: UniverseConfig, pool: str, structure: GroupStructure,
+                count: int | None = None) -> list[ToyIdentity]:
+    """Per identity, its latent's standard normals, then (for a finite
+    label_concentration) its Dirichlet soft labels, from the pool's stream."""
     if count is None:
         count = (cfg.eval_identities if pool == "holdout"
                  else cfg.identities_per_source)
-    structure = group_structure(cfg)
     rng = _stream(cfg.seed, _STREAM_IDENTITIES[pool])
-    quotas = group_quotas(count, cfg.n_groups)
+    one_hot = math.isinf(cfg.label_concentration)
     out = []
-    k = 0
-    for g in range(cfg.n_groups):
+    for g, quota in enumerate(group_quotas(count, cfg.n_groups)):
         mean = structure.means[g]
         scale = 1.0
         if pool == "synthetic":
             mean = mean + structure.synth_shifts[g]
             scale = cfg.synth_cov_inflation
-        for _ in range(quotas[g]):
+        alpha = np.ones(cfg.n_groups)
+        alpha[g] = cfg.label_concentration
+        hot = tuple(float(k == g) for k in range(cfg.n_groups))
+        for _ in range(quota):
             latent = mean + scale * rng.standard_normal(cfg.latent_dim)
-            labels = _draw_soft_labels(g, cfg, rng)
-            out.append(ToyIdentity(f"{_ID_PREFIX[pool]}{k:04d}", g, pool,
+            labels = hot if one_hot else tuple(rng.dirichlet(alpha).tolist())
+            out.append(ToyIdentity(f"{_ID_PREFIX[pool]}{len(out):04d}", g, pool,
                                    latent, labels))
-            k += 1
     return out
 
 
@@ -167,49 +165,62 @@ class UniverseBundle:
     identities: dict[str, list[ToyIdentity]] = field(default_factory=dict)
 
 
-def _pool_manifest(cfg: UniverseConfig, pool: str, name: str, ids: list,
-                   matrix: np.ndarray) -> tuple[DatasetManifest, list[ToyIdentity]]:
+def _pool_manifest(cfg: UniverseConfig, pool: str, name: str,
+                   structure: GroupStructure, ids: list, matrix: np.ndarray
+                   ) -> tuple[DatasetManifest, list[ToyIdentity]]:
     """Each identity's images are x = M_g z + noise_scale_g * eps, with the
-    pool's noise drawn in one call, identity by identity, image by image; they
-    fill the next rows of matrix, and their sample ids extend ids."""
-    identities = gen_identities(cfg, pool)
-    structure = group_structure(cfg)
+    pool's noise drawn in one call, identity by identity, image by image:
+    one M_g z per identity, the noise scaled in place, then one broadcast add
+    into the next rows of matrix. Their sample ids extend ids."""
+    identities = _identities(cfg, pool, structure)
+    images = cfg.images_per_identity
     eps = _stream(cfg.seed, _STREAM_IMAGES[pool]).standard_normal(
-        (len(identities), cfg.images_per_identity, cfg.feature_dim))
-    source = "synthetic" if pool == "synthetic" else "real"
+        (len(identities), images, cfg.feature_dim))
+    eps *= np.array([cfg.noise_scales[i.group] for i in identities])[:, None, None]
+    centers = np.array([structure.maps[i.group] @ i.latent for i in identities])
     start = len(ids)
-    for ident, noise in zip(identities, eps):
-        matrix[len(ids):len(ids) + len(noise)] = (
-            structure.maps[ident.group] @ ident.latent
-            + cfg.noise_scales[ident.group] * noise)
-        ids.extend(f"{ident.identity_id}_im{j:02d}" for j in range(len(noise)))
-    sample_ids, images = ids[start:], cfg.images_per_identity
+    np.add(centers[:, None, :], eps,
+           out=matrix[start:start + eps.shape[0] * images].reshape(eps.shape))
+    suffixes = [f"_im{j:02d}" for j in range(images)]
+    iids = [i.identity_id for i in identities]
+    ids.extend([iid + suffix for iid in iids for suffix in suffixes])
+    sample_ids = ids[start:]
     labels = np.array([i.soft_labels for i in identities]).reshape(-1, cfg.n_groups)
     return (DatasetManifest.from_columns(
-        name, cfg.n_groups, sample_ids,
-        [ident.identity_id for ident in identities for _ in range(images)],
-        (source,) * len(sample_ids), sample_ids,
-        np.repeat(labels, images, axis=0)), identities)
+        name, cfg.n_groups, sample_ids, [iid for iid in iids for _ in suffixes],
+        ("synthetic" if pool == "synthetic" else "real",) * len(sample_ids),
+        sample_ids, np.repeat(labels, images, axis=0)), identities)
 
 
 def generate_universe(cfg: UniverseConfig) -> UniverseBundle:
     """All three pools of one universe, with a shared feature store."""
-    ids: list[str] = []
+    structure, ids = group_structure(cfg), []
     matrix = np.empty(((2 * cfg.identities_per_source + cfg.eval_identities)
                        * cfg.images_per_identity, cfg.feature_dim))
-    pools = {pool: _pool_manifest(cfg, pool, name, ids, matrix) for pool, name in
-             (("real", "real-train"), ("synthetic", "synthetic-train"),
-              ("holdout", "holdout-eval"))}
+    pools = {pool: _pool_manifest(cfg, pool, name, structure, ids, matrix)
+             for pool, name in (("real", "real-train"),
+                                ("synthetic", "synthetic-train"),
+                                ("holdout", "holdout-eval"))}
     return UniverseBundle(*(pools[p][0] for p in POOLS), FeatureStore(ids, matrix),
                           {p: pools[p][1] for p in POOLS})
 
 
-def _pair_capacity(images_by_identity: dict[str, list[str]]):
-    sizes = [len(v) for v in images_by_identity.values()]
+def _pair_capacity(images: list[list[str]]):
+    sizes = [len(own) for own in images]
     pos = sum(n * (n - 1) // 2 for n in sizes)
     total = sum(sizes)
     neg = (total * total - sum(n * n for n in sizes)) // 2
     return pos, neg
+
+
+def _two_distinct(draw, n: int):
+    """rng.choice(n, size=2, replace=False) through draw = rng.integers, the
+    same three draws: Floyd's sampling of two items, then a one-swap
+    shuffle."""
+    i, j = draw(n - 1), draw(n)
+    if i == j:
+        j = n - 1
+    return (i, j) if draw(2) else (j, i)
 
 
 def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
@@ -218,6 +229,15 @@ def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
 
     Positives pair two images of one identity; negatives pair images of two
     identities in the same group. Unordered pairs never repeat.
+
+    Each group's pairs come from one generator, rng, seeded by seed. A
+    positive draws an identity with two or more images,
+    rng.integers(len(multi)), then two of its images, rng.choice(len(own),
+    size=2, replace=False); a negative draws two identities of the group,
+    rng.choice(len(members), size=2, replace=False), then one image of each,
+    rng.choice(len(images)). Those draws are made as rng.integers calls that
+    give the same numbers and leave the same generator state (_two_distinct;
+    rng.choice(n) is rng.integers(n)).
     """
     if pairs_per_group < 0:
         raise InvalidArgument(
@@ -234,33 +254,33 @@ def gen_pair_protocol(manifest: DatasetManifest, pairs_per_group: int,
     for sc in score_manifest(manifest):
         group_members[sc.group].append(sc.identity_id)
 
-    rng = _stream(seed, _STREAM_PROTOCOL)
+    draw = _stream(seed, _STREAM_PROTOCOL).integers
     groups = []
     for g in range(manifest.group_count):
         members = group_members[g]
-        images = {iid: [manifest.sample_ids[i] for i in rows_of[iid]]
-                  for iid in members}
+        images = [[manifest.sample_ids[i] for i in rows_of[iid]] for iid in members]
         pos_cap, neg_cap = _pair_capacity(images)
         if len(members) < 2 or pos_cap < half or neg_cap < half:
             raise InsufficientIdentities(
                 f"group {g}: {len(members)} identities support {pos_cap} "
                 f"positive / {neg_cap} negative pairs, need {half} of each")
 
-        multi = [iid for iid in members if len(images[iid]) >= 2]
-        chosen: set[frozenset] = set()
+        multi = [own for own in images if len(own) >= 2]
+        chosen: set[tuple[str, str]] = set()
         pairs: list[VerificationPair] = []
         while len(pairs) < half:
-            own = images[multi[int(rng.integers(len(multi)))]]
-            a, b = (own[k] for k in rng.choice(len(own), size=2, replace=False))
-            key = frozenset((a, b))
+            own = multi[draw(len(multi))]
+            i, j = _two_distinct(draw, len(own))
+            a, b = own[i], own[j]
+            key = (a, b) if a < b else (b, a)
             if key not in chosen:
                 chosen.add(key)
                 pairs.append(VerificationPair(a, b, True))
         while len(pairs) < pairs_per_group:
-            two = rng.choice(len(members), size=2, replace=False)
-            a, b = (images[members[k]] for k in two)
-            a, b = a[rng.choice(len(a))], b[rng.choice(len(b))]
-            key = frozenset((a, b))
+            i, j = _two_distinct(draw, len(images))
+            a, b = images[i], images[j]
+            a, b = a[draw(len(a))], b[draw(len(b))]
+            key = (a, b) if a < b else (b, a)
             if key not in chosen:
                 chosen.add(key)
                 pairs.append(VerificationPair(a, b, False))

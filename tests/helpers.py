@@ -2,7 +2,9 @@
 bitwise reference implementations of the margin head and training loop, the
 per-pair scorer, tie loop and fold-dealing loop that evaluation's batch paths
 replaced, the per-image noise loop that the one-draw pool generator
-replaced, the per-pool merges that the one quota-filling routine
+replaced, the per-identity pool loop and the rng.choice pair protocol
+loop that the broadcast fill and the rng.integers protocol replaced, the
+per-pool merges that the one quota-filling routine
 replaced, the entry-by-entry manifest check and per-record manifest
 writer that the column checks and the template writer replaced, and the
 one-string document writer that the streamed writer replaced."""
@@ -20,13 +22,19 @@ from fairkd.errors import (
     EmptyInput,
     EmptyManifest,
     IndexOutOfRange,
+    InsufficientIdentities,
     InvalidArgument,
     InvalidManifest,
     InvalidMergeRequest,
     MissingSample,
     ZeroVector,
 )
-from fairkd.evaluation import _scores_labels
+from fairkd.evaluation import (
+    GroupProtocol,
+    PairProtocol,
+    VerificationPair,
+    _scores_labels,
+)
 from fairkd.formats import FEATURES_SCHEMA, MANIFEST_SCHEMA, canonical_json
 from fairkd.losses import (
     HeadGradients,
@@ -42,12 +50,17 @@ from fairkd.sampling import (
     SOURCES,
     DatasetManifest,
     group_quotas,
+    identity_rows,
     identity_soft_label,
     largest_remainder,
     score_identity,
+    score_manifest,
 )
 from fairkd.synthdata import (
+    _ID_PREFIX,
+    _STREAM_IDENTITIES,
     _STREAM_IMAGES,
+    _STREAM_PROTOCOL,
     _stream,
     gen_identities,
     group_structure,
@@ -463,6 +476,90 @@ def ref_pool_features(cfg, pool):
             noise = rng.standard_normal(cfg.feature_dim)
             out[f"{ident.identity_id}_im{j:02d}"] = clean + scale * noise
     return out
+
+
+def ref_identities(cfg, pool):
+    """(identity_id, group, latent, soft_labels) per identity of one pool,
+    drawn identity by identity as gen_identities did before it shared one
+    group structure per universe: the latent, then rng.dirichlet's labels
+    taken as float(p) one by one."""
+    structure = group_structure(cfg)
+    rng = _stream(cfg.seed, _STREAM_IDENTITIES[pool])
+    count = (cfg.eval_identities if pool == "holdout"
+             else cfg.identities_per_source)
+    out = []
+    for g, quota in enumerate(group_quotas(count, cfg.n_groups)):
+        mean, scale = structure.means[g], 1.0
+        if pool == "synthetic":
+            mean = mean + structure.synth_shifts[g]
+            scale = cfg.synth_cov_inflation
+        for _ in range(quota):
+            latent = mean + scale * rng.standard_normal(cfg.latent_dim)
+            if math.isinf(cfg.label_concentration):
+                labels = tuple(1.0 if k == g else 0.0 for k in range(cfg.n_groups))
+            else:
+                alpha = np.ones(cfg.n_groups)
+                alpha[g] = cfg.label_concentration
+                labels = tuple(float(p) for p in rng.dirichlet(alpha))
+            out.append((f"{_ID_PREFIX[pool]}{len(out):04d}", g, latent, labels))
+    return out
+
+
+def ref_pool(cfg, pool):
+    """(rows, sample_ids, identity_ids, soft_labels) of one pool, filled
+    identity by identity as _pool_manifest did before its one broadcast add:
+    M_g z + noise_scale_g * noise, with the noise drawn in one call."""
+    structure = group_structure(cfg)
+    identities = ref_identities(cfg, pool)
+    eps = _stream(cfg.seed, _STREAM_IMAGES[pool]).standard_normal(
+        (len(identities), cfg.images_per_identity, cfg.feature_dim))
+    rows, sids, iids, labels = [], [], [], []
+    for (iid, g, latent, soft), noise in zip(identities, eps):
+        rows.extend(structure.maps[g] @ latent + cfg.noise_scales[g] * noise)
+        for j in range(len(noise)):
+            sids.append(f"{iid}_im{j:02d}")
+            iids.append(iid)
+            labels.append(soft)
+    return (np.array(rows).reshape(-1, cfg.feature_dim), sids, iids,
+            np.array(labels).reshape(-1, cfg.n_groups))
+
+
+def ref_gen_pair_protocol(manifest, pairs_per_group, seed):
+    """gen_pair_protocol's pair loop as it was written with rng.choice:
+    one generator expression per draw and frozenset keys."""
+    half = pairs_per_group // 2
+    rows_of = identity_rows(manifest.identity_ids)
+    members_of = {g: [] for g in range(manifest.group_count)}
+    for sc in score_manifest(manifest):
+        members_of[sc.group].append(sc.identity_id)
+    rng = _stream(seed, _STREAM_PROTOCOL)
+    groups = []
+    for g in range(manifest.group_count):
+        members = members_of[g]
+        images = {iid: [manifest.sample_ids[i] for i in rows_of[iid]]
+                  for iid in members}
+        sizes = [len(v) for v in images.values()]
+        pos_cap = sum(n * (n - 1) // 2 for n in sizes)
+        neg_cap = (sum(sizes) ** 2 - sum(n * n for n in sizes)) // 2
+        if len(members) < 2 or pos_cap < half or neg_cap < half:
+            raise InsufficientIdentities(f"group {g}")
+        multi = [iid for iid in members if len(images[iid]) >= 2]
+        chosen, pairs = set(), []
+        while len(pairs) < half:
+            own = images[multi[int(rng.integers(len(multi)))]]
+            a, b = (own[k] for k in rng.choice(len(own), size=2, replace=False))
+            if frozenset((a, b)) not in chosen:
+                chosen.add(frozenset((a, b)))
+                pairs.append(VerificationPair(a, b, True))
+        while len(pairs) < pairs_per_group:
+            two = rng.choice(len(members), size=2, replace=False)
+            a, b = (images[members[k]] for k in two)
+            a, b = a[rng.choice(len(a))], b[rng.choice(len(b))]
+            if frozenset((a, b)) not in chosen:
+                chosen.add(frozenset((a, b)))
+                pairs.append(VerificationPair(a, b, False))
+        groups.append(GroupProtocol(f"group{g}", pairs))
+    return PairProtocol(groups)
 
 
 # ---------------------------------------------------------------------------

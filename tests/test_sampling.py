@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fairkd.errors import (
     FairkdError,
     InvalidManifest,
 )
+from fairkd import sampling
 from fairkd.sampling import (
     DatasetManifest,
     ManifestEntry,
@@ -135,6 +137,44 @@ class TestManifestValidation:
         for copied in (pickle.loads(pickle.dumps(cols)), copy.deepcopy(cols)):
             assert copied == m
             assert copied.soft_labels.tobytes() == m.soft_labels.tobytes()
+
+    def test_entries_are_a_read_only_view_of_the_columns(self, monkeypatch):
+        m = man("m", [("a", "real", [[0.8, 0.2], [0.6, 0.4]]),
+                       ("b", "synthetic", [[-0.0, 1.0]])])
+        records = tuple(m.entries)
+        entries = m.entries
+        assert isinstance(entries, Sequence) and not isinstance(entries, tuple)
+        assert records == (
+            ManifestEntry("a_0", "a", "real", (0.8, 0.2), "store/a_0"),
+            ManifestEntry("a_1", "a", "real", (0.6, 0.4), "store/a_1"),
+            ManifestEntry("b_0", "b", "synthetic", (-0.0, 1.0), "store/b_0"))
+        assert entries[-1] == records[2] and entries[1] == records[1]
+        assert type(entries[:2]) is tuple and entries[:2] == records[:2]
+        assert entries[::-2] == records[::-2] and entries[5:] == ()
+        assert list(reversed(entries)) == list(reversed(records))
+        assert records[1] in entries and entries.index(records[2]) == 2
+        with pytest.raises(IndexError):
+            entries[3]
+        with pytest.raises(TypeError):
+            entries[0] = records[1]
+        # equal to and hashed as the tuple of its records, from either side
+        assert entries == records and records == entries and entries != list(records)
+        assert hash(entries) == hash(records) and entries != records[:2]
+        other = dataclasses.replace(m, name="other").entries
+        assert other == entries and other is not entries
+        relabeled = DatasetManifest.from_columns(
+            "m", 2, m.sample_ids, m.identity_ids, m.sources, m.payload_refs,
+            np.array([[0.8, 0.2], [0.6, 0.4], [0.0, 1.0]]))
+        assert relabeled.entries == entries  # -0.0 == 0.0, as in the tuples
+        relabeled = DatasetManifest.from_columns(
+            "m", 2, m.sample_ids, m.identity_ids, m.sources, m.payload_refs,
+            np.array([[0.8, 0.2], [0.4, 0.6], [0.0, 1.0]]))
+        assert relabeled.entries != entries and relabeled != m
+        assert DatasetManifest("e", 2).entries == DatasetManifest("e", 3).entries == ()
+        # the length is the row count: no record is built for it
+        monkeypatch.setattr(sampling, "ManifestEntry", None)
+        assert len(entries) == 3 and len(DatasetManifest.from_columns(
+            "n", 2, [], [], [], [], np.empty((0, 2))).entries) == 0
 
     @pytest.mark.parametrize("columns", [
         {"sources": ["real"]}, {"payload_refs": []},

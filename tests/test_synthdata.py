@@ -1,21 +1,33 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairkd.core import FeatureStore, cosine_similarity
+from fairkd.core import FeatureStore, cosine_similarity, feature_rows
 from fairkd.errors import InsufficientIdentities, OddPairCount
 from fairkd.evaluation import kfold_verification_accuracy, score_pairs
 from fairkd.formats import write_protocol
 from fairkd.sampling import DatasetManifest, ManifestEntry
 from fairkd.synthdata import (
+    _STREAM_PROTOCOL,
+    POOLS,
     UniverseConfig,
+    _stream,
+    _two_distinct,
     gen_identities,
     gen_pair_protocol,
     generate_universe,
     group_structure,
 )
-from helpers import assert_bitwise, ref_pool_features
+from helpers import (
+    assert_bitwise,
+    ref_gen_pair_protocol,
+    ref_identities,
+    ref_pool,
+    ref_pool_features,
+)
 
 
 def small_cfg(**kw):
@@ -222,6 +234,42 @@ def test_universe_features_are_rows_of_one_matrix():
     assert all(store[sid].base is store.matrix.base for sid in store)
 
 
+def _group_cfg(n_groups, **kw):
+    return UniverseConfig(n_groups=n_groups, identities_per_source=3 * n_groups + 1,
+                          eval_identities=2 * n_groups, **kw)
+
+
+@pytest.mark.parametrize("cfg", [
+    UniverseConfig(), small_cfg(seed=7),
+    *(_group_cfg(g, seed=g) for g in range(2, 7)),
+    small_cfg(images_per_identity=1), UniverseConfig(images_per_identity=1, seed=3),
+    small_cfg(label_concentration=math.inf),
+    _group_cfg(5, label_concentration=math.inf, images_per_identity=3, seed=11),
+    small_cfg(noise_scales=(0.0, 0.7), latent_dim=9, feature_dim=2, seed=2),
+], ids=lambda cfg: f"g{cfg.n_groups}-i{cfg.images_per_identity}-"
+                   f"c{cfg.label_concentration}-s{cfg.seed}")
+def test_pools_match_the_per_identity_reference(cfg):
+    # the draws, their order and every bit of the rows, ids, labels and
+    # identities are those of the per-identity loop
+    bundle = generate_universe(cfg)
+    for pool, manifest in zip(POOLS, (bundle.real, bundle.synthetic, bundle.holdout)):
+        rows, sample_ids, identity_ids, labels = ref_pool(cfg, pool)
+        assert manifest.sample_ids == manifest.payload_refs == tuple(sample_ids)
+        assert manifest.identity_ids == tuple(identity_ids)
+        assert manifest.sources == ("synthetic" if pool == "synthetic"
+                                    else "real",) * len(sample_ids)
+        assert_bitwise(manifest.soft_labels, labels)
+        assert_bitwise(feature_rows(bundle.features, sample_ids), rows)
+        for identities in (bundle.identities[pool], gen_identities(cfg, pool)):
+            want = ref_identities(cfg, pool)
+            assert len(identities) == len(want)
+            for ident, (iid, group, latent, soft) in zip(identities, want):
+                assert (ident.identity_id, ident.group, ident.pool) == (iid, group, pool)
+                assert_bitwise(ident.latent, latent)
+                assert [type(p) for p in ident.soft_labels] == [float] * cfg.n_groups
+                assert [p.hex() for p in ident.soft_labels] == [p.hex() for p in soft]
+
+
 def unit(x):
     return x / np.linalg.norm(x)
 
@@ -367,6 +415,63 @@ def test_protocol_files_byte_identical_for_same_seed(tmp_path):
     p3 = tmp_path / "c.json"
     write_protocol(gen_pair_protocol(b.holdout, 6, seed=8), p3)
     assert p1.read_bytes() != p3.read_bytes()
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 10_000, 10_001, 2**20])
+def test_two_distinct_is_choice_without_replacement(n):
+    # the same two items as rng.choice(n, 2, replace=False), and the same
+    # generator state after: if numpy changes choice, this fails
+    ours, theirs = _stream(n, _STREAM_PROTOCOL), _stream(n, _STREAM_PROTOCOL)
+    for _ in range(200):
+        got = _two_distinct(ours.integers, n)
+        assert tuple(map(int, got)) == tuple(theirs.choice(n, 2, replace=False).tolist())
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@st.composite
+def protocol_manifests(draw):
+    """A small manifest of 2-3 groups, each of 1-4 identities (mostly 2 or
+    more) with 1-4 images each, so single-image identities, uneven counts
+    and groups too small for the pairs asked all occur. A random prefix
+    interleaves the groups' identity ids."""
+    g_count = draw(st.integers(2, 3))
+    entries = []
+    for g in range(g_count):
+        labels = tuple(float(k == g) for k in range(g_count))
+        fewest = draw(st.sampled_from((1, 2, 2, 2)))
+        sizes = draw(st.lists(st.integers(1, 4), min_size=fewest, max_size=4))
+        for k, images in enumerate(sizes):
+            iid = f"id{draw(st.integers(0, 99)):02d}{g}{k}"
+            entries.extend(ManifestEntry(f"{iid}_{j}", iid, "real", labels, f"{iid}_{j}")
+                           for j in range(images))
+    return DatasetManifest("m", g_count, entries)
+
+
+def _protocol_outcome(gen, manifest, pairs_per_group, seed):
+    try:
+        return [(g.name, g.pairs) for g in gen(manifest, pairs_per_group, seed).groups]
+    except InsufficientIdentities:
+        return InsufficientIdentities
+
+
+@settings(max_examples=150, deadline=None)
+@example(manifest=DatasetManifest("m", 2, [
+    ManifestEntry(f"{iid}_{j}", iid, "real", labels, f"{iid}_{j}")
+    for iid, labels, images in (("a", (1.0, 0.0), 3), ("b", (1.0, 0.0), 1),
+                                ("c", (0.0, 1.0), 2), ("d", (0.0, 1.0), 4))
+    for j in range(images)]), pairs_per_group=6, seed=0)
+@given(manifest=protocol_manifests(), pairs_per_group=st.integers(0, 6).map(lambda k: 2 * k),
+       seed=st.integers(0, 2**32 - 1))
+def test_protocol_matches_the_choice_reference(manifest, pairs_per_group, seed):
+    want = _protocol_outcome(ref_gen_pair_protocol, manifest, pairs_per_group, seed)
+    assert _protocol_outcome(gen_pair_protocol, manifest, pairs_per_group, seed) == want
+
+
+def test_protocol_matches_the_choice_reference_on_a_universe():
+    bundle = generate_universe(UniverseConfig(eval_identities=40, seed=5))
+    for seed in (0, 1, 1000):
+        assert gen_pair_protocol(bundle.holdout, 200, seed) == \
+            ref_gen_pair_protocol(bundle.holdout, 200, seed)
 
 
 # ----------------------------------------------------------- hardness
