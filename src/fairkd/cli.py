@@ -3,7 +3,7 @@
 Every command loads one RunConfig (JSON file, dotted --set overrides, or the
 built-in defaults), stamps the resolved config digest and tool version into
 each artifact it writes, and is deterministic: identical inputs and seed give
-byte-identical outputs.
+byte-identical outputs. main() parses with one parser, built at import.
 
 Exit codes: 0 success, 1 domain error, 2 configuration or usage error.
 """
@@ -338,9 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
         args.stamp = {"config_digest": config_digest(cfg), "tool_version": __version__}

@@ -627,6 +627,52 @@ def test_version_flag(capsys):
     assert "fairkd" in capsys.readouterr().out
 
 
+def test_main_builds_no_parser(monkeypatch):
+    def build():
+        raise AssertionError("main built a parser")
+    monkeypatch.setattr(fairkd.cli, "_build_parser", build)
+    assert main(["verify-tables"]) == 0
+
+
+def test_calls_on_the_one_parser_share_no_state(tmp_path):
+    cfg = write_config(tmp_path)
+    runs = [(tmp_path / "first", ["eval.pairs_per_group=12"]),
+            (tmp_path / "second", [])]
+    for out, overrides in runs:
+        sets = [f"paths.manifests={out}", *overrides]
+        argv = ["synth-gen", "--config", str(cfg)]
+        assert main(argv + [a for s in sets for a in ("--set", s)]) == 0
+    digests = []
+    for (out, overrides), pairs in zip(runs, (12, TINY["eval"]["pairs_per_group"])):
+        protocol, header = read_protocol(out / "protocol.json")
+        assert all(len(g.pairs) == pairs for g in protocol.groups)
+        loaded = load_config(str(cfg), [f"paths.manifests={out}", *overrides])
+        assert header["config_digest"] == config_digest(loaded)
+        digests.append(header["config_digest"])
+    assert digests[0] != digests[1]
+    assert fairkd.cli._PARSER.parse_args(["report", "r.json"]).overrides == []
+
+
+def test_usage_error_and_version_leave_the_parser_working(ws, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", cfg_of(ws), "--encoder", "bogus"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert fairkd.cli._PARSER.parse_args(["train"]).encoder == "student"
+    assert main(["verify-tables"]) == 0
+    assert "36/36 rows pass" in capsys.readouterr().out
+
+
+def test_import_fairkd_leaves_the_cli_unimported():
+    code = "import fairkd, sys; assert 'fairkd.cli' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(fairkd.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_config_dir_env_fallback(tmp_path, monkeypatch):
     write_config(tmp_path)
     (tmp_path / "tiny.json").write_text((tmp_path / "config.json").read_text())
