@@ -118,9 +118,8 @@ def cmd_mix(cfg: RunConfig, args) -> int:
 def _load_training_inputs(cfg: RunConfig, args):
     manifest_path = args.manifest or _manifest_path(cfg, args.default_manifest)
     features_path = args.features or _manifest_path(cfg, "features.json")
-    manifest, _ = read_manifest(manifest_path)
-    store, _ = read_features(features_path)
-    return manifest, store
+    # [0]: a manifest's header holds its id columns as decoded, unshared
+    return read_manifest(manifest_path)[0], read_features(features_path)[0]
 
 
 def _write_training_outputs(cfg: RunConfig, args, result, stem: str) -> int:
@@ -155,9 +154,9 @@ def cmd_distill(cfg: RunConfig, args) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
-    model, _ = checkpoint_load(args.checkpoint)
-    protocol, _ = read_protocol(args.protocol or _manifest_path(cfg, "protocol.json"))
-    store, _ = read_features(args.features or _manifest_path(cfg, "features.json"))
+    model = checkpoint_load(args.checkpoint)[0]
+    protocol = read_protocol(args.protocol or _manifest_path(cfg, "protocol.json"))[0]
+    store = read_features(args.features or _manifest_path(cfg, "features.json"))[0]
     accuracies = []
     for group in protocol.groups:
         scored = score_pairs(model.encoder.forward, group, store)

@@ -7,8 +7,9 @@ normalized KD term, verification scoring) inherits one convention. Likewise
 feature_rows is the one rule for a feature vector: training, pair scoring and
 the feature-store writer resolve samples through it, in any mapping, and the
 pipeline's is a FeatureStore: sample ids over the rows of one matrix, as made
-or read. And rule/check_fields is the one rule for a record field (config,
-trace epoch): its type and bounds.
+or read, whose ids resolve as one row-index array (FeatureStore.rows). And
+rule/check_fields is the one rule for a record field (config, trace epoch):
+its type and bounds.
 """
 
 from __future__ import annotations
@@ -90,11 +91,13 @@ class FeatureStore(Mapping):
 
     def __init__(self, ids, matrix: np.ndarray):
         self._row = {sid: i for i, sid in enumerate(ids)}
+        if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+                and matrix.shape[:1] == (len(ids),) == (len(self._row),)
+                and matrix.ndim == 2):
+            what = matrix.shape if isinstance(matrix, np.ndarray) else type(matrix)
+            raise InvalidArgument(f"{len(ids)} ids for a matrix of {what}")
         self.matrix = matrix.view()
         self.matrix.flags.writeable = False
-        if not (matrix.dtype == np.float64 and matrix.shape[:1] == (len(ids),)
-                == (len(self._row),) and matrix.ndim == 2):
-            raise InvalidArgument(f"{len(ids)} ids for a matrix of {matrix.shape}")
 
     def __getitem__(self, sid) -> np.ndarray:
         return self.matrix[self._row[sid]]
@@ -105,14 +108,38 @@ class FeatureStore(Mapping):
     def __len__(self) -> int:
         return len(self._row)
 
+    def rows(self, ids) -> np.ndarray:
+        """The matrix row of each sid in the sequence ids, in order, as one
+        intp array; an id the store does not hold raises MissingSample."""
+        try:
+            return np.fromiter(map(self._row.__getitem__, ids), np.intp, len(ids))
+        except KeyError as exc:
+            raise MissingSample(f"feature store cannot resolve sample {exc}") from None
+
+
+def refuse_non_finite(matrix: np.ndarray, ids, rows=None) -> None:
+    """InvalidArgument naming ids[i] for the first i whose vector, matrix[i]
+    or with rows matrix[rows[i]], holds NaN or inf."""
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if rows is not None:
+        bad = bad[rows]
+    if bad.any():
+        raise InvalidArgument(f"feature vector {ids[bad.argmax()]!r} is not finite")
+
 
 def feature_rows(store, ids) -> np.ndarray:
     """store[sid] for each sid in the sequence ids, in order, as one float64
-    (N, D) matrix, filled by one np.array call per _BLOCK ids, so that no more
-    row objects than that are alive at once; no ids give a (0, 0) matrix. An
-    id the store cannot resolve raises MissingSample; values that are not real
-    numbers of one length, or a vector holding NaN or inf (naming its sample
-    id), raise InvalidArgument."""
+    (N, D) matrix; no ids give a (0, 0) matrix. A FeatureStore gives its
+    rows through one index array (FeatureStore.rows); any other mapping's
+    are filled by one np.array call per _BLOCK ids, so that no more row
+    objects than that are alive at once. An id the store cannot resolve
+    raises MissingSample; values that are not real numbers of one length, or
+    a vector holding NaN or inf (naming its sample id), raise
+    InvalidArgument."""
+    if isinstance(store, FeatureStore):
+        rows = store.matrix[store.rows(ids)] if len(ids) else np.zeros((0, 0))
+        refuse_non_finite(rows, ids)
+        return rows
     rows = np.zeros((0, 0))
     for at in range(0, len(ids), _BLOCK):
         try:
@@ -127,9 +154,7 @@ def feature_rows(store, ids) -> np.ndarray:
         if not at:
             rows = np.empty((len(ids), block.shape[1]))
         rows[at:at + _BLOCK] = block
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise InvalidArgument(f"feature vector {ids[bad[0]]!r} is not finite")
+    refuse_non_finite(rows, ids)
     return rows
 
 

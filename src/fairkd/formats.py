@@ -7,8 +7,12 @@ as a stream of pieces, a header list _BLOCK items a piece. A line artifact
 is a header line, then a protocol's pair records, a manifest's (manifest/2)
 soft labels, one array a line, or a feature store's (features/3) matrix, as
 base64 of _PIECE little-endian bytes a line; the ids are header columns. A
-manifest/1 or features/2 file is not read: synth-gen rebuilds it. read_doc
-streams a line artifact from the open file and parses a document in place.
+FeatureStore is written from its own matrix, in sorted id order, through one
+row-index array: no sorted copy is made. A read manifest holds each id string
+once: its payload refs are its sample ids where they are equal, and its
+identity ids and sources one object per distinct value. A manifest/1 or
+features/2 file is not read: synth-gen rebuilds it. read_doc streams a line
+artifact from the open file and parses a document in place.
 Each decoded object holds exactly the keys its writer writes (_fields): a
 header is open to stamps (config_digest), all below it is closed, and nothing
 has a default. Values are taken only as their JSON type (_typed), null only
@@ -29,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import FeatureStore, feature_rows
+from .core import FeatureStore, feature_rows, refuse_non_finite
 from .errors import FairkdError, FormatVersionMismatch, InvalidArgument, IoError
 from .evaluation import EvalReport, GroupProtocol, PairProtocol, VerificationPair
 from .losses import NormStats
@@ -49,8 +53,11 @@ _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError
                   RecursionError, MemoryError)
 # Raw bytes per base64 piece: a multiple of 3, so the pieces join unpadded.
 _PIECE = 3 << 16
-# Header list items, or manifest label lines, encoded or decoded per call.
+# Header list items encoded per call.
 _BLOCK = 4096
+# Manifest label lines decoded per call: few enough row lists at once that
+# they die young, before the cyclic collector's older generations see them.
+_LABEL_BLOCK = 512
 _MANIFEST_KEYS = ("name", "group_count", "shortfalls", "sample_ids",
                   "identity_ids", "sources", "payload_refs")
 
@@ -262,12 +269,12 @@ def _label_lines(labels: np.ndarray):
 
 def _label_matrix(lines, n: int, g: int) -> np.ndarray:
     """The (n, g) matrix of n label lines, each a flat JSON array of g
-    floats, decoded _BLOCK lines a call by the hookless C decoder: with every
-    line opening with "[" and one "[" and one "]" a line besides the block's
-    own, no line holds a nested, a second or a part of an array."""
+    floats, decoded _LABEL_BLOCK lines a call by the hookless C decoder: with
+    every line opening with "[" and one "[" and one "]" a line besides the
+    block's own, no line holds a nested, a second or a part of an array."""
     labels = np.empty((n, g))
-    for at in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - at)
+    for at in range(0, n, _LABEL_BLOCK):
+        k = min(_LABEL_BLOCK, n - at)
         text = "[\n" + ",\n".join(islice(lines, k)) + "]"
         if not k == text.count("\n[") == text.count("[") - 1 == text.count("]") - 1:
             raise ValueError(f"label lines {at} to {at + k} of {n} are not "
@@ -302,15 +309,26 @@ def _columns(records, kinds: dict) -> list:
     return list(map(_column, columns, kinds.values()))
 
 
+def _shared(column) -> list:
+    """column with one string object per distinct value."""
+    return list(map(dict(zip(column, column)).__getitem__, column))
+
+
 def _manifest_from_doc(name, group_count, shortfalls, sample_ids, identity_ids,
                        sources, payload_refs, lines) -> DatasetManifest:
+    """The manifest, holding each id string once: payload refs equal to the
+    sample ids are the sample ids' tuple, and identity ids and sources hold
+    one object per distinct value."""
     columns = [_column(_typed(c, list), str)
                for c in (sample_ids, identity_ids, sources, payload_refs)]
     if len(set(map(len, columns))) > 1:
         raise ValueError(f"id columns of {[len(c) for c in columns]} entries")
+    samples, identities, sources, refs = columns
+    ids = tuple(samples)
     g = _typed(group_count, int)
     return DatasetManifest.from_columns(
-        _typed(name, str), g, *columns, _label_matrix(lines, len(columns[0]), g),
+        _typed(name, str), g, ids, _shared(identities), _shared(sources),
+        ids if refs == samples else refs, _label_matrix(lines, len(ids), g),
         {k: _typed(v, int) for k, v in shortfalls.items()})
 
 
@@ -403,13 +421,36 @@ def read_report(path) -> tuple[list[EvalReport], dict]:
 
 
 def write_features(features, path, extra_header: dict | None = None) -> None:
+    """The vectors in sorted id order. A FeatureStore's are read from its
+    matrix through one row-index array, and no sorted copy is made; a vector
+    holding NaN or inf is refused, naming the first such id in sorted order,
+    before path is touched."""
     for k in features:
         if not isinstance(k, str):
             raise InvalidArgument(f"feature ids must be strings, got {k!r}")
     ids = sorted(features)
-    matrix = feature_rows(features, ids)
+    if isinstance(features, FeatureStore) and ids:
+        matrix, order = features.matrix, features.rows(ids)
+        refuse_non_finite(matrix, ids, order)
+    else:
+        matrix = feature_rows(features, ids)
+        order = np.arange(len(ids))
     write_doc(path, FEATURES_SCHEMA, {"ids": ids, "dim": matrix.shape[1]},
-              extra_header, records=(f'"{p}"' for p in _base64_pieces(matrix)))
+              extra_header, records=(f'"{p}"' for p in _row_pieces(matrix, order)))
+
+
+def _row_pieces(matrix: np.ndarray, order: np.ndarray):
+    """_base64_pieces(matrix[order]) of a float64 matrix, without building
+    matrix[order]: each piece from the rows that hold its bytes, so a row
+    that straddles two pieces is read for both."""
+    width = matrix.shape[1] * 8
+    size = len(order) * width
+    for at in range(0, size, _PIECE):
+        first, stop = at // width, -(-min(at + _PIECE, size) // width)
+        raw = np.ascontiguousarray(matrix[order[first:stop]], "<f8").reshape(-1)
+        skip = at - first * width
+        yield binascii.b2a_base64(raw.view(np.uint8)[skip:skip + _PIECE],
+                                  newline=False).decode()
 
 
 def _features_from_doc(ids, dim, pieces) -> FeatureStore:

@@ -169,22 +169,20 @@ def _pool_manifest(cfg: UniverseConfig, pool: str, name: str,
                    structure: GroupStructure, ids: list, matrix: np.ndarray
                    ) -> tuple[DatasetManifest, list[ToyIdentity]]:
     """Each identity's images are x = M_g z + noise_scale_g * eps, with the
-    pool's noise drawn in one call, identity by identity, image by image:
-    one M_g z per identity, the noise scaled in place, then one broadcast add
-    into the next rows of matrix. Their sample ids extend ids."""
+    pool's noise drawn in one call, identity by identity, image by image,
+    straight into the next rows of matrix, then scaled and offset by one
+    M_g z per identity there, in place. Their sample ids extend ids."""
     identities = _identities(cfg, pool, structure)
-    images = cfg.images_per_identity
-    eps = _stream(cfg.seed, _STREAM_IMAGES[pool]).standard_normal(
-        (len(identities), images, cfg.feature_dim))
-    eps *= np.array([cfg.noise_scales[i.group] for i in identities])[:, None, None]
-    centers = np.array([structure.maps[i.group] @ i.latent for i in identities])
-    start = len(ids)
-    np.add(centers[:, None, :], eps,
-           out=matrix[start:start + eps.shape[0] * images].reshape(eps.shape))
+    images, start = cfg.images_per_identity, len(ids)
+    block = matrix[start:start + len(identities) * images].reshape(
+        len(identities), images, cfg.feature_dim)
+    _stream(cfg.seed, _STREAM_IMAGES[pool]).standard_normal(out=block)
+    block *= np.array([cfg.noise_scales[i.group] for i in identities])[:, None, None]
+    block += np.array([structure.maps[i.group] @ i.latent for i in identities])[:, None]
     suffixes = [f"_im{j:02d}" for j in range(images)]
     iids = [i.identity_id for i in identities]
     ids.extend([iid + suffix for iid in iids for suffix in suffixes])
-    sample_ids = ids[start:]
+    sample_ids = tuple(ids[start:])  # one tuple, the payload refs too
     labels = np.array([i.soft_labels for i in identities]).reshape(-1, cfg.n_groups)
     return (DatasetManifest.from_columns(
         name, cfg.n_groups, sample_ids, [iid for iid in iids for _ in suffixes],

@@ -211,3 +211,34 @@ def test_feature_store_maps_ids_to_rows_of_one_read_only_matrix():
 def test_feature_store_refuses_ids_that_do_not_name_its_rows(ids, matrix):
     with pytest.raises(InvalidArgument):
         FeatureStore(ids, matrix)
+
+
+def test_feature_store_refuses_a_matrix_that_is_no_array():
+    with pytest.raises(InvalidArgument, match="list"):
+        FeatureStore(["a"], [[1.0]])
+
+
+def nan_store():
+    matrix = np.arange(12.0).reshape(4, 3)
+    matrix[[1, 3], 2] = np.nan
+    return FeatureStore(["d", "b", "c", "a"], matrix)
+
+
+def test_feature_rows_of_a_store_are_its_rows_by_one_index_array():
+    store = FeatureStore(["b", "c", "a"], np.arange(6.0).reshape(3, 2))
+    np.testing.assert_array_equal(store.rows(["a", "b", "a"]), [2, 0, 2])
+    rows = feature_rows(store, ("a", "c"))
+    assert rows.flags.writeable and not np.shares_memory(rows, store.matrix)
+    assert rows.tobytes() == store.matrix[[2, 1]].tobytes()
+    assert feature_rows(store, []).shape == (0, 0)
+    with pytest.raises(MissingSample, match="'z'"):
+        store.rows(["a", "z"])
+
+
+@pytest.mark.parametrize("ids, bad", [(["c", "a", "b"], "a"), (["b", "a"], "b")])
+def test_feature_rows_name_the_first_non_finite_vector_of_a_store(ids, bad):
+    with pytest.raises(InvalidArgument, match=f"^feature vector '{bad}' is not finite$"):
+        feature_rows(nan_store(), ids)
+    with pytest.raises(InvalidArgument, match=f"^feature vector '{bad}' is not finite$"):
+        feature_rows(dict(nan_store()), ids)
+    assert feature_rows(nan_store(), ["c"]).tobytes() == nan_store()["c"].tobytes()

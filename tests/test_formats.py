@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fairkd
-from fairkd.core import FeatureStore
+from fairkd.core import FeatureStore, feature_rows
 from fairkd.errors import (
     ConfigError,
     FormatVersionMismatch,
@@ -28,6 +28,7 @@ from fairkd.errors import (
 )
 from fairkd.evaluation import GroupProtocol, PairProtocol, VerificationPair, build_report
 from fairkd.formats import (
+    _LABEL_BLOCK,
     _PIECE,
     FEATURES_SCHEMA,
     MANIFEST_SCHEMA,
@@ -869,6 +870,59 @@ def test_feature_codec_holds_the_matrix_about_once(tmp_path):
     assert len(store) == 20_000 and header["dim"] == 16
 
 
+def test_a_store_is_written_without_a_sorted_copy(tmp_path):
+    # 20 000 x 16 in no id order: the write peaks at most 1.0x the matrix
+    # bytes above what was held before it, which a sorted copy alone fills
+    rng = np.random.default_rng(0)
+    ids = [f"synthetic/id{i // 10:05d}/img{i % 10:02d}"
+           for i in rng.permutation(20_000)]
+    store = FeatureStore(ids, rng.standard_normal((20_000, 16)))
+    path = tmp_path / "f.json"
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        write_features(store, path)
+        write_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert write_peak <= 1.0 * store.matrix.nbytes
+    read, _ = read_features(path)
+    assert list(read) == sorted(ids)
+    assert read.matrix.tobytes() == store.matrix[np.argsort(ids)].tobytes()
+
+
+def test_an_unsorted_store_writes_the_bytes_of_its_vectors_as_a_dict(tmp_path):
+    # dim 7: 56-byte rows, so rows straddle the boundaries of three pieces
+    rows = 2 * _PIECE // 56 + 100
+    assert _PIECE % 56
+    rng = np.random.default_rng(7)
+    ids = [f"s{i:05d}" for i in rng.permutation(rows)]
+    store = FeatureStore(ids, rng.standard_normal((rows, 7)))
+    extra = {"aa": MARKERS[0], "zz": [MARKERS[2], 0.5]}
+    write_features(store, tmp_path / "store.json", extra)
+    write_features({sid: store[sid].copy() for sid in ids}, tmp_path / "dict.json",
+                   extra)
+    written = (tmp_path / "store.json").read_bytes()
+    assert written == (tmp_path / "dict.json").read_bytes()
+    assert len(written.splitlines()) == 1 + 3
+
+
+def test_a_store_with_a_non_finite_row_is_not_written(tmp_path):
+    matrix = np.ones((5, 2))
+    matrix[[1, 3], 0] = np.inf, np.nan
+    store = FeatureStore(["e", "d", "c", "b", "a"], matrix)
+    path = tmp_path / "f.json"
+    for refuse in (lambda: write_features(store, path),
+                   lambda: feature_rows(store, sorted(store))):
+        # "b" is the first bad id in sorted order, "d" in the matrix's
+        with pytest.raises(InvalidArgument, match="^feature vector 'b' is not finite$"):
+            refuse()
+    assert list(tmp_path.iterdir()) == []
+
+
 # the base64 of one float64 1.0 -> malformed base64 for it
 BASE64_CASES = {
     "outside_the_alphabet": "AAAA*AAA8D8=",
@@ -1011,6 +1065,38 @@ def test_label_rows_read_back_bit_for_bit(tmp_path):
     again = tmp_path / "again.jsonl"
     write_manifest(manifest, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_read_manifest_holds_each_id_string_once(tmp_path):
+    entries = [ManifestEntry(f"s{i:03d}", f"id{i % 7}", ("real", "synthetic")[i % 7 % 2],
+                             (0.5, 0.5), f"s{i:03d}") for i in range(40)]
+    path = tmp_path / "m.jsonl"
+    write_manifest(DatasetManifest("toy", 2, entries), path)
+    manifest, _ = read_manifest(path)
+    assert list(manifest.entries) == entries
+    assert all(r is s for r, s in zip(manifest.payload_refs, manifest.sample_ids))
+    assert len(set(map(id, manifest.identity_ids))) == 7
+    assert len(set(map(id, manifest.sources))) == 2
+    # payload refs that are not the sample ids are read as written
+    entries[-1] = replace(entries[-1], payload_ref="elsewhere")
+    write_manifest(DatasetManifest("toy", 2, entries), path)
+    manifest, _ = read_manifest(path)
+    assert manifest.payload_refs == tuple(e.payload_ref for e in entries)
+
+
+def test_label_lines_are_checked_in_blocks_past_the_first(tmp_path):
+    n = 2 * _LABEL_BLOCK + 3
+    entries = [ManifestEntry(f"s{i:05d}", f"id{i % 9}", "real", (0.25, 0.75),
+                             f"s{i:05d}") for i in range(n)]
+    path = tmp_path / "m.jsonl"
+    write_manifest(DatasetManifest("toy", 2, entries), path)
+    assert list(read_manifest(path)[0].entries) == entries
+    lines = path.read_text().splitlines()
+    lines[1 + 2 * _LABEL_BLOCK + 1] = "[[0.25],0.75]"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatVersionMismatch, match=(
+            f"label lines {2 * _LABEL_BLOCK} to {n} of {n} are not one flat")):
+        read_manifest(path)
 
 
 def test_a_record_that_fails_mid_stream_leaves_the_file_as_it_was(tmp_path):

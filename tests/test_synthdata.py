@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,24 @@ def test_universe_features_are_rows_of_one_matrix():
     assert isinstance(store, FeatureStore)
     assert store.matrix.shape == (len(store), small_cfg().feature_dim)
     assert all(store[sid].base is store.matrix.base for sid in store)
+
+
+def test_a_universe_draws_its_noise_into_its_feature_matrix():
+    # 20 640 x 16: generation holds at most 0.15x the matrix bytes at its
+    # peak beyond what it keeps; a noise array of the largest pool is 0.48x
+    cfg = UniverseConfig(identities_per_source=1000, eval_identities=64,
+                         images_per_identity=10)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bundle = generate_universe(cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert bundle.features.matrix.shape == (20_640, 16)
+    assert peak - held <= 0.15 * bundle.features.matrix.nbytes
 
 
 def _group_cfg(n_groups, **kw):
